@@ -15,12 +15,9 @@ The scale is selected with the ``REPRO_BENCH_SCALE`` environment variable
 (``smoke``, ``small`` — default, or ``paper``), the worker-process count
 for realization tasks with ``REPRO_JOBS`` (default 1 = serial; parallel runs
 produce numerically identical results, see :mod:`repro.engine`), and the
-graph backend with ``REPRO_BACKEND`` (``adj`` — default, or ``csr`` for the
-frozen vectorized backend; results are byte-identical either way, see
-``tests/test_backend_equivalence.py``), and the kernel tier for the
-stochastic search loops with ``REPRO_KERNELS`` (``auto`` — default, or
-``python`` / ``jit``; ``jit`` compiles the NF/PF/RW loops with numba,
-results are byte-identical across tiers).
+kernel tier for the stochastic search loops with ``REPRO_KERNELS``
+(``auto`` — default, or ``python`` / ``jit``; ``jit`` compiles the NF/PF/RW
+loops with numba, results are byte-identical across tiers).
 
 Every test collected from this directory is marked ``bench`` (registered in
 ``pytest.ini``), so ``pytest -m "not bench"`` skips the benchmark tier.
@@ -33,11 +30,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.backend import normalize_backend, normalize_kernels
 from repro.engine.executor import Executor, executor_from_jobs
 from repro.experiments.registry import run_experiment
 from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import ExperimentScale
+from repro.kernels.dispatch import normalize_kernels
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -66,11 +63,6 @@ def bench_jobs() -> int:
         return max(1, int(os.environ.get("REPRO_JOBS", "1")))
     except ValueError:
         return 1
-
-
-def bench_backend() -> str:
-    """Return the graph backend selected via REPRO_BACKEND."""
-    return normalize_backend(os.environ.get("REPRO_BACKEND"))
 
 
 def bench_kernels() -> str:
@@ -124,7 +116,6 @@ def run_figure_benchmark(benchmark, experiment_id: str, scale: ExperimentScale) 
             experiment_id,
             scale=scale,
             executor=executor,
-            backend=bench_backend(),
             kernels=bench_kernels(),
         )
         return result_holder["result"]
@@ -139,7 +130,6 @@ def run_figure_benchmark(benchmark, experiment_id: str, scale: ExperimentScale) 
     benchmark.extra_info["experiment"] = experiment_id
     benchmark.extra_info["scale"] = scale.name
     benchmark.extra_info["jobs"] = executor.jobs
-    benchmark.extra_info["backend"] = bench_backend()
     benchmark.extra_info["kernels"] = bench_kernels()
     benchmark.extra_info["series"] = {
         series.label: round(float(series.final()), 4) for series in result.series

@@ -8,10 +8,10 @@ the minutes-long figure experiments, and they double as the ablation of the
 PA implementation strategy called out in DESIGN.md (accept/reject vs
 roulette selection).
 
-``TestBackendBenchmarks`` compares the two graph backends head to head on a
-fig9-scale topology and *asserts* the flooding speedup the CSR backend
-exists to deliver, so backend performance drift fails the suite instead of
-passing silently.
+``TestBackendBenchmarks`` compares the mutable reference graph with the
+frozen CSR snapshot every experiment searches, on a fig9-scale topology,
+and *asserts* the flooding speedup the snapshot exists to deliver, so
+performance drift fails the suite instead of passing silently.
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ def _best_of(runs: int, fn) -> float:
 
 
 class TestBackendBenchmarks:
-    """adj vs. csr on the fig9-scale topology (identical results, see
-    tests/test_backend_equivalence.py — these tests time them)."""
+    """Graph vs. frozen CSRGraph on the fig9-scale topology (identical
+    results, see tests/test_backend_equivalence.py — these tests time them)."""
 
     QUERIES = 60
 

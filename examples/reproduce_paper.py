@@ -48,12 +48,6 @@ def main() -> None:
         help="result-store directory; completed experiments are reused on "
              "re-runs, making a full paper reproduction resumable",
     )
-    parser.add_argument(
-        "--backend", default="adj", choices=["adj", "csr"],
-        help="graph backend for the search phase; 'csr' freezes each "
-             "topology once and runs the vectorized kernels (byte-identical "
-             "results, faster flooding figures)",
-    )
     args = parser.parse_args()
 
     scale = ExperimentScale.from_name(args.scale)
@@ -85,7 +79,6 @@ def main() -> None:
             store=store,
             progress=progress,
             on_result=save_entry,
-            backend=args.backend,
         )
 
     report_lines.append(report.summary())

@@ -61,7 +61,6 @@ from typing import List, Optional, Sequence
 from repro._version import __version__
 from repro.analysis.degree_distribution import degree_distribution
 from repro.analysis.powerlaw import fit_power_law
-from repro.core.backend import freeze_for_backend, use_kernels
 from repro.core.errors import AnalysisError, ReproError
 from repro.engine.executor import executor_from_jobs
 from repro.engine.progress import ProgressReporter
@@ -73,6 +72,7 @@ from repro.experiments.registry import (
     run_experiment_cached,
 )
 from repro.experiments.runner import ExperimentScale
+from repro.kernels.dispatch import use_kernels
 from repro.generators.registry import available_generators, create_generator
 from repro.scenarios import (
     ScenarioSpec,
@@ -87,6 +87,7 @@ from repro.search.normalized_flooding import NormalizedFloodingSearch
 from repro.simulation.churn import ChurnConfig, ChurnProcess
 from repro.telemetry.collector import (
     TelemetryCollector,
+    active_telemetry,
     telemetry_clock,
     use_telemetry,
 )
@@ -144,10 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory to write <experiment>.json and .csv into")
     figure.add_argument("--jobs", type=int, default=1,
                         help="worker processes for realization tasks (default: 1)")
-    figure.add_argument("--backend", default="adj", choices=["adj", "csr"],
-                        help="graph backend for the search phase: 'adj' "
-                             "(mutable reference) or 'csr' (frozen, "
-                             "vectorized kernels); results are identical")
     figure.add_argument("--cache", type=Path, default=None,
                         help="result-store directory; identical re-runs are "
                              "served from cache")
@@ -178,9 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--seed", type=int, default=None, help="base RNG seed")
     suite.add_argument("--jobs", type=int, default=1,
                        help="worker processes shared by all experiments")
-    suite.add_argument("--backend", default="adj", choices=["adj", "csr"],
-                       help="graph backend for the search phase (identical "
-                            "results; 'csr' is faster)")
     suite.add_argument("--kernels", default="auto",
                        choices=["auto", "python", "jit"],
                        help="execution tier for generation and search loops "
@@ -217,9 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--seed", type=int, default=None, help="base RNG seed")
     run_cmd.add_argument("--jobs", type=int, default=1,
                          help="worker processes for realization tasks (default: 1)")
-    run_cmd.add_argument("--backend", default="adj", choices=["adj", "csr"],
-                         help="graph backend for the search phase; results "
-                              "are identical ('csr' is faster)")
     run_cmd.add_argument("--kernels", default="auto",
                          choices=["auto", "python", "jit"],
                          help="execution tier for generation and search "
@@ -297,9 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--ttl", type=int, default=8, help="maximum TTL")
     search.add_argument("--queries", type=int, default=100)
     search.add_argument("--seed", type=int, default=None)
-    search.add_argument("--backend", default="adj", choices=["adj", "csr"],
-                        help="graph backend: freeze the generated topology "
-                             "('csr') or search the mutable graph ('adj')")
     search.add_argument("--kernels", default="auto",
                         choices=["auto", "python", "jit"],
                         help="execution tier for generation and search loops "
@@ -417,9 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scale preset requests run at (default: small)",
     )
     serve.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    serve.add_argument("--backend", default="adj", choices=["adj", "csr"],
-                       help="graph backend for the search phase (identical "
-                            "results; 'csr' is faster)")
     serve.add_argument("--kernels", default="auto",
                        choices=["auto", "python", "jit"],
                        help="execution tier for generation and search loops "
@@ -521,7 +506,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             executor=executor,
             store=store,
             progress=progress,
-            backend=args.backend,
             kernels=args.kernels,
         )
     wall_seconds = telemetry_clock() - started
@@ -571,7 +555,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             store=store,
             progress=progress,
             on_result=save_entry,
-            backend=args.backend,
             kernels=args.kernels,
         )
     wall_seconds = telemetry_clock() - started
@@ -637,7 +620,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 executor=executor,
                 store=store,
                 progress=progress,
-                backend=args.backend,
                 kernels=args.kernels,
             )
         else:
@@ -648,7 +630,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 executor=executor,
                 store=store,
                 progress=progress,
-                backend=args.backend,
                 kernels=args.kernels,
             )
     wall_seconds = telemetry_clock() - started
@@ -818,7 +799,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     with use_telemetry(collector), use_kernels(args.kernels):
         result = generator.generate()
     # The stdout payload stays exactly as before (CI diffs it byte-wise
-    # across backends/tiers); the trace file and stderr carry the telemetry.
+    # across kernel tiers); the trace file and stderr carry the telemetry.
     _telemetry_report(args, collector, telemetry_clock() - started)
     summary = result.summary()
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -845,7 +826,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
     collector = _telemetry_collector(args)
     started = telemetry_clock()
     with use_telemetry(collector), use_kernels(args.kernels):
-        graph = freeze_for_backend(generator.generate_graph(), args.backend)
+        mutable = generator.generate_graph()
+        with active_telemetry().span("freeze"):
+            graph = mutable.freeze()
         if args.algorithm == "fl":
             curve = search_curve(
                 graph, FloodingSearch(), ttl_values, queries=args.queries,
@@ -864,7 +847,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 graph, ttl_values, k_min=args.stubs, queries=args.queries,
                 rng=args.seed,
             )
-    # Stdout stays the bare curve payload (CI diffs it across backends);
+    # Stdout stays the bare curve payload (CI diffs it across kernel tiers);
     # the trace file and stderr carry the telemetry.
     _telemetry_report(args, collector, telemetry_clock() - started)
     print(json.dumps(curve.as_dict(), indent=2, sort_keys=True))
@@ -1105,7 +1088,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         executor=executor,
         scale=args.scale,
         seed=args.seed,
-        backend=args.backend,
         kernels=args.kernels,
         workers=args.workers,
         telemetry=TelemetryCollector(),

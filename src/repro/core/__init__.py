@@ -13,11 +13,8 @@ simulation layer:
 ``csr``
     A frozen compressed-sparse-row snapshot
     (:class:`~repro.core.csr.CSRGraph`) of a finished graph, with
-    vectorized search kernels for the read-only search phase.
-
-``backend``
-    Ambient selection between the mutable ``adj`` backend and the frozen
-    ``csr`` backend (:func:`~repro.core.backend.use_backend`).
+    vectorized search kernels; every experiment's read-only search phase
+    runs on it.
 
 ``shm``
     Shared-memory transport for frozen graphs
@@ -38,20 +35,7 @@ simulation layer:
     Shared light-weight type aliases and small value objects.
 """
 
-from repro.core.backend import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    KERNEL_MODES,
-    active_backend,
-    active_kernels,
-    freeze_for_backend,
-    kernel_tier,
-    normalize_backend,
-    normalize_kernels,
-    use_backend,
-    use_kernels,
-)
-from repro.core.csr import CSRGraph
+from repro.core.csr import CSRGraph, GraphLike
 from repro.core.shm import (
     SharedCSRGraph,
     SharedGraphRegistry,
@@ -72,16 +56,15 @@ from repro.core.rng import RandomSource
 from repro.core.types import DegreeSequence, EdgeList, NodeId
 
 __all__ = [
-    "BACKENDS",
     "CSRGraph",
     "ConfigurationError",
     "CutoffError",
-    "DEFAULT_BACKEND",
     "DegreeSequence",
     "EdgeList",
     "GenerationError",
     "Graph",
     "GraphError",
+    "GraphLike",
     "NodeId",
     "RandomSource",
     "ReproError",
@@ -89,15 +72,6 @@ __all__ = [
     "SharedCSRGraph",
     "SharedGraphRegistry",
     "SimulationError",
-    "KERNEL_MODES",
     "attach_shared_graph",
     "shm_available",
-    "active_backend",
-    "active_kernels",
-    "freeze_for_backend",
-    "kernel_tier",
-    "normalize_backend",
-    "normalize_kernels",
-    "use_backend",
-    "use_kernels",
 ]

@@ -1,10 +1,10 @@
 """Thread-local stacks for the library's ambient selections.
 
-The harness threads three ambient choices through every experiment without
+The harness threads its ambient choices through every experiment without
 touching call signatures: the executor/progress pair
-(:mod:`repro.engine.executor`), the graph backend
-(:mod:`repro.core.backend`), and the kernel mode
-(:mod:`repro.kernels.dispatch`).  Each used to be a module-level list used
+(:mod:`repro.engine.executor`), the kernel mode
+(:mod:`repro.kernels.dispatch`), and the telemetry collector
+(:mod:`repro.telemetry.collector`).  Each used to be a module-level list used
 as a stack — correct under the engine's process-pool parallelism (workers
 re-install their own contexts from the pickled task), but unsafe once the
 scenario compiler started distributing a scenario's panels across *threads*

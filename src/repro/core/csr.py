@@ -1,4 +1,4 @@
-"""Frozen compressed-sparse-row (CSR) graph backend.
+"""Frozen compressed-sparse-row (CSR) graph: the search-phase representation.
 
 The dict-of-sets :class:`~repro.core.graph.Graph` is tuned for *incremental
 growth* — the generators add one node and a handful of edges at a time.  The
@@ -13,12 +13,15 @@ scientific graph stacks:
 * ``indices`` — ``int64[2E]``; the concatenated adjacency lists, **in the
   same per-node insertion order as the mutable graph's neighbor lists**.
 
-Preserving the neighbor order is what makes the backend *exactly*
-interchangeable: every seeded draw the search algorithms perform (random
-neighbor selection, ``rng.sample`` over a candidate list, per-neighbor
-forwarding coins) indexes into the same sequence on both backends, so a
-frozen graph produces byte-identical search results to its mutable source —
-a property pinned by ``tests/test_backend_equivalence.py``.
+Preserving the neighbor order is what makes the snapshot *exactly*
+interchangeable with its source: every seeded draw the search algorithms
+perform (random neighbor selection, ``rng.sample`` over a candidate list,
+per-neighbor forwarding coins) indexes into the same sequence on both
+representations, so a frozen graph produces byte-identical search results
+to its mutable source — a property pinned by
+``tests/test_backend_equivalence.py``.  The experiment pipeline always
+searches the frozen snapshot; the :class:`Graph` loops stay as the
+reference those tests compare against.
 
 On top of the arrays this module provides vectorized kernels:
 
@@ -32,15 +35,17 @@ On top of the arrays this module provides vectorized kernels:
 
 A :class:`CSRGraph` implements the read-only subset of the :class:`Graph`
 API (degrees, neighbors, membership, stats, conversion), so analysis and
-search code that only reads the topology accepts either backend.  Mutation
-methods raise :class:`~repro.core.errors.GraphError`, and the underlying
-arrays are marked read-only.  Instances are picklable and compact, so they
-flow through the experiment engine's worker processes.
+search code that only reads the topology accepts either (:data:`GraphLike`).
+Mutation methods raise :class:`~repro.core.errors.GraphError`, and the
+underlying arrays are marked read-only.  Instances are picklable and
+compact, so they flow through the experiment engine's worker processes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, TYPE_CHECKING
+from itertools import chain
+from types import MappingProxyType
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Set, Tuple, TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -60,6 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (graph imports us laz
 
 __all__ = [
     "CSRGraph",
+    "GraphLike",
     "edge_arrays_to_csr",
     "flood_levels",
     "flood_curve",
@@ -109,6 +115,9 @@ _FROZEN_MESSAGE = (
     "CSRGraph is a frozen snapshot; mutate the source Graph and freeze() again"
 )
 
+#: The neighbor cache of a snapshot whose lists are not built yet.
+_UNBUILT: Mapping[NodeId, List[NodeId]] = MappingProxyType({})
+
 
 class CSRGraph:
     """An immutable undirected graph in compressed-sparse-row form.
@@ -137,8 +146,7 @@ class CSRGraph:
         "_degrees",
         "_ids",
         "_rows",
-        "_py_indices",
-        "_lists",
+        "_neighbor_lists",
         "_edge_sources",
         "_sparse_matrix",
     )
@@ -163,11 +171,10 @@ class CSRGraph:
         for array in (self._indptr, self._indices, self._degrees, self._ids):
             if array is not None:
                 array.setflags(write=False)
-        # Lazy per-node Python neighbor lists (node *ids*, insertion order),
-        # memoised because "freeze once, search many" touches each node's
-        # adjacency hundreds of times per experiment.
-        self._py_indices: Optional[List[int]] = None
-        self._lists: Optional[List[Optional[List[int]]]] = None
+        # id -> Python neighbor list (node *ids*, insertion order): the
+        # search loops' hot lookup, one dict access like Graph's.  Built by
+        # from_graph in its single pass, else lazily on first use.
+        self._neighbor_lists: Mapping[NodeId, List[NodeId]] = _UNBUILT
         # Lazy ``int64[2E]`` array: the source row of every directed edge
         # slot in ``indices`` (the BFS kernel's frontier-expansion index).
         self._edge_sources: Optional[np.ndarray] = None
@@ -179,25 +186,31 @@ class CSRGraph:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_graph(cls, graph: "Graph") -> "CSRGraph":
-        """Snapshot a mutable :class:`Graph` (neighbor order is preserved)."""
+        """Snapshot a mutable :class:`Graph` (neighbor order is preserved).
+
+        One pass copies every neighbor list; the copies become the
+        snapshot's neighbor cache *and* the source of its index array, so
+        the search loops never pay a second conversion.
+        """
         nodes = graph.nodes()
         n = len(nodes)
-        dense = nodes == list(range(n))
-        row_of = None if dense else {node: row for row, node in enumerate(nodes)}
+        lists = {node: list(graph.iter_neighbors(node)) for node in nodes}
+        flat = list(chain.from_iterable(lists.values()))
         indptr = np.zeros(n + 1, dtype=np.int64)
-        indices = np.empty(graph.total_degree, dtype=np.int64)
-        cursor = 0
-        for row, node in enumerate(nodes):
-            neighbor_list = graph.iter_neighbors(node)
-            end = cursor + len(neighbor_list)
-            if dense:
-                indices[cursor:end] = neighbor_list
-            else:
-                indices[cursor:end] = [row_of[v] for v in neighbor_list]
-            cursor = end
-            indptr[row + 1] = cursor
-        ids = None if dense else np.array(nodes, dtype=np.int64)
-        return cls(indptr, indices, ids=ids)
+        np.cumsum(
+            np.fromiter(map(len, lists.values()), dtype=np.int64, count=n),
+            out=indptr[1:],
+        )
+        if nodes == list(range(n)):
+            ids: Optional[np.ndarray] = None
+            indices = np.array(flat, dtype=np.int64)
+        else:
+            row_of = {node: row for row, node in enumerate(nodes)}
+            ids = np.array(nodes, dtype=np.int64)
+            indices = np.array([row_of[v] for v in flat], dtype=np.int64)
+        frozen = cls(indptr, indices, ids=ids)
+        frozen._neighbor_lists = lists
+        return frozen
 
     @classmethod
     def from_edge_arrays(
@@ -323,14 +336,6 @@ class CSRGraph:
             return 0.0
         return len(self._indices) / len(self._degrees)
 
-    def _ensure_lists(self) -> List[Optional[List[int]]]:
-        if self._lists is None:
-            if self._py_indices is None:
-                source = self._indices if self._ids is None else self._ids[self._indices]
-                self._py_indices = source.tolist()
-            self._lists = [None] * len(self._degrees)
-        return self._lists
-
     def edge_source_rows(self) -> np.ndarray:
         """Return the (read-only) source row of each directed-edge slot.
 
@@ -363,21 +368,36 @@ class CSRGraph:
             )
         return self._sparse_matrix
 
+    def _build_neighbor_lists(self) -> Dict[NodeId, List[NodeId]]:
+        """Materialise the id -> neighbor-list cache from the CSR arrays."""
+        flat = (self._indices if self._ids is None else self._ids[self._indices]).tolist()
+        bounds = self._indptr.tolist()
+        lists = {
+            node: flat[start:end]
+            for node, start, end in zip(self.nodes(), bounds, bounds[1:])
+        }
+        self._neighbor_lists = lists
+        return lists
+
     def iter_neighbors(self, node: NodeId) -> List[NodeId]:
         """Return the cached neighbor list of ``node`` — do **not** mutate.
 
         The list holds plain Python ints in the source graph's insertion
-        order and is shared across calls (freeze once, search many), which
-        is what makes repeated traversals allocation-free.
+        order and is shared across calls (freeze once, search many); the
+        lookup is one dict access, the same cost as
+        :meth:`Graph.iter_neighbors`.
         """
-        row = self._row_of(node)
-        lists = self._ensure_lists()
-        cached = lists[row]
-        if cached is None:
-            start, end = int(self._indptr[row]), int(self._indptr[row + 1])
-            cached = self._py_indices[start:end]  # type: ignore[index]
-            lists[row] = cached
-        return cached
+        try:
+            return self._neighbor_lists[node]
+        except KeyError:
+            # Checking for the unbuilt cache only on a miss keeps a hit
+            # exactly as cheap as Graph's lookup.
+            if self._neighbor_lists is not _UNBUILT:
+                raise NodeNotFoundError(node) from None
+        except TypeError:  # unhashable id
+            raise NodeNotFoundError(node) from None
+        self._build_neighbor_lists()
+        return self.iter_neighbors(node)
 
     def neighbors(self, node: NodeId) -> List[NodeId]:
         """Return a fresh list of the neighbors of ``node``."""
@@ -407,7 +427,7 @@ class CSRGraph:
         """Return a uniformly random neighbor of ``node`` or ``None`` if isolated.
 
         Consumes exactly the draws :meth:`Graph.random_neighbor` does, so a
-        shared seed selects the same neighbor on both backends.
+        shared seed selects the same neighbor on both representations.
         """
         neighbors = self.iter_neighbors(node)
         if not neighbors:
@@ -530,6 +550,11 @@ class CSRGraph:
             f"CSRGraph(nodes={self.number_of_nodes}, edges={self.number_of_edges}, "
             f"max_degree={self.max_degree()})"
         )
+
+
+#: Either graph representation; search and analysis code that only reads the
+#: topology accepts both.
+GraphLike = Union["Graph", CSRGraph]
 
 
 # --------------------------------------------------------------------------- #
@@ -684,7 +709,7 @@ def batch_random_walks(
     :class:`~numpy.random.Generator`, so it is distribution-equivalent but
     **not** stream-identical to
     :class:`~repro.search.random_walk.RandomWalkSearch`; use the search
-    class when byte-identical curves across backends are required.
+    class when byte-identical curves are required.
     """
     if ttl < 0:
         raise GraphError("ttl must be non-negative")

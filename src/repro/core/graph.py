@@ -262,9 +262,10 @@ class Graph:
 
         Unlike :meth:`neighbors` this does not copy.  The order is the edge
         insertion order, which is the *defined* neighbor order of the
-        library: the frozen CSR backend preserves it, so every seeded draw
+        library: the frozen CSR snapshot preserves it, so every seeded draw
         the search algorithms make over a neighbor list lands on the same
-        element regardless of backend (see ``tests/test_backend_equivalence``).
+        element on either representation (see
+        ``tests/test_backend_equivalence``).
         """
         try:
             return self._neighbor_lists[node]
@@ -420,7 +421,7 @@ class Graph:
         constructor turns them into a graph in a handful of vectorized
         operations — assembling the frozen
         :class:`~repro.core.csr.CSRGraph` snapshot directly along the way,
-        so a ``freeze()`` under the ``csr`` backend costs nothing until the
+        so the measurement phase's ``freeze()`` costs nothing until the
         first mutation.
 
         Examples

@@ -9,10 +9,8 @@ time but never changes a single output number:
   everywhere, and what existing callers get when they pass nothing);
 * :class:`ParallelExecutor` fans tasks out over a
   :class:`concurrent.futures.ProcessPoolExecutor`.  Tasks that cannot be
-  pickled (e.g. closures handed to
-  :func:`~repro.experiments.runner.run_realizations`) are detected up front
-  and the batch silently degrades to in-process execution rather than
-  crashing a worker.  Frozen :class:`~repro.core.csr.CSRGraph` arguments
+  pickled (e.g. closures) are detected up front and the batch silently
+  degrades to in-process execution rather than crashing a worker.  Frozen :class:`~repro.core.csr.CSRGraph` arguments
   are rewritten to shared-memory twins before submission (see
   :mod:`repro.core.shm`), so shipping one topology to N workers costs a
   constant-size handle per task instead of re-pickling the arrays.

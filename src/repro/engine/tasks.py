@@ -156,7 +156,6 @@ def run_suite(
     store: Any = None,
     progress: Any = None,
     on_result: Optional[Callable[[SuiteEntry], None]] = None,
-    backend: Optional[str] = None,
     kernels: Optional[str] = None,
 ) -> SuiteReport:
     """Run many experiments through one shared executor and result store.
@@ -183,9 +182,6 @@ def run_suite(
         Optional callback invoked with each :class:`SuiteEntry` as soon as
         its experiment finishes — the hook for incremental persistence, so
         an interrupted suite keeps everything completed so far.
-    backend:
-        Optional graph backend (``"adj"`` or ``"csr"``) applied to every
-        experiment in the suite; results are identical across backends.
     kernels:
         Optional kernel mode (``"auto"``, ``"python"``, or ``"jit"``)
         applied to every experiment; results are identical across modes.
@@ -212,7 +208,6 @@ def run_suite(
             executor=executor,
             store=store,
             progress=progress,
-            backend=backend,
             kernels=kernels,
         )
         entry = SuiteEntry(

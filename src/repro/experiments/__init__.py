@@ -40,7 +40,7 @@ from repro.experiments.registry import (
     run_scenario_cached,
 )
 from repro.experiments.results import ExperimentResult, Series
-from repro.experiments.runner import ExperimentScale, realization_seeds, run_realizations
+from repro.experiments.runner import ExperimentScale, realization_seeds
 from repro.experiments.sweeps import parameter_grid
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "parameter_grid",
     "realization_seeds",
     "run_experiment",
-    "run_realizations",
     "run_scenario",
     "run_scenario_cached",
 ]

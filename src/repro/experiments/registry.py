@@ -3,7 +3,7 @@
 Every built-in experiment is a :class:`~repro.scenarios.ScenarioSpec`
 declared in its figure module; this registry maps ids to their ``run``
 callables and forwards engine options (executor / store / progress /
-backend).  User-authored scenarios enter through the same machinery via
+kernels).  User-authored scenarios enter through the same machinery via
 :func:`run_scenario` (re-exported here from :mod:`repro.scenarios`), which
 is what the ``repro run`` CLI verb calls.
 """
@@ -79,7 +79,6 @@ def run_experiment(
     executor: "Optional[Executor]" = None,
     store: "Optional[ResultStore]" = None,
     progress: "Optional[ProgressReporter]" = None,
-    backend: Optional[str] = None,
     kernels: Optional[str] = None,
 ) -> ExperimentResult:
     """Run one experiment by id and return its result.
@@ -101,11 +100,6 @@ def run_experiment(
     progress:
         Optional :class:`~repro.engine.progress.ProgressReporter` receiving
         experiment/task timing events.
-    backend:
-        Optional graph backend (``"adj"`` or ``"csr"``) installed around
-        the run via :func:`repro.core.backend.use_backend`.  Results are
-        byte-identical across backends (so cached results are shared);
-        ``"csr"`` freezes each topology once and searches the snapshot.
     kernels:
         Optional kernel mode (``"auto"``, ``"python"``, or ``"jit"``)
         installed around the run via
@@ -119,10 +113,7 @@ def run_experiment(
     >>> result.experiment_id
     'table2'
     """
-    if (
-        executor is None and store is None and progress is None
-        and backend is None and kernels is None
-    ):
+    if executor is None and store is None and progress is None and kernels is None:
         return get_experiment(experiment_id)(scale=scale, seed=seed)
     result, _ = run_experiment_cached(
         experiment_id,
@@ -131,7 +122,6 @@ def run_experiment(
         executor=executor,
         store=store,
         progress=progress,
-        backend=backend,
         kernels=kernels,
     )
     return result
@@ -144,7 +134,6 @@ def run_experiment_cached(
     executor: "Optional[Executor]" = None,
     store: "Optional[ResultStore]" = None,
     progress: "Optional[ProgressReporter]" = None,
-    backend: Optional[str] = None,
     kernels: Optional[str] = None,
 ) -> "tuple[ExperimentResult, bool]":
     """Engine-aware variant of :func:`run_experiment`.
@@ -156,7 +145,6 @@ def run_experiment_cached(
     runner = get_experiment(experiment_id)
     # Imported lazily: repro.engine (and the figures package) pull in this
     # module during their own initialisation.
-    from repro.core.backend import use_backend
     from repro.engine.executor import use_executor
     from repro.experiments.figures._common import resolve_scale
     from repro.kernels.dispatch import use_kernels
@@ -167,8 +155,7 @@ def run_experiment_cached(
         progress.experiment_started(experiment_id)
 
     def compute() -> ExperimentResult:
-        with use_executor(executor, progress), use_backend(backend), \
-                use_kernels(kernels):
+        with use_executor(executor, progress), use_kernels(kernels):
             return runner(scale=resolved, seed=None)
 
     if store is not None:
@@ -187,7 +174,6 @@ def run_scenario(
     executor: "Optional[Executor]" = None,
     store: "Optional[ResultStore]" = None,
     progress: "Optional[ProgressReporter]" = None,
-    backend: Optional[str] = None,
     kernels: Optional[str] = None,
 ) -> ExperimentResult:
     """Run a declarative :class:`~repro.scenarios.ScenarioSpec` end to end.
@@ -208,7 +194,6 @@ def run_scenario(
         executor=executor,
         store=store,
         progress=progress,
-        backend=backend,
         kernels=kernels,
     )
 
@@ -220,7 +205,6 @@ def run_scenario_cached(
     executor: "Optional[Executor]" = None,
     store: "Optional[ResultStore]" = None,
     progress: "Optional[ProgressReporter]" = None,
-    backend: Optional[str] = None,
     kernels: Optional[str] = None,
 ) -> "tuple[ExperimentResult, bool]":
     """Scenario counterpart of :func:`run_experiment_cached`.
@@ -237,6 +221,5 @@ def run_scenario_cached(
         executor=executor,
         store=store,
         progress=progress,
-        backend=backend,
         kernels=kernels,
     )

@@ -10,27 +10,23 @@ experiment therefore accepts an :class:`ExperimentScale` with three presets:
   paper's qualitative trends remain visible;
 * ``paper``  — the sizes reported in the paper, for full reproduction runs.
 
-:func:`run_realizations` handles the generate-→-measure-→-average loop every
-experiment shares.
+The generate-→-measure-→-average loop every experiment shares lives in
+:mod:`repro.scenarios.measure`; this module supplies its scale presets,
+per-realization seeds, and :func:`average_curves`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, TypeVar
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from repro.core.errors import ExperimentError
-from repro.core.rng import DEFAULT_SEED, RandomSource
+from repro.core.rng import DEFAULT_SEED
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from repro.engine.executor import Executor
-
-__all__ = ["ExperimentScale", "run_realizations", "realization_seeds", "average_curves"]
-
-T = TypeVar("T")
+__all__ = ["ExperimentScale", "realization_seeds", "average_curves"]
 
 
 @dataclass(frozen=True)
@@ -187,112 +183,6 @@ def realization_seeds(scale: ExperimentScale, label: str = "") -> List[int]:
     if not label:
         return [scale.seed + index for index in range(scale.realizations)]
     return [_labelled_seed(scale.seed, label, index) for index in range(scale.realizations)]
-
-
-def _realize_one(
-    build: Callable[[int], T],
-    measure: Callable[[T, int], Sequence[float]],
-    seed: int,
-    backend: str = "adj",
-    kernels: str = "auto",
-) -> List[float]:
-    """Build and measure a single realization (one engine task).
-
-    When the ``csr`` backend is selected and ``build`` produced a mutable
-    :class:`~repro.core.graph.Graph`, the graph is frozen once here —
-    before ``measure`` runs its many queries — so the whole measurement
-    phase uses the vectorized snapshot.  The kernel mode travels with the
-    task the same way: installed ambiently around *both* phases — ``build``
-    dispatches to the compiled generator kernels, ``measure`` to the search
-    kernels — so the choice survives the hop into a worker process.
-    """
-    from repro.core.backend import freeze_for_backend
-    from repro.core.graph import Graph
-    from repro.kernels.dispatch import use_kernels
-
-    with use_kernels(kernels):
-        subject = build(seed)
-        if isinstance(subject, Graph):
-            subject = freeze_for_backend(subject, backend)  # type: ignore[assignment]
-        return [float(value) for value in measure(subject, seed)]
-
-
-def run_realizations(
-    scale: ExperimentScale,
-    build: Callable[[int], T],
-    measure: Callable[[T, int], Sequence[float]],
-    label: str = "",
-    executor: "Optional[Executor]" = None,
-    backend: "Optional[str]" = None,
-    kernels: "Optional[str]" = None,
-) -> List[float]:
-    """Run ``build``/``measure`` once per realization and average the outputs.
-
-    Parameters
-    ----------
-    scale:
-        Controls the number of realizations and the base seed.
-    build:
-        ``build(seed)`` constructs the object under study (usually a graph).
-    measure:
-        ``measure(obj, seed)`` returns a vector of numbers (e.g. hits per
-        TTL); vectors from all realizations are averaged element-wise and
-        must share a length.
-    label:
-        Mixed into the seeds so distinct curves are independent.
-    executor:
-        Optional :class:`~repro.engine.executor.Executor` the realization
-        tasks are fanned out through.  The default is the ambient executor
-        (serial unless a ``--jobs`` context is active), so existing callers
-        see unchanged behaviour.  Because each task carries its own explicit
-        seed and results come back in submission order, parallel runs are
-        numerically identical to serial ones — note that distributing to
-        worker processes requires ``build``/``measure`` to be picklable
-        (module-level functions); closures degrade gracefully to in-process
-        execution.
-    backend:
-        Graph backend for the measurement phase (``"adj"`` or ``"csr"``);
-        the default is the ambient backend installed by
-        :func:`repro.core.backend.use_backend`.  With ``"csr"``, graphs
-        coming out of ``build`` are frozen once before ``measure`` runs —
-        generate mutable, freeze once, search many.  The choice is baked
-        into each task, so it survives the hop into worker processes, and
-        results are identical either way.
-    kernels:
-        Kernel mode for the measurement phase (``"auto"``, ``"python"``,
-        or ``"jit"``; see :mod:`repro.kernels.dispatch`); the default is
-        the ambient mode installed by
-        :func:`repro.kernels.dispatch.use_kernels`.  Baked into each task
-        like ``backend``; results are identical across modes.
-
-    Returns
-    -------
-    list of float
-        The element-wise mean across realizations.
-    """
-    # Imported lazily to avoid a cycle: repro.engine.store imports this module.
-    from repro.core.backend import active_backend, normalize_backend
-    from repro.engine.executor import active_executor, active_progress
-    from repro.engine.tasks import Task
-    from repro.kernels.dispatch import active_kernels, normalize_kernels
-
-    resolved_backend = (
-        active_backend() if backend is None else normalize_backend(backend)
-    )
-    resolved_kernels = (
-        active_kernels() if kernels is None else normalize_kernels(kernels)
-    )
-    tasks = [
-        Task(
-            fn=_realize_one,
-            args=(build, measure, seed, resolved_backend, resolved_kernels),
-            key=f"{label or 'realization'}[{index}]",
-        )
-        for index, seed in enumerate(realization_seeds(scale, label))
-    ]
-    runner = executor if executor is not None else active_executor()
-    rows = runner.run(tasks, active_progress())
-    return average_curves(rows)
 
 
 def average_curves(rows: Sequence[Sequence[float]]) -> List[float]:

@@ -34,7 +34,7 @@ from repro.core.graph import Graph
 from repro.core.rng import RandomSource
 from repro.generators.base import TopologyGenerator
 from repro.generators.degree_sequence import power_law_degree_sequence
-from repro.kernels.dispatch import kernel_generation_ready
+from repro.kernels.dispatch import kernel_ready
 
 __all__ = ["ConfigurationModelGenerator", "generate_cm"]
 
@@ -133,7 +133,7 @@ class ConfigurationModelGenerator(TopologyGenerator):
     def _build(self, rng: RandomSource) -> Tuple[Graph, Dict[str, Any]]:
         sequence = self._resolve_degree_sequence(rng)
         if self.partner_selection == "stub_matching":
-            if kernel_generation_ready(rng):
+            if kernel_ready(rng, "generation"):
                 from repro.kernels.generators import cm_stub_matching_build
 
                 graph, removed_self_loops, removed_multi_edges = (

@@ -33,7 +33,7 @@ from repro.core.errors import ConfigurationError, GenerationError
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
 from repro.generators.base import TopologyGenerator
-from repro.kernels.dispatch import kernel_generation_ready
+from repro.kernels.dispatch import kernel_ready
 from repro.substrate.grn import GeometricRandomNetwork
 from repro.substrate.mesh import MeshNetwork
 
@@ -145,7 +145,7 @@ class DAPAGenerator(TopologyGenerator):
             raise GenerationError(
                 "substrate has fewer nodes than the requested overlay size"
             )
-        if kernel_generation_ready(rng):
+        if kernel_ready(rng, "generation"):
             from repro.kernels.generators import dapa_build
 
             return dapa_build(self.config, substrate, rng)

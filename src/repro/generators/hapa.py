@@ -27,7 +27,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
 from repro.generators.base import TopologyGenerator
-from repro.kernels.dispatch import kernel_generation_ready
+from repro.kernels.dispatch import kernel_ready
 
 __all__ = ["HAPAGenerator", "generate_hapa"]
 
@@ -107,7 +107,7 @@ class HAPAGenerator(TopologyGenerator):
         }
 
     def _build(self, rng: RandomSource) -> Tuple[Graph, Dict[str, Any]]:
-        if kernel_generation_ready(rng):
+        if kernel_ready(rng, "generation"):
             from repro.kernels.generators import hapa_build
 
             return hapa_build(self.config, rng)

@@ -29,7 +29,7 @@ from repro.core.errors import ConfigurationError, GenerationError
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
 from repro.generators.base import TopologyGenerator
-from repro.kernels.dispatch import kernel_generation_ready
+from repro.kernels.dispatch import kernel_ready
 
 __all__ = ["NonlinearPreferentialAttachmentGenerator", "generate_nonlinear_pa"]
 
@@ -113,7 +113,7 @@ class NonlinearPreferentialAttachmentGenerator(TopologyGenerator):
         }
 
     def _build(self, rng: RandomSource) -> Tuple[Graph, Dict[str, Any]]:
-        if kernel_generation_ready(rng):
+        if kernel_ready(rng, "generation"):
             from repro.kernels.generators import nlpa_build
 
             graph, metadata = nlpa_build(self.config, self.exponent_alpha, rng)

@@ -37,7 +37,7 @@ from repro.core.errors import ConfigurationError, GenerationError
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
 from repro.generators.base import TopologyGenerator
-from repro.kernels.dispatch import kernel_generation_ready
+from repro.kernels.dispatch import kernel_ready
 
 __all__ = ["PreferentialAttachmentGenerator", "generate_pa"]
 
@@ -133,14 +133,14 @@ class PreferentialAttachmentGenerator(TopologyGenerator):
 
     def _build(self, rng: RandomSource) -> Tuple[Graph, Dict[str, Any]]:
         if self.strategy == "roulette":
-            if kernel_generation_ready(rng):
+            if kernel_ready(rng, "generation"):
                 from repro.kernels.generators import pa_roulette_build
 
                 graph, metadata = pa_roulette_build(self.config, rng)
             else:
                 graph, metadata = self._build_roulette(rng)
         else:
-            if kernel_generation_ready(rng):
+            if kernel_ready(rng, "generation"):
                 from repro.kernels.generators import pa_attempt_build
 
                 graph, metadata = pa_attempt_build(self.config, rng)

@@ -1,8 +1,8 @@
-"""JIT kernel tier: compiled search and generation kernels below the CSR backend.
+"""JIT kernel tier: compiled search and generation kernels over CSR arrays.
 
-The third execution tier of the stack (after the ``adj`` reference backend
-and the frozen ``csr`` backend): :mod:`repro.kernels.search` JIT-compiles
-the NF/PF/RW query loops over the CSR ``indptr``/``indices`` arrays,
+The compiled execution tier below the Python reference loops:
+:mod:`repro.kernels.search` JIT-compiles the NF/PF/RW query loops over the
+CSR ``indptr``/``indices`` arrays,
 :mod:`repro.kernels.generators` the PA (both strategies) / nonlinear-PA /
 HAPA / DAPA growth loops and CM stub matching over preallocated
 degree/stub arrays, :mod:`repro.kernels.substrate` the GRN cell-grid sweep
@@ -22,10 +22,8 @@ from repro.kernels.dispatch import (
     DEFAULT_KERNELS,
     KERNEL_MODES,
     active_kernels,
-    kernel_generation_ready,
-    kernel_query_ready,
+    kernel_ready,
     kernel_self_check,
-    kernel_simulation_ready,
     kernel_tier,
     kernels_runtime,
     normalize_kernels,
@@ -38,10 +36,8 @@ __all__ = [
     "DEFAULT_KERNELS",
     "KERNEL_MODES",
     "active_kernels",
-    "kernel_generation_ready",
-    "kernel_query_ready",
+    "kernel_ready",
     "kernel_self_check",
-    "kernel_simulation_ready",
     "kernel_tier",
     "kernels_runtime",
     "normalize_kernels",

@@ -1,6 +1,6 @@
 """Kernel-tier selection: capability probing and the ambient ``--kernels`` mode.
 
-Three modes mirror the graph-backend context in :mod:`repro.core.backend`:
+Three modes:
 
 ``python``
     The reference implementations (the search classes' own loops) — always
@@ -23,17 +23,19 @@ The probes are lazy (first kernel-eligible query, not package import) and
 cached for the process, so ``repro --help`` never pays for a numba import.
 The ambient mode is installed with :func:`use_kernels` — the CLI's
 ``--kernels`` flag and the engine's per-task capture both go through it —
-and consulted by the search classes via :func:`kernel_query_ready`, the
-topology generators and substrate builders via
-:func:`kernel_generation_ready`, and the protocol's batched query path via
-:func:`kernel_simulation_ready`.
+and consulted through one gate, :func:`kernel_ready`, by the search
+classes (``layer="search"``), the topology generators and substrate
+builders (``"generation"``), and the protocol's batched query path
+(``"simulation"``).
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Literal, Optional
 
 from repro.core.ambient import AmbientStack
 from repro.core.errors import ConfigurationError
@@ -55,9 +57,7 @@ __all__ = [
     "kernel_self_check",
     "kernel_tier",
     "resolve_kernels",
-    "kernel_query_ready",
-    "kernel_generation_ready",
-    "kernel_simulation_ready",
+    "kernel_ready",
     "kernels_runtime",
     "probe_status",
 ]
@@ -90,8 +90,8 @@ def normalize_kernels(name: Optional[str]) -> str:
 def active_kernels() -> str:
     """Return the mode installed by the innermost :func:`use_kernels`.
 
-    Thread-local like the backend stack; worker threads re-install the mode
-    captured from their parent.
+    Thread-local (see :class:`repro.core.ambient.AmbientStack`); worker
+    threads re-install the mode captured from their parent.
     """
     return _ACTIVE_STACK.top(DEFAULT_KERNELS)
 
@@ -101,7 +101,7 @@ def use_kernels(name: Optional[str]) -> Iterator[str]:
     """Install kernel mode ``name`` for the ``with`` body.
 
     ``None`` leaves the ambient mode in place (mirroring
-    :func:`repro.core.backend.use_backend`), so call sites can pass an
+    :func:`repro.engine.executor.use_executor`), so call sites can pass an
     optional override unconditionally.
     """
     if name is not None:
@@ -469,12 +469,24 @@ def self_check_failure() -> str:
 #: thousands of queries reports its effective tier exactly once.
 _TIER_WARNINGS: "set[str]" = set()
 
+#: Frames whose file starts with this prefix belong to the ``repro`` package.
+_PACKAGE_PREFIX = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + os.sep
+
 
 def _warn_tier(key: str, message: str) -> None:
     if key in _TIER_WARNINGS:
         return
     _TIER_WARNINGS.add(key)
-    warnings.warn(message, RuntimeWarning, stacklevel=4)
+    # Attribute the warning to the first frame outside the package (the
+    # fallback fires at different depths: a generator build, a search, a
+    # CLI run), walking the stack because Python < 3.12 has no
+    # ``skip_file_prefixes``.
+    frame, stacklevel = sys._getframe(), 1
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(
+        _PACKAGE_PREFIX
+    ):
+        frame, stacklevel = frame.f_back, stacklevel + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=stacklevel)
     # The warning is once-per-process by design; make it observable too:
     # a structured log record (stamped with the active trace id, so a slow
     # interpreted request is attributable) and a counter family.
@@ -534,11 +546,17 @@ def resolve_kernels(mode: Optional[str] = None) -> str:
     return "python"
 
 
-def kernel_query_ready(rng: object) -> bool:
-    """Should a CSR stochastic query with this RNG go to the kernel tier?
+def kernel_ready(
+    rng: object, layer: Literal["search", "generation", "simulation"]
+) -> bool:
+    """Should ``layer``'s work with this RNG go to the kernel tier?
 
-    Requires the resolved tier to be ``jit`` and ``rng`` to be a plain
-    :class:`~repro.core.rng.RandomSource` — subclasses (e.g. counting or
+    ``layer`` is the caller's family — ``search`` (CSR stochastic queries),
+    ``generation`` (topology and substrate builds) or ``simulation``
+    (batched protocol queries) — and names the ``kernels.<layer>.<tier>``
+    counter the decision is recorded under.  Requires the resolved tier to
+    be ``jit`` and ``rng`` to be a plain
+    :class:`~repro.core.rng.RandomSource`: subclasses (e.g. counting or
     instrumented sources) keep the reference path, because the kernels
     consume the Mersenne-Twister stream directly and would bypass any
     overridden draw methods.
@@ -548,43 +566,7 @@ def kernel_query_ready(rng: object) -> bool:
     ready = resolve_kernels() == "jit"
     telemetry = active_telemetry()
     if telemetry.enabled:
-        telemetry.count(f"kernels.search.{'jit' if ready else 'python'}")
-    return ready
-
-
-def kernel_generation_ready(rng: object) -> bool:
-    """Should a topology build with this RNG go to the generator kernels?
-
-    Same contract as :func:`kernel_query_ready`: the resolved tier must be
-    ``jit`` and ``rng`` must be a plain :class:`~repro.core.rng.RandomSource`
-    — subclasses keep the reference growth loops, because the kernels
-    consume the Mersenne-Twister stream directly and would bypass any
-    overridden draw methods (e.g. counting sources in the tests).
-    """
-    if type(rng) is not RandomSource:
-        return False
-    ready = resolve_kernels() == "jit"
-    telemetry = active_telemetry()
-    if telemetry.enabled:
-        telemetry.count(f"kernels.generation.{'jit' if ready else 'python'}")
-    return ready
-
-
-def kernel_simulation_ready(rng: object) -> bool:
-    """Should a batched protocol query with this RNG go to the batch kernel?
-
-    Same contract as :func:`kernel_query_ready`: the resolved tier must be
-    ``jit`` and ``rng`` must be a plain :class:`~repro.core.rng.RandomSource`
-    — subclasses keep the pure-Python batch reference, because the kernel
-    consumes the Mersenne-Twister stream directly and would bypass any
-    overridden draw methods.
-    """
-    if type(rng) is not RandomSource:
-        return False
-    ready = resolve_kernels() == "jit"
-    telemetry = active_telemetry()
-    if telemetry.enabled:
-        telemetry.count(f"kernels.simulation.{'jit' if ready else 'python'}")
+        telemetry.count(f"kernels.{layer}.{'jit' if ready else 'python'}")
     return ready
 
 

@@ -33,11 +33,10 @@ Two layers live here, mirroring :mod:`repro.kernels.search`:
   splice the stream into a kernel state vector, run the kernel, splice the
   advanced stream back, and ingest the emitted edge arrays through
   :meth:`repro.core.graph.Graph.from_edge_array` (which precomputes the
-  CSR arrays, so a subsequent ``freeze()`` under the ``csr`` backend is
-  free) — no per-edge Python calls anywhere.
+  CSR arrays, so the measurement phase's ``freeze()`` is free) — no per-edge Python calls anywhere.
 
 Never call these from experiment code directly; the generators dispatch
-here when :func:`repro.kernels.dispatch.kernel_generation_ready` says the
+here when :func:`repro.kernels.dispatch.kernel_ready` says the
 ``jit`` tier is active.
 """
 

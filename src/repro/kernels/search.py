@@ -11,8 +11,8 @@ Mersenne-Twister draw sequence the reference consumes (via
 pool-swap/rejection-set split and ``_randbelow`` rejection loops).  A
 kernel query therefore returns the same hits/messages curves, the same
 visited set, the same ``found_at``, *and leaves the RNG stream at the same
-position* as the Python loop it replaces — the backend contract of
-``tests/test_backend_equivalence.py``, extended to this tier.
+position* as the Python loop it replaces — the representation contract
+of ``tests/test_backend_equivalence.py``, extended to this tier.
 
 Two layers live here:
 

@@ -25,7 +25,7 @@ The kernel consumes the CPython Mersenne-Twister stream through
 :mod:`repro.kernels.mt19937` (``random.sample`` via the same ``_mt_sample``
 replica the search kernels use), so reference and kernel produce identical
 statistics *and* leave the RNG at the same position.  Dispatch goes through
-:func:`repro.kernels.dispatch.kernel_simulation_ready`, with the same
+:func:`repro.kernels.dispatch.kernel_ready`, with the same
 ``auto`` parity self-check and telemetry tier counters as search and
 generation.
 """

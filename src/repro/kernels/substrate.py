@@ -1,4 +1,4 @@
-"""Substrate-construction kernels: edge arrays straight into the CSR backend.
+"""Substrate-construction kernels: edge arrays straight into CSR arrays.
 
 PR 5 closed the generator families, but a jit DAPA realization still paid
 for its *substrate* in Python: :class:`~repro.substrate.grn.GeometricRandomNetwork`
@@ -26,7 +26,7 @@ The position sweep consumes no draws (all randomness is in the fill), so a
 too-small edge-capacity estimate is handled by re-running the deterministic
 sweep with the exact count; the ER kernel re-runs from a saved stream
 position instead.  Builders dispatch here when
-:func:`repro.kernels.dispatch.kernel_generation_ready` says the ``jit``
+:func:`repro.kernels.dispatch.kernel_ready` says the ``jit``
 tier is active; the mesh substrate needs no kernel (it is deterministic and
 vectorizes directly in :mod:`repro.substrate.mesh`).
 """

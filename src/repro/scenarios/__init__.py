@@ -14,7 +14,7 @@ search algorithm × TTL — is exposed here as a serializable grammar:
   extension point that lets plugins join the grammar;
 * :mod:`repro.scenarios.compile` — the compiler
   (:func:`compile_scenario` → :class:`SeriesPlan` list) and the runtime
-  (:func:`run_scenario`, with executor / result-store / backend parity to
+  (:func:`run_scenario`, with executor / result-store / kernels parity to
   the experiment registry).
 
 Every built-in figure, table, and ablation is itself a

@@ -5,7 +5,7 @@ into an ordered list of :class:`SeriesPlan` items — one per measured series,
 with every by-scale value resolved and every label rendered — and
 :func:`run_scenario` executes a compiled plan through the engine's existing
 ``Task`` fan-out: the same SHA-256 per-(label, index) seed streams, ambient
-executor/backend capture, and content-addressed
+executor/kernel-mode capture, and content-addressed
 :class:`~repro.engine.store.ResultStore` keys the figure harness has always
 used.  Because specs hash canonically
 (:meth:`~repro.scenarios.spec.ScenarioSpec.spec_hash`), a scenario cached
@@ -199,8 +199,8 @@ def _run_plans(
     from its own SHA-256 per-(label, index) seed stream, results come back
     per plan in submission order, and the list returned here is in plan
     order.  Each worker thread re-installs the ambient
-    executor/progress/backend/kernels captured from the caller (the
-    ambient stacks are thread-local).
+    executor/progress/kernels captured from the caller (the ambient stacks
+    are thread-local).
     """
     from repro.engine.executor import active_executor, active_progress, use_executor
     from repro.telemetry.collector import active_telemetry
@@ -216,12 +216,10 @@ def _run_plans(
 
     from concurrent.futures import ThreadPoolExecutor
 
-    from repro.core.backend import active_backend, use_backend
     from repro.kernels.dispatch import active_kernels, use_kernels
     from repro.telemetry.collector import use_telemetry
 
     progress = active_progress()
-    backend = active_backend()
     kernels = active_kernels()
     # The collector is thread-safe; every plan thread records into the same
     # instance the caller installed (or the shared null collector).  The
@@ -230,9 +228,8 @@ def _run_plans(
     span_context = current_span_context()
 
     def run_one(plan: SeriesPlan) -> List[Series]:
-        with use_executor(executor, progress), use_backend(backend), \
-                use_kernels(kernels), use_telemetry(telemetry), \
-                use_span_context(span_context):
+        with use_executor(executor, progress), use_kernels(kernels), \
+                use_telemetry(telemetry), use_span_context(span_context):
             return _run_plan_spanned(telemetry, plan, scale)
 
     with ThreadPoolExecutor(
@@ -243,7 +240,7 @@ def _run_plans(
 
 
 def _compute_scenario(spec: ScenarioSpec, scale: ExperimentScale) -> ExperimentResult:
-    """Compile and execute ``spec`` under the ambient executor/backend.
+    """Compile and execute ``spec`` under the ambient executor and kernels.
 
     The whole computation runs inside a ``scenario`` span carrying the
     canonical spec hash and the resolved scale/seed — the middle layer of
@@ -298,18 +295,16 @@ def run_scenario_cached(
     executor: "Optional[Executor]" = None,
     store: "Optional[ResultStore]" = None,
     progress: "Optional[ProgressReporter]" = None,
-    backend: Optional[str] = None,
     kernels: Optional[str] = None,
 ) -> "tuple[ExperimentResult, bool]":
     """Run a scenario on the engine; returns ``(result, from_cache)``.
 
     Mirrors :func:`repro.experiments.registry.run_experiment_cached`: the
     realization tasks fan out through ``executor`` (results byte-identical
-    to a serial run), the graph ``backend`` is installed ambiently, and with
-    a ``store`` the result is keyed by (scenario id, scale, spec hash) — so
-    a re-run of any equivalent spelling of the spec is a cache hit.
+    to a serial run), the kernel mode is installed ambiently, and with a
+    ``store`` the result is keyed by (scenario id, scale, spec hash) — so a
+    re-run of any equivalent spelling of the spec is a cache hit.
     """
-    from repro.core.backend import use_backend
     from repro.engine.executor import use_executor
     from repro.kernels.dispatch import use_kernels
 
@@ -319,8 +314,7 @@ def run_scenario_cached(
         progress.experiment_started(spec.scenario_id)
 
     def compute() -> ExperimentResult:
-        with use_executor(executor, progress), use_backend(backend), \
-                use_kernels(kernels):
+        with use_executor(executor, progress), use_kernels(kernels):
             return _compute_scenario(spec, resolved)
 
     if store is not None:
@@ -344,7 +338,6 @@ def run_scenario(
     executor: "Optional[Executor]" = None,
     store: "Optional[ResultStore]" = None,
     progress: "Optional[ProgressReporter]" = None,
-    backend: Optional[str] = None,
     kernels: Optional[str] = None,
 ) -> ExperimentResult:
     """Run a scenario spec end to end and return its result.
@@ -371,7 +364,6 @@ def run_scenario(
         executor=executor,
         store=store,
         progress=progress,
-        backend=backend,
         kernels=kernels,
     )
     return result

@@ -14,8 +14,10 @@ Determinism contract — identical to the pre-scenario figure harness:
   canonical algorithm name into the label, ``f"{algorithm}:{label}"``);
 * tasks fan out through the ambient executor and come back in submission
   order, so parallel runs are byte-identical to serial ones;
-* the ambient graph backend is captured into each task at creation time,
-  and results are byte-identical across backends.
+* the ambient kernel mode is captured into each task at creation time;
+* every search realization is measured on its frozen
+  :class:`~repro.core.csr.CSRGraph` snapshot, which searches
+  byte-identically to the mutable :class:`~repro.core.graph.Graph`.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.degree_distribution import degree_distribution
 from repro.analysis.powerlaw import fit_power_law
-from repro.core.backend import GraphLike, active_backend, freeze_for_backend
 from repro.kernels.dispatch import active_kernels, use_kernels
 from repro.core.config import GRNConfig
+from repro.core.csr import CSRGraph
 from repro.core.errors import AnalysisError
 from repro.core.graph import Graph
 from repro.engine.executor import active_executor, active_progress
@@ -47,6 +49,7 @@ from repro.search.metrics import (
     search_curve,
 )
 from repro.search.registry import create_search_algorithm
+from repro.telemetry.collector import active_telemetry
 
 __all__ = [
     "HAPA_NONPAPER_NODE_CAP",
@@ -198,12 +201,10 @@ def build_graph(
 class RealizationSpec:
     """Everything needed to rebuild one topology realization in any process.
 
-    ``backend`` and ``kernels`` are captured at task-creation time (from
-    the ambient :func:`~repro.core.backend.active_backend` /
-    :func:`~repro.kernels.dispatch.active_kernels`), so the
-    generate-mutable / freeze-once / search-many policy — and the kernel
-    tier that measures the snapshot — travel with the pickled spec into
-    the engine's worker processes.
+    ``kernels`` is captured at task-creation time (from the ambient
+    :func:`~repro.kernels.dispatch.active_kernels`), so the kernel tier
+    that builds and measures the topology travels with the pickled spec
+    into the engine's worker processes.
     """
 
     model: str
@@ -214,7 +215,6 @@ class RealizationSpec:
     exponent: float = 3.0
     tau_sub: int = 4
     for_search: bool = False
-    backend: str = "adj"
     kernels: str = "auto"
 
     def build_result(self) -> GenerationResult:
@@ -240,14 +240,15 @@ class RealizationSpec:
     def build(self) -> Graph:
         return self.build_result().graph
 
-    def build_for_measurement(self) -> GraphLike:
-        """Build the topology and freeze it when the ``csr`` backend is on.
+    def build_for_measurement(self) -> CSRGraph:
+        """Build the topology and freeze it: generate mutable, search frozen.
 
-        Kernel-built graphs carry their CSR arrays already, so the freeze
-        is a direct :class:`~repro.core.csr.CSRGraph` assembly rather than
-        a per-node re-walk of the adjacency.
+        Kernel-built graphs carry their CSR arrays already, so their freeze
+        is free; a Python-built graph is snapshotted in one pass.
         """
-        return freeze_for_backend(self.build(), self.backend)
+        graph = self.build()
+        with active_telemetry().span("freeze"):
+            return graph.freeze()
 
 
 #: Generator-metadata counters surfaced (summed over realizations) in the
@@ -324,11 +325,10 @@ def _degree_sequence_rows(
 ) -> List[Dict[str, Any]]:
     """One degree sequence (+ generation counters) per realization.
 
-    The ambient backend and kernel mode are captured into each task, like
-    the search tasks always did, so ``--kernels jit`` reaches the topology
-    builds inside worker processes.
+    The ambient kernel mode is captured into each task, like the search
+    tasks always did, so ``--kernels jit`` reaches the topology builds
+    inside worker processes.
     """
-    backend = active_backend()
     kernels = active_kernels()
     tasks = [
         Task(
@@ -342,7 +342,6 @@ def _degree_sequence_rows(
                     hard_cutoff=hard_cutoff,
                     exponent=exponent,
                     tau_sub=tau_sub,
-                    backend=backend,
                     kernels=kernels,
                 ),
             ),
@@ -466,7 +465,6 @@ def averaged_search_curve(
 ) -> SearchCurve:
     """One realization-averaged search curve, fanned through the executor."""
     algorithm = canonical_algorithm(algorithm)
-    backend = active_backend()
     kernels = active_kernels()
     params = tuple(sorted((algorithm_params or {}).items()))
     tasks = [
@@ -482,7 +480,6 @@ def averaged_search_curve(
                     exponent=exponent,
                     tau_sub=tau_sub,
                     for_search=True,
-                    backend=backend,
                     kernels=kernels,
                 ),
                 algorithm,

@@ -15,7 +15,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.core.backend import GraphLike
+from repro.core.csr import GraphLike
 from repro.core.errors import SearchError
 from repro.core.rng import RandomSource, ensure_source
 from repro.core.types import NodeId

@@ -22,14 +22,13 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.backend import GraphLike
-from repro.core.csr import CSRGraph, batch_flood_curves
+from repro.core.csr import CSRGraph, GraphLike, batch_flood_curves
 from repro.core.errors import SearchError
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource, ensure_source
 from repro.telemetry.collector import active_telemetry
 from repro.core.types import NodeId
-from repro.kernels.dispatch import kernel_query_ready
+from repro.kernels.dispatch import kernel_ready
 from repro.search.base import SearchAlgorithm
 from repro.search.flooding import FloodingSearch
 from repro.search.normalized_flooding import NormalizedFloodingSearch
@@ -179,8 +178,8 @@ def search_curve(
             rows = []
             for source_node in sources:
                 # Same validation (and the same SearchError) the generic path
-                # gets from algorithm.run() — backends must match on the error
-                # path too.
+                # gets from algorithm.run() — both representations must match
+                # on the error path too.
                 algorithm._validate(graph, source_node, max_ttl)
                 rows.append(graph._row_of(source_node))
             batch_hits, batch_messages = batch_flood_curves(graph, rows, max_ttl)
@@ -198,7 +197,7 @@ def search_curve(
                 ProbabilisticFloodingSearch,
                 RandomWalkSearch,
             )
-            and kernel_query_ready(query_rng)
+            and kernel_ready(query_rng, "search")
         ):
             # Batched kernel-tier fast path (throughput mode): the whole query
             # batch runs back-to-back inside one compiled call, consuming
@@ -320,8 +319,8 @@ def normalized_walk_curve(
         if (
             isinstance(graph, CSRGraph)
             and len(sources) > 0
-            and kernel_query_ready(nf_rng)
-            and kernel_query_ready(rw_rng)
+            and kernel_ready(nf_rng, "search")
+            and kernel_ready(rw_rng, "search")
         ):
             # Batched kernel-tier fast path: all NF budget measurements run in
             # one compiled call on ``nf_rng``, then all (per-query-budgeted)

@@ -28,7 +28,7 @@ from repro.core.csr import CSRGraph
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
 from repro.core.types import NodeId
-from repro.kernels.dispatch import kernel_query_ready
+from repro.kernels.dispatch import kernel_ready
 from repro.search.base import QueryResult, SearchAlgorithm
 from repro.telemetry.collector import active_telemetry
 
@@ -80,7 +80,7 @@ class NormalizedFloodingSearch(SearchAlgorithm):
         if branching is None:
             branching = max(1, graph.min_degree())
 
-        if isinstance(graph, CSRGraph) and kernel_query_ready(random_source):
+        if isinstance(graph, CSRGraph) and kernel_ready(random_source, "search"):
             # Kernel tier: same draws, same results, stream spliced back.
             from repro.kernels.search import nf_query
 
@@ -196,7 +196,7 @@ class NormalizedFloodingSearch(SearchAlgorithm):
         candidates.
 
         The candidate order is the defined neighbor order shared by both
-        graph backends (:meth:`~repro.core.graph.Graph.iter_neighbors`), so
+        graph representations (:meth:`~repro.core.graph.Graph.iter_neighbors`), so
         ``rng.sample`` draws identically on a mutable and a frozen graph.
         The source (``previous is None``) forwards over the shared internal
         list without copying; every other node must build the

@@ -12,7 +12,8 @@ the harness and CLI can sweep it alongside the paper's three algorithms.
 Forwarding coins are drawn per neighbor in the *defined* neighbor order
 (edge insertion order, via :meth:`~repro.core.graph.Graph.iter_neighbors`)
 rather than set order, so a seeded query is byte-identical on the mutable
-``adj`` backend and the frozen ``csr`` backend.
+:class:`~repro.core.graph.Graph` and its frozen
+:class:`~repro.core.csr.CSRGraph` snapshot.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.core.errors import SearchError
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
 from repro.core.types import NodeId
-from repro.kernels.dispatch import kernel_query_ready
+from repro.kernels.dispatch import kernel_ready
 from repro.search.base import QueryResult, SearchAlgorithm
 
 __all__ = ["ProbabilisticFloodingSearch", "probabilistic_flood"]
@@ -71,7 +72,7 @@ class ProbabilisticFloodingSearch(SearchAlgorithm):
         random_source = self._resolve_rng(rng)
         probability = self.forward_probability
 
-        if isinstance(graph, CSRGraph) and kernel_query_ready(random_source):
+        if isinstance(graph, CSRGraph) and kernel_ready(random_source, "search"):
             # Kernel tier: same coins in the same neighbor order.
             from repro.kernels.search import pf_query
 
@@ -107,8 +108,8 @@ class ProbabilisticFloodingSearch(SearchAlgorithm):
                 # Iterate in the defined neighbor order (edge insertion
                 # order), NOT set order: each neighbor consumes one
                 # forwarding coin, so the iteration order is part of the
-                # seeded behaviour and must be identical on the mutable and
-                # the frozen CSR backend.
+                # seeded behaviour and must be identical on the mutable
+                # graph and its frozen CSR snapshot.
                 for neighbor in graph.iter_neighbors(node):
                     if neighbor == previous:
                         continue

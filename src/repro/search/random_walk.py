@@ -16,7 +16,7 @@ searches to the number of messages incurred by the NF searches in the same
 scenario."  That normalization lives in
 :func:`repro.search.metrics.normalized_walk_curve`, which drives this module.
 
-Both graph backends are supported with identical seeded behaviour: every
+Both graph representations behave identically under a seed: every
 step draws one integer over the same candidate count and maps it onto the
 same (insertion-ordered) neighbor list, whether the graph is a mutable
 :class:`~repro.core.graph.Graph` or a frozen
@@ -33,7 +33,7 @@ from repro.core.csr import CSRGraph
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
 from repro.core.types import NodeId
-from repro.kernels.dispatch import kernel_query_ready
+from repro.kernels.dispatch import kernel_ready
 from repro.search.base import QueryResult, SearchAlgorithm
 
 __all__ = ["RandomWalkSearch", "random_walk"]
@@ -85,7 +85,7 @@ class RandomWalkSearch(SearchAlgorithm):
         self._validate(graph, source, ttl)
         random_source = self._resolve_rng(rng)
 
-        if isinstance(graph, CSRGraph) and kernel_query_ready(random_source):
+        if isinstance(graph, CSRGraph) and kernel_ready(random_source, "search"):
             # Kernel tier: one _randbelow per step, walker-index order.
             from repro.kernels.search import rw_query
 

@@ -177,7 +177,7 @@ class ScenarioService:
     executor:
         The engine executor all scenario realization tasks share (default:
         serial).  The service does **not** close an executor it was given.
-    scale, seed, backend, kernels:
+    scale, seed, kernels:
         Defaults applied to every request; ``scale``/``seed`` can be
         overridden per request.
     workers:
@@ -193,7 +193,6 @@ class ScenarioService:
         executor: Optional[Executor] = None,
         scale: "Optional[ExperimentScale | str]" = None,
         seed: Optional[int] = None,
-        backend: Optional[str] = None,
         kernels: Optional[str] = None,
         workers: int = 4,
         telemetry: Optional[TelemetryCollector] = None,
@@ -204,7 +203,6 @@ class ScenarioService:
         if isinstance(scale, str):
             scale = ExperimentScale.from_name(scale)
         self.default_scale = resolve_scale(scale, seed)
-        self.backend = backend
         self.kernels = kernels
         self.telemetry = telemetry if telemetry is not None else TelemetryCollector()
         self.started_at = telemetry_clock()
@@ -379,7 +377,7 @@ class ScenarioService:
             # /metrics, and the job's trace id so every span, progress
             # event, and log line below carries it.  The whole computation
             # is the request's root span — the top of the
-            # serve → scenario → series → task tree.  Executor/backend/
+            # serve → scenario → series → task tree.  Executor and
             # kernels are passed explicitly and run_scenario_cached
             # installs them around the computation.
             with use_telemetry(self.telemetry), use_trace_id(job.trace_id):
@@ -405,7 +403,6 @@ class ScenarioService:
                         executor=self.executor,
                         store=self.store,
                         progress=reporter,
-                        backend=self.backend,
                         kernels=self.kernels,
                     )
             self.telemetry.count("serve.computations")

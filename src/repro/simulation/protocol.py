@@ -356,9 +356,9 @@ class GnutellaProtocol:
                 provider_mask[frozen._row_of(node)] = True
         branching = self._branching()
 
-        from repro.kernels.dispatch import kernel_simulation_ready
+        from repro.kernels.dispatch import kernel_ready
 
-        if kernel_simulation_ready(self.rng):
+        if kernel_ready(self.rng, "simulation"):
             from repro.kernels.simulation import gnutella_query_batch
 
             results = gnutella_query_batch(

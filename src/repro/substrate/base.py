@@ -23,8 +23,8 @@ class SubstrateNetwork(abc.ABC):
     Substrates sit on a jit realization's hot path (a DAPA build resolves
     one before its overlay can grow), so the stochastic builders follow the
     generators' two-tier contract: ``build`` consults
-    :func:`repro.kernels.dispatch.kernel_generation_ready` and either emits
-    edge arrays straight into the CSR backend through a compiled kernel
+    :func:`repro.kernels.dispatch.kernel_ready` and either emits
+    edge arrays straight into CSR arrays through a compiled kernel
     (:mod:`repro.kernels.substrate`) or falls back to its dict-based
     ``_build_reference`` body — both tiers consuming the same draws and
     producing byte-identical graphs (same edges, same neighbor order, same

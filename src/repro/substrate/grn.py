@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.config import GRNConfig
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
-from repro.kernels.dispatch import kernel_generation_ready
+from repro.kernels.dispatch import kernel_ready
 from repro.substrate.base import SubstrateNetwork
 
 __all__ = ["GeometricRandomNetwork", "generate_grn", "CRITICAL_MEAN_DEGREE_2D"]
@@ -103,7 +103,7 @@ class GeometricRandomNetwork(SubstrateNetwork):
     # Construction
     # ------------------------------------------------------------------ #
     def build(self, rng: RandomSource) -> Graph:
-        if kernel_generation_ready(rng):
+        if kernel_ready(rng, "generation"):
             from repro.kernels.substrate import grn_build_arrays
 
             graph, positions = grn_build_arrays(self.config, rng)

@@ -63,7 +63,7 @@ class MeshNetwork(SubstrateNetwork):
 
     def build(self, rng: RandomSource) -> Graph:  # rng unused; mesh is deterministic
         """Vectorized build: per-node (right, down) edge arrays straight into
-        the CSR backend — same edges in the same insertion order as the
+        CSR arrays — same edges in the same insertion order as the
         reference loop, with no Python adjacency dict on the way."""
         rows, columns, torus = self.config.rows, self.config.columns, self.config.torus
         n = rows * columns

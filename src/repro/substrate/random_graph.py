@@ -15,7 +15,7 @@ from typing import Any, Dict, Optional
 from repro.core.errors import ConfigurationError
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
-from repro.kernels.dispatch import kernel_generation_ready
+from repro.kernels.dispatch import kernel_ready
 from repro.substrate.base import SubstrateNetwork
 
 __all__ = ["ErdosRenyiNetwork", "generate_erdos_renyi"]
@@ -89,7 +89,7 @@ class ErdosRenyiNetwork(SubstrateNetwork):
         p = self.effective_probability()
         if p <= 0.0:
             return Graph(n)
-        if kernel_generation_ready(rng):
+        if kernel_ready(rng, "generation"):
             from repro.kernels.substrate import er_build
 
             return er_build(n, p, rng)

@@ -1,6 +1,6 @@
 """Structured tracing and counters for the execution layers.
 
-The telemetry subsystem is *ambient*, like the executor/backend/kernel
+The telemetry subsystem is *ambient*, like the executor and kernel
 contexts: instrumented code fetches the active collector with
 :func:`active_telemetry` and records into it — spans (named wall-clock
 sections such as ``generate``/``freeze``/``search``/``store``/
@@ -589,8 +589,8 @@ def use_telemetry(
 ) -> Iterator["NullTelemetry | TelemetryCollector"]:
     """Install ``collector`` for the ``with`` body (``None`` keeps the ambient).
 
-    Mirrors :func:`repro.core.backend.use_backend` so call sites can pass an
-    optional collector unconditionally.
+    Mirrors :func:`repro.kernels.dispatch.use_kernels` so call sites can pass
+    an optional collector unconditionally.
     """
     if collector is not None:
         _ACTIVE_STACK.push(collector)

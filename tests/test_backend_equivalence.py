@@ -1,30 +1,33 @@
-"""Cross-backend equivalence suite: frozen CSR vs. the adjacency reference.
+"""Representation equivalence suite: frozen CSR vs. the adjacency reference.
 
-The CSR backend's contract is *exact* interchangeability: for every search
-algorithm, on every topology model, a frozen graph must produce results that
-are identical to the mutable dict-of-sets graph — same hits-vs-τ curve, same
-message counts, same visited sets, and (for the stochastic algorithms) the
-same RNG stream consumption, so that freezing a graph can never silently
-shift the seeds of anything that runs afterwards.  These tests pin that
-contract at every layer: single queries, metric curves, the message-count
-normalization, the realization runner, the parallel engine, and a whole
-figure experiment.
+Every experiment searches the frozen :class:`~repro.core.csr.CSRGraph`
+snapshot of its topology; the mutable dict-of-sets
+:class:`~repro.core.graph.Graph` loops are the reference.  The contract is
+*exact* interchangeability: for every search algorithm, on every topology
+model, a frozen graph must produce results that are identical to the
+mutable graph — same hits-vs-τ curve, same message counts, same visited
+sets, and (for the stochastic algorithms) the same RNG stream consumption,
+so that freezing a graph can never silently shift the seeds of anything
+that runs afterwards.  These tests pin that contract at every layer: single
+queries, metric curves, the message-count normalization, the parallel
+engine, and whole figure experiments.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from repro.core.backend import active_backend, freeze_for_backend, use_backend
 from repro.kernels.dispatch import use_kernels
 from repro.core.csr import CSRGraph
-from repro.core.errors import ConfigurationError
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
 from repro.engine.executor import ParallelExecutor
 from repro.experiments.registry import run_experiment
+from repro.scenarios.measure import RealizationSpec
 from repro.generators.cm import generate_cm
 from repro.generators.dapa import generate_dapa
 from repro.generators.hapa import generate_hapa
@@ -55,14 +58,14 @@ def graphs():
 
 GENERATORS = ["pa", "cm", "hapa", "dapa"]
 
-# Execution tiers for the frozen backend's stochastic queries: the Python
+# Execution tiers for the frozen snapshot's stochastic queries: the Python
 # loops, and the kernel tier of repro.kernels (JIT-compiled under numba,
 # interpreted otherwise — identical draws either way).  Every equivalence
 # cell below must hold for both, against the same adjacency reference.
 KERNEL_TIERS = ["python", "jit"]
 
 # Every registered search algorithm (one representative configuration each,
-# plus variants that exercise backend-sensitive code paths).
+# plus variants that exercise representation-sensitive code paths).
 ALGORITHMS = {
     "fl": lambda: FloodingSearch(),
     "fl-source-hit": lambda: FloodingSearch(count_source_as_hit=True),
@@ -106,8 +109,8 @@ class TestQueryEquivalence:
                 )
             _assert_identical(result_adj, result_csr)
             # Both streams must sit at the same position afterwards: the
-            # next draw from each is equal, so backend (and kernel-tier)
-            # choice can never shift the seeds of whatever runs next.
+            # next draw from each is equal, so freezing (and the kernel-tier
+            # choice) can never shift the seeds of whatever runs next.
             assert rng_adj.random() == rng_csr.random()
 
     @pytest.mark.parametrize("kernels", KERNEL_TIERS)
@@ -159,7 +162,7 @@ class TestCurveEquivalence:
         assert curve_adj.as_dict() == curve_csr.as_dict()
 
     def test_search_curve_error_parity(self, graphs):
-        """Both backends raise the same SearchError for a bad source."""
+        """Both representations raise the same SearchError for a bad source."""
         from repro.core.errors import SearchError
 
         graph = graphs["pa"]
@@ -208,11 +211,11 @@ class _CountingSource(RandomSource):
 
 
 class TestDrawCountRegression:
-    """Pin the exact number of draws so backends can never shift seeds.
+    """Pin the exact number of draws so freezing can never shift seeds.
 
-    The counts below were measured on the reference (adjacency) backend;
-    the test asserts the frozen backend draws *exactly* as often, and that
-    the totals never drift for either backend.  If an intentional algorithm
+    The counts below were measured on the reference (adjacency) graph;
+    the test asserts the frozen snapshot draws *exactly* as often, and that
+    the totals never drift for either representation.  If an intentional algorithm
     change alters them, update the pinned numbers in the same commit.
     """
 
@@ -262,99 +265,49 @@ class TestDrawCountRegression:
             assert not rng.calls
 
 
-class TestBackendContext:
-    def test_use_backend_scopes_selection(self):
-        assert active_backend() == "adj"
-        with use_backend("csr"):
-            assert active_backend() == "csr"
-            with use_backend(None):  # None leaves the ambient choice alone
-                assert active_backend() == "csr"
-        assert active_backend() == "adj"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            with use_backend("gpu"):
-                pass  # pragma: no cover
-
-    def test_freeze_for_backend(self, graphs):
-        graph = graphs["pa"]
-        assert freeze_for_backend(graph, "adj") is graph
-        frozen = freeze_for_backend(graph, "csr")
-        assert isinstance(frozen, CSRGraph)
-        assert freeze_for_backend(frozen, "csr") is frozen
-        assert freeze_for_backend(frozen, "adj") is frozen
+def _payload(result) -> str:
+    return json.dumps(result.as_dict(), sort_keys=True)
 
 
-class TestExperimentEquivalence:
-    """Whole experiments — the acceptance criterion for ``--backend csr``."""
+class TestPipelineReference:
+    """Whole experiments: the frozen pipeline against the Graph reference.
 
-    def test_fig9_byte_identical(self, smoke_scale):
-        adj = run_experiment("fig9", scale=smoke_scale)
-        csr = run_experiment("fig9", scale=smoke_scale, backend="csr")
-        assert [series.as_dict() for series in adj.series] == [
-            series.as_dict() for series in csr.series
-        ]
+    The reference side runs the experiment serially with
+    ``RealizationSpec.build_for_measurement`` patched to hand the search the
+    unfrozen :class:`Graph` — the loops every other test here pins the
+    snapshot against.  The default pipeline (which always freezes) must
+    reproduce it byte for byte, serially and across worker processes.
+    ``realizations=2`` matters: smoke's single-realization batches run
+    in-process, which would skip the pickled-task path.
+    """
 
-    def test_fig6_flooding_byte_identical(self, smoke_scale):
-        adj = run_experiment("fig6", scale=smoke_scale)
-        csr = run_experiment("fig6", scale=smoke_scale, backend="csr")
-        assert [series.as_dict() for series in adj.series] == [
-            series.as_dict() for series in csr.series
-        ]
-
-    def test_fig9_csr_parallel_byte_identical(self, smoke_scale):
-        """The csr backend must survive the hop into worker processes.
-
-        ``realizations=2`` matters: smoke's single-realization batches
-        degenerate to in-process execution, which would silently skip the
-        pickled-``RealizationSpec``-in-a-worker path under test here.
-        """
-        from dataclasses import replace
-
+    @pytest.mark.parametrize("experiment_id", ["fig6", "fig9"])
+    def test_frozen_pipeline_matches_graph_reference(
+        self, experiment_id, smoke_scale, monkeypatch
+    ):
         scale = replace(smoke_scale, realizations=2)
-        adj = run_experiment("fig9", scale=scale)
+
+        def run_serial(build):
+            """The serial payload with ``build`` as the measurement build,
+            plus the graph types it handed to the search."""
+            searched = set()
+
+            def recording(spec):
+                graph = build(spec)
+                searched.add(type(graph))
+                return graph
+
+            with monkeypatch.context() as patch:
+                patch.setattr(RealizationSpec, "build_for_measurement", recording)
+                return _payload(run_experiment(experiment_id, scale=scale)), searched
+
+        reference, reference_types = run_serial(RealizationSpec.build)
+        serial, serial_types = run_serial(RealizationSpec.build_for_measurement)
+        assert reference_types == {Graph} and serial_types == {CSRGraph}
+        assert serial == reference
         with ParallelExecutor(jobs=2) as executor:
-            csr = run_experiment(
-                "fig9", scale=scale, backend="csr", executor=executor
-            )
-        assert [series.as_dict() for series in adj.series] == [
-            series.as_dict() for series in csr.series
-        ]
-
-
-class TestRunRealizationsBackend:
-    def test_measure_receives_frozen_graph(self, smoke_scale):
-        from repro.experiments.runner import run_realizations
-
-        seen = []
-
-        def build(seed):
-            return generate_pa(60, stubs=1, seed=seed)
-
-        def measure(graph, seed):
-            seen.append(type(graph).__name__)
-            return [float(graph.number_of_edges)]
-
-        adj_result = run_realizations(smoke_scale, build, measure, backend="adj")
-        csr_result = run_realizations(smoke_scale, build, measure, backend="csr")
-        assert adj_result == csr_result
-        assert seen == ["Graph", "CSRGraph"]
-
-    def test_ambient_backend_is_captured(self, smoke_scale):
-        from repro.experiments.runner import run_realizations
-
-        seen = []
-
-        def build(seed):
-            return generate_pa(60, stubs=1, seed=seed)
-
-        def measure(graph, seed):
-            seen.append(type(graph).__name__)
-            return [0.0]
-
-        with use_backend("csr"):
-            run_realizations(smoke_scale, build, measure)
-        assert seen == ["CSRGraph"]
+            parallel = run_experiment(experiment_id, scale=scale, executor=executor)
+        assert _payload(parallel) == reference
 
 
 class TestKernelTierExperiments:
@@ -362,32 +315,27 @@ class TestKernelTierExperiments:
 
     fig9 (NF on PA/CM/HAPA) exercises the kernel dispatch through the full
     stack: scenario compiler → engine tasks → ``RealizationSpec.kernels``
-    capture → batched kernel curves — and must reproduce the adjacency
-    reference byte for byte, serial and across worker processes.
+    capture → batched kernel curves — and must reproduce the python tier
+    byte for byte, serial and across worker processes.
     """
 
     def test_fig9_jit_byte_identical(self, smoke_scale):
-        adj = run_experiment("fig9", scale=smoke_scale)
-        jit = run_experiment(
-            "fig9", scale=smoke_scale, backend="csr", kernels="jit"
-        )
-        assert [series.as_dict() for series in adj.series] == [
+        python = run_experiment("fig9", scale=smoke_scale, kernels="python")
+        jit = run_experiment("fig9", scale=smoke_scale, kernels="jit")
+        assert [series.as_dict() for series in python.series] == [
             series.as_dict() for series in jit.series
         ]
 
     def test_fig9_jit_parallel_byte_identical(self, smoke_scale):
         """``kernels`` must survive the hop into worker processes (pickled
-        into each RealizationSpec), like ``backend`` does."""
-        from dataclasses import replace
-
+        into each RealizationSpec)."""
         scale = replace(smoke_scale, realizations=2)
-        adj = run_experiment("fig9", scale=scale)
+        python = run_experiment("fig9", scale=scale, kernels="python")
         with ParallelExecutor(jobs=2) as executor:
             jit = run_experiment(
-                "fig9", scale=scale, backend="csr", kernels="jit",
-                executor=executor,
+                "fig9", scale=scale, kernels="jit", executor=executor
             )
-        assert [series.as_dict() for series in adj.series] == [
+        assert [series.as_dict() for series in python.series] == [
             series.as_dict() for series in jit.series
         ]
 
@@ -443,7 +391,7 @@ class TestGenerationTierEquivalence:
             rng = RandomSource(seed=4242)
             with use_kernels(tier):
                 graph = generate_pa(250, stubs=2, hard_cutoff=12, rng=rng)
-                subject = freeze_for_backend(graph, "csr" if tier == "jit" else "adj")
+                subject = graph.freeze() if tier == "jit" else graph
                 results[tier] = NormalizedFloodingSearch(k_min=2).run(
                     subject, 0, 6, rng=rng, target=17
                 )
@@ -461,8 +409,6 @@ class TestGenerationTierEquivalence:
     def test_fig1_jit_generation_parallel_byte_identical(self, smoke_scale):
         """The kernels choice must reach generation inside worker
         processes (captured into each degree-sequence RealizationSpec)."""
-        from dataclasses import replace
-
         scale = replace(smoke_scale, realizations=2)
         python_result = run_experiment("fig1", scale=scale, kernels="python")
         with ParallelExecutor(jobs=2) as executor:

@@ -1,4 +1,4 @@
-"""Property tests for the frozen CSR graph backend (:mod:`repro.core.csr`)."""
+"""Property tests for the frozen CSR graph (:mod:`repro.core.csr`)."""
 
 from __future__ import annotations
 
@@ -151,6 +151,100 @@ class TestSparseIds:
             )
 
 
+def _dense_graph() -> Graph:
+    return Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (3, 4), (2, 4), (0, 4)])
+
+
+def _mapped_graph() -> Graph:
+    """Non-dense ids (2 and 5 removed), so the snapshot carries an ``ids`` map."""
+    graph = Graph.from_edges(
+        7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (1, 4), (0, 3)]
+    )
+    graph.remove_node(2)
+    graph.remove_node(5)
+    return graph
+
+
+def _array_built(graph: Graph) -> Graph:
+    """The same graph through the bulk constructor, whose snapshot is
+    assembled from edge arrays (its neighbor cache is built lazily)."""
+    nodes = graph.nodes()
+    rows = {node: row for row, node in enumerate(nodes)}
+    edges = [(rows[u], rows[v]) for u, v in graph.edges()]
+    return Graph.from_edge_array(
+        nodes,
+        np.array([u for u, _ in edges], dtype=np.int64),
+        np.array([v for _, v in edges], dtype=np.int64),
+        edges_are_rows=True,
+    )
+
+
+SOURCES = {
+    "dense": _dense_graph,
+    "mapped": _mapped_graph,
+    "dense-arrays": lambda: _array_built(_dense_graph()),
+    "mapped-arrays": lambda: _array_built(_mapped_graph()),
+}
+
+
+@pytest.fixture(params=["direct", "pickle", "shm"])
+def round_trip(request):
+    """How the snapshot reaches the search: as built, unpickled in a worker,
+    or attached from shared memory (the last two rebuild the cache lazily)."""
+    if request.param == "direct":
+        yield lambda frozen: frozen
+    elif request.param == "pickle":
+        yield lambda frozen: pickle.loads(pickle.dumps(frozen))
+    else:
+        from repro.core.shm import SharedCSRGraph, SharedGraphRegistry, shm_available
+
+        if not shm_available():
+            pytest.skip("multiprocessing.shared_memory is unavailable")
+
+        with SharedGraphRegistry() as registry:
+
+            def attach(frozen):
+                shared = pickle.loads(pickle.dumps(registry.share(frozen)))
+                assert isinstance(shared, SharedCSRGraph)
+                return shared
+
+            yield attach
+
+
+class TestNeighborCache:
+    """The id -> neighbor-list cache the search loops read.
+
+    Built in :meth:`CSRGraph.from_graph`'s single pass or lazily from the
+    arrays (bulk-built, unpickled, shared-memory snapshots); either way it
+    must answer exactly like the source :class:`Graph`.
+    """
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_lists_match_source_graph_in_order(self, source, round_trip):
+        graph = SOURCES[source]()
+        frozen = round_trip(graph.freeze())
+        assert frozen.nodes() == graph.nodes()
+        for node in graph.nodes():
+            assert frozen.iter_neighbors(node) == graph.iter_neighbors(node)
+            assert frozen.neighbors(node) == graph.neighbors(node)
+            assert frozen.neighbor_set(node) == graph.neighbor_set(node)
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_unknown_ids_raise(self, source, round_trip):
+        graph = SOURCES[source]()
+        frozen = round_trip(graph.freeze())
+        n = frozen.number_of_nodes
+        unknown = [-1, n, 10**6, "x", None]
+        if source.startswith("mapped"):
+            unknown.append(2)  # a removed id inside the id range
+        for node in unknown:
+            assert not graph.has_node(node)
+            with pytest.raises(NodeNotFoundError):
+                frozen.iter_neighbors(node)
+            with pytest.raises(NodeNotFoundError):
+                frozen.neighbors(node)
+
+
 class TestImmutability:
     def test_mutation_rejected(self, pa_graph):
         frozen = pa_graph.freeze()
@@ -185,6 +279,7 @@ class TestImmutability:
         graph.add_edge(2, 3)
         assert frozen.number_of_edges == 2
         assert not frozen.has_edge(2, 3)
+        assert frozen.iter_neighbors(2) == [1]  # the cached list is a copy
         assert graph.number_of_edges == 3
 
 

@@ -31,20 +31,13 @@ from repro.engine.store import ResultStore
 from repro.engine.tasks import Task, run_suite
 from repro.experiments.registry import run_experiment
 from repro.experiments.results import ExperimentResult, Series
-from repro.experiments.runner import ExperimentScale, run_realizations
+from repro.experiments.runner import ExperimentScale
+from repro.scenarios.measure import averaged_search_curve, degree_distribution_series
 
 
 # Module-level task bodies: picklable, so they can cross process boundaries.
 def _square(value: int) -> int:
     return value * value
-
-
-def _seed_identity(seed: int) -> int:
-    return seed
-
-
-def _seed_vector(subject: int, seed: int):
-    return [float(seed % 101), float(seed % 7)]
 
 
 def _result_json(result: ExperimentResult) -> str:
@@ -131,25 +124,38 @@ class TestExecutorContext:
             assert active is active_executor()
 
 
-class TestRunRealizationsThroughEngine:
+#: Small enough that a realization takes milliseconds, with enough
+#: realizations that a two-worker pool genuinely receives pickled tasks.
+_TINY_SCALE = ExperimentScale(
+    name="custom", nodes=120, search_nodes=80, substrate_nodes=160,
+    realizations=4, queries=6, max_ttl=4, flooding_max_ttl=4,
+)
+
+
+class TestRealizationSeriesThroughEngine:
     def test_parallel_equals_serial(self):
-        scale = ExperimentScale(realizations=4)
-        serial = run_realizations(
-            scale, _seed_identity, _seed_vector, label="engine", executor=SerialExecutor()
-        )
-        with ParallelExecutor(jobs=2) as pool:
-            parallel = run_realizations(
-                scale, _seed_identity, _seed_vector, label="engine", executor=pool
+        with use_executor(SerialExecutor()):
+            serial = degree_distribution_series(
+                "pa", "engine", _TINY_SCALE, stubs=2, hard_cutoff=10
             )
-        assert parallel == serial
+        with ParallelExecutor(jobs=2) as pool, use_executor(pool):
+            parallel = degree_distribution_series(
+                "pa", "engine", _TINY_SCALE, stubs=2, hard_cutoff=10
+            )
+        assert parallel.as_dict() == serial.as_dict()
 
     def test_uses_ambient_executor_by_default(self):
-        scale = ExperimentScale(realizations=2)
-        baseline = run_realizations(scale, _seed_identity, _seed_vector, label="ambient")
+        def curve():
+            return averaged_search_curve(
+                "cm", _TINY_SCALE, "ambient", "nf", [2, 4], stubs=2,
+                hard_cutoff=10, exponent=2.5, tau_sub=4,
+            )
+
+        baseline = curve()
         with ParallelExecutor(jobs=2) as pool:
             with use_executor(pool):
-                ambient = run_realizations(scale, _seed_identity, _seed_vector, label="ambient")
-        assert ambient == baseline
+                ambient = curve()
+        assert ambient.as_dict() == baseline.as_dict()
 
 
 class TestResultStore:

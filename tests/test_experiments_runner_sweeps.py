@@ -1,4 +1,5 @@
-"""Unit tests for the experiment scale presets, realization runner, and sweeps."""
+"""Unit tests for the experiment scale presets, realization seeds, curve
+averaging, and sweeps."""
 
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from repro.experiments.runner import (
     ExperimentScale,
     average_curves,
     realization_seeds,
-    run_realizations,
 )
 from repro.experiments.sweeps import format_cutoff, format_label, parameter_grid
 
@@ -102,29 +102,7 @@ class TestRealizationSeeds:
         assert len(all_seeds) == len(set(all_seeds))
 
 
-class TestRunRealizations:
-    def test_averages_measurements(self):
-        scale = ExperimentScale(realizations=3)
-        seeds_seen = []
-        result = run_realizations(
-            scale,
-            build=lambda seed: seeds_seen.append(seed) or seed,
-            measure=lambda subject, seed: [float(len(seeds_seen)), 1.0],
-        )
-        assert len(result) == 2
-        assert result[1] == 1.0
-        assert len(seeds_seen) == 3
-
-    def test_mismatched_lengths_rejected(self):
-        scale = ExperimentScale(realizations=2)
-        lengths = iter([2, 3])
-        with pytest.raises(ExperimentError):
-            run_realizations(
-                scale,
-                build=lambda seed: seed,
-                measure=lambda subject, seed: [0.0] * next(lengths),
-            )
-
+class TestAverageCurves:
     def test_average_curves(self):
         assert average_curves([[1.0, 3.0], [3.0, 5.0]]) == [2.0, 4.0]
         with pytest.raises(ExperimentError):

@@ -23,7 +23,7 @@ from repro.kernels import dispatch
 from repro.kernels import search as kernels
 from repro.kernels.dispatch import (
     active_kernels,
-    kernel_query_ready,
+    kernel_ready,
     kernel_self_check,
     kernel_tier,
     kernels_runtime,
@@ -34,6 +34,9 @@ from repro.kernels.dispatch import (
 from repro.search.normalized_flooding import NormalizedFloodingSearch
 from repro.search.probabilistic_flooding import ProbabilisticFloodingSearch
 from repro.search.random_walk import RandomWalkSearch
+
+#: The counter families of the single kernel gate.
+LAYERS = ["search", "generation", "simulation"]
 
 
 @pytest.fixture(scope="module")
@@ -103,12 +106,38 @@ class TestDispatch:
         class Instrumented(RandomSource):
             pass
 
-        with use_kernels("jit"):
-            assert kernel_query_ready(RandomSource(1)) is True
-            assert kernel_query_ready(Instrumented(1)) is False
-            assert kernel_query_ready(7) is False
-        with use_kernels("python"):
-            assert kernel_query_ready(RandomSource(1)) is False
+        for layer in LAYERS:
+            with use_kernels("jit"):
+                assert kernel_ready(RandomSource(1), layer) is True
+                assert kernel_ready(Instrumented(1), layer) is False
+                assert kernel_ready(7, layer) is False
+            with use_kernels("python"):
+                assert kernel_ready(RandomSource(1), layer) is False
+
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_decision_counted_under_its_layer(self, layer):
+        from repro.telemetry.collector import TelemetryCollector, use_telemetry
+
+        collector = TelemetryCollector()
+        with use_telemetry(collector):
+            with use_kernels("jit"):
+                kernel_ready(RandomSource(1), layer)
+            with use_kernels("python"):
+                kernel_ready(RandomSource(1), layer)
+                kernel_ready(RandomSource(1), layer)
+        assert collector.counters == {
+            f"kernels.{layer}.jit": 1,
+            f"kernels.{layer}.python": 2,
+        }
+
+    def test_fallback_warning_points_at_the_caller(self, monkeypatch):
+        """The tier-fallback warning names the first frame outside the
+        package — here, this test — not a line inside the dispatcher."""
+        monkeypatch.setattr(dispatch, "_TIER_WARNINGS", set())
+        monkeypatch.setattr(dispatch, "numba_available", lambda: False)
+        with pytest.warns(RuntimeWarning, match="auto resolved to the python") as record:
+            generate_pa(30, stubs=2, seed=1)
+        assert record[0].filename == __file__
 
 
 # --------------------------------------------------------------------------- #
@@ -240,29 +269,35 @@ class TestBatchKernels:
 # Engine plumbing: the mode travels with the pickled task
 # --------------------------------------------------------------------------- #
 class TestEngineCapture:
-    def test_run_realizations_captures_ambient_kernels(self, smoke_scale):
-        from repro.experiments.runner import run_realizations
+    def test_search_tasks_capture_ambient_kernels(self, smoke_scale, monkeypatch):
+        from repro.scenarios.measure import RealizationSpec, averaged_search_curve
 
         seen = []
+        build_for_measurement = RealizationSpec.build_for_measurement
 
-        def build(seed):
-            return generate_pa(60, stubs=1, seed=seed)
+        def spy(spec):
+            seen.append((spec.kernels, active_kernels()))
+            return build_for_measurement(spec)
 
-        def measure(graph, seed):
-            seen.append(active_kernels())
-            return [0.0]
+        monkeypatch.setattr(RealizationSpec, "build_for_measurement", spy)
+
+        def curve():
+            return averaged_search_curve(
+                "pa", smoke_scale, "capture", "fl", [1, 2], stubs=1,
+                hard_cutoff=None, exponent=3.0, tau_sub=4,
+            )
 
         with use_kernels("jit"):
-            run_realizations(smoke_scale, build, measure, backend="csr")
-        run_realizations(smoke_scale, build, measure, backend="csr")
-        assert seen == ["jit", "auto"]
+            curve()
+        curve()
+        assert seen == [("jit", "jit"), ("auto", "auto")]
 
     def test_realization_spec_pickles_with_kernels(self, smoke_scale):
         from repro.scenarios.measure import RealizationSpec
 
         spec = RealizationSpec(
             model="pa", scale=smoke_scale, seed=3, stubs=2,
-            for_search=True, backend="csr", kernels="jit",
+            for_search=True, kernels="jit",
         )
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
@@ -277,9 +312,7 @@ class TestEngineCapture:
         baseline = search_series(
             "pa", "nf smoke", smoke_scale, "nf", stubs=2, hard_cutoff=10
         )
-        from repro.core.backend import use_backend
-
-        with use_backend("csr"), use_kernels("jit"):
+        with use_kernels("jit"):
             jit_series = search_series(
                 "pa", "nf smoke", smoke_scale, "nf", stubs=2, hard_cutoff=10
             )
@@ -300,16 +333,15 @@ class TestKernelsCLI:
         return json.loads(capsys.readouterr().out)
 
     def test_search_kernels_jit_matches_python(self, capsys):
-        reference = self._search(capsys, "--backend", "adj", "--kernels", "python")
-        jit = self._search(capsys, "--backend", "csr", "--kernels", "jit")
+        reference = self._search(capsys, "--kernels", "python")
+        jit = self._search(capsys, "--kernels", "jit")
         assert reference == jit
 
     def test_figure_accepts_kernels_flag(self, capsys):
         from repro.cli import main
 
         assert main([
-            "figure", "fig9", "--scale", "smoke", "--backend", "csr",
-            "--kernels", "jit", "--json",
+            "figure", "fig9", "--scale", "smoke", "--kernels", "jit", "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert main([

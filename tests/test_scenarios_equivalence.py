@@ -9,9 +9,8 @@ still-supported ``_common`` helpers and public library APIs) and assert the
 spec path reproduces it **byte-for-byte** at smoke scale — labels, values,
 metadata, series order, everything.
 
-Cross-engine pins ride along: for representative search figures the spec
-path is also byte-identical between serial and ``--jobs 2`` execution and
-between the ``adj`` and ``csr`` graph backends.
+Cross-engine pins ride along: for every builtin the spec path is also
+byte-identical between serial and ``--jobs 2`` execution.
 """
 
 from __future__ import annotations
@@ -406,21 +405,16 @@ def test_spec_path_crosses_real_process_boundaries(experiment_id):
 
 
 @pytest.mark.parametrize("experiment_id", sorted(LEGACY_RUNNERS))
-def test_spec_path_serial_parallel_and_backend_identity(experiment_id, smoke_scale):
-    """Spec-path results are byte-identical across executors and backends.
+def test_spec_path_serial_parallel_identity(experiment_id, smoke_scale):
+    """Spec-path results are byte-identical across executors.
 
-    Together with the legacy-path pin above (serial, ``adj``), this closes
-    the square for every builtin: old direct path == spec path under serial
-    and ``--jobs 2`` execution, on both the ``adj`` and ``csr`` backends.
+    Together with the legacy-path pin above (serial), this closes the
+    square for every builtin: old direct path == spec path under serial and
+    ``--jobs 2`` execution.  The frozen-search vs. ``Graph``-reference pin
+    lives in ``tests/test_backend_equivalence.py``.
     """
     spec = builtin_scenarios()[experiment_id]
     serial = run_scenario(spec, scale=smoke_scale)
     with ParallelExecutor(jobs=2) as pool:
         parallel = run_scenario(spec, scale=smoke_scale, executor=pool)
-        csr_parallel = run_scenario(
-            spec, scale=smoke_scale, executor=pool, backend="csr"
-        )
-    csr = run_scenario(spec, scale=smoke_scale, backend="csr")
     assert _payload(serial) == _payload(parallel)
-    assert _payload(serial) == _payload(csr)
-    assert _payload(serial) == _payload(csr_parallel)
