@@ -280,6 +280,12 @@ class DAPAConfig:
                 self.hard_cutoff >= self.stubs,
                 "hard_cutoff must be >= stubs (m)",
             )
+            # The seed peers form a clique of degree initial_peers - 1.
+            _require(
+                self.initial_peers - 1 <= self.hard_cutoff,
+                "initial_peers - 1 must not exceed hard_cutoff "
+                "(the seed clique would break the cutoff)",
+            )
         if self.substrate is not None:
             _require(
                 isinstance(self.substrate, (GRNConfig, MeshConfig)),

@@ -28,7 +28,7 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-__all__ = ["RandomSource", "DEFAULT_SEED"]
+__all__ = ["RandomSource", "DEFAULT_SEED", "raw_stream"]
 
 T = TypeVar("T")
 
@@ -205,6 +205,20 @@ class RandomSource:
     def numpy_generator(self) -> np.random.Generator:
         """Return a NumPy generator seeded from this source's stream."""
         return np.random.default_rng(self._random.getrandbits(63))
+
+
+def raw_stream(rng: object) -> Optional[random.Random]:
+    """Return the Mersenne Twister underneath a plain :class:`RandomSource`.
+
+    This is the one test for "may a fast path draw from the stream
+    directly": it holds for an exact :class:`RandomSource` and for nothing
+    else.  Subclasses (counting or instrumented sources) may override the
+    draw methods and must see every draw, so they get ``None`` and keep the
+    reference loops.
+    """
+    if type(rng) is not RandomSource:
+        return None
+    return rng._random
 
 
 def ensure_source(rng: "RandomSource | int | None") -> RandomSource:

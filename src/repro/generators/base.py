@@ -21,6 +21,12 @@ from repro.telemetry.collector import active_telemetry
 
 __all__ = ["GenerationResult", "TopologyGenerator"]
 
+_SCALARS = (int, float, str, bool, type(None))
+
+#: Work counters a build's metadata may hold; each one present is copied
+#: onto the ``generate`` span.
+_SPAN_COUNTERS = ("total_hops", "rejected_attempts", "discovery_messages", "unfilled_stubs")
+
 
 @dataclass
 class GenerationResult:
@@ -58,7 +64,7 @@ class GenerationResult:
             "metadata": {
                 key: value
                 for key, value in self.metadata.items()  # repro-lint: disable=RPL102(no draws here; key order mirrors the deterministic build-time insertion order and is pinned by cached-result byte-identity)
-                if isinstance(value, (int, float, str, bool, type(None)))
+                if isinstance(value, _SCALARS)
             },
             "elapsed_seconds": self.elapsed_seconds,
         }
@@ -99,9 +105,16 @@ class TopologyGenerator(abc.ABC):
         """
         source = self._resolve_rng(rng)
         telemetry = active_telemetry()
+        attrs = self._span_attributes() if telemetry.enabled else None
         started = time.perf_counter()
-        with telemetry.span("generate"):
+        with telemetry.span("generate", attrs):
             graph, metadata = self._build(source)
+            if attrs is not None:
+                # The span copies its attributes on exit, so the work
+                # counters land on it while it is still open.
+                for name in _SPAN_COUNTERS:
+                    if name in metadata:
+                        attrs[name] = metadata[name]
         elapsed = time.perf_counter() - started
         if telemetry.enabled:
             telemetry.count(f"generate.{self.model_name}")
@@ -131,6 +144,15 @@ class TopologyGenerator(abc.ABC):
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
+    def _span_attributes(self) -> Dict[str, Any]:
+        """The ``generate`` span's cost-explaining attributes: the model and
+        its scalar parameters (the seed explains no cost)."""
+        attrs: Dict[str, Any] = {"model": self.model_name}
+        for key, value in self.parameters().items():  # repro-lint: disable=RPL102(no draws here; the span keeps the parameters in their declared order)
+            if key != "seed" and isinstance(value, _SCALARS):
+                attrs[key] = value
+        return attrs
+
     def _resolve_rng(self, rng: Optional[RandomSource | int]) -> RandomSource:
         if rng is not None:
             return ensure_source(rng)

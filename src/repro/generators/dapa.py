@@ -25,13 +25,14 @@ any node ever holding global topology information.
 
 from __future__ import annotations
 
+import random  # repro-lint: disable=RPL103(annotation only: the inlined-draw path draws from raw_stream(rng), the twister inside a plain RandomSource)
 from collections import deque
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import DAPAConfig, GRNConfig, MeshConfig
 from repro.core.errors import ConfigurationError, GenerationError
 from repro.core.graph import Graph
-from repro.core.rng import RandomSource
+from repro.core.rng import RandomSource, raw_stream
 from repro.generators.base import TopologyGenerator
 from repro.kernels.dispatch import kernel_ready
 from repro.substrate.grn import GeometricRandomNetwork
@@ -154,9 +155,16 @@ class DAPAGenerator(TopologyGenerator):
     def _grow_overlay(
         self, substrate: Graph, rng: RandomSource
     ) -> Tuple[Graph, Dict[str, Any]]:
-        """The reference growth loop (dispatch-free: the parity self-check
-        replays it against the kernel tier)."""
+        """The python-tier growth loop (no kernel dispatch: the parity
+        self-check replays it against the kernel tier).
+
+        Only the attach step forks on the source: a plain
+        :class:`RandomSource` takes the inlined-draw twin
+        :meth:`_attach_preferentially_fast`, a subclass the reference
+        :meth:`_attach_preferentially`; both consume the same draws.
+        """
         config = self.config
+        stream = raw_stream(rng)
         cutoff = config.effective_cutoff()
         m = config.stubs
         target_peers = config.overlay_size
@@ -204,8 +212,12 @@ class DAPAGenerator(TopologyGenerator):
                 short_horizons += 1
                 for peer in horizon:
                     overlay.add_edge(node, peer)
-            else:
+            elif stream is None:
                 self._attach_preferentially(overlay, node, horizon, m, cutoff, rng)
+            else:
+                self._attach_preferentially_fast(
+                    overlay, node, horizon, m, cutoff, rng, stream
+                )
             peers.add(node)
             attempts_without_progress = 0
 
@@ -343,6 +355,64 @@ class DAPAGenerator(TopologyGenerator):
             if rng.random() < degree / horizon_total_degree:
                 overlay.add_edge(node, peer)
                 chosen.add(peer)
+
+    @staticmethod
+    def _attach_preferentially_fast(
+        overlay: Graph,
+        node: int,
+        horizon: List[int],
+        stubs: int,
+        cutoff: int,
+        rng: RandomSource,
+        stream: random.Random,
+    ) -> None:
+        """:meth:`_attach_preferentially` with its draws inlined.
+
+        ``stream`` is the Mersenne Twister underneath ``rng`` (see
+        :func:`~repro.core.rng.raw_stream`); each ``rng.randint`` becomes
+        CPython's ``_randbelow`` rejection loop over ``getrandbits`` and each
+        ``rng.random()`` a bound ``random()``, so the draw sequence is the
+        reference's.  The joining node links only to the peers it chooses
+        here, so "already linked" is membership in ``chosen``, and an
+        unchosen peer's degree cannot change during the call: the degrees
+        are read once.
+        """
+        getrandbits = stream.getrandbits
+        random_float = stream.random
+        degrees = [overlay.degree(peer) for peer in horizon]
+        horizon_total_degree = sum(degrees)
+        size = len(horizon)
+        width = size.bit_length()
+        chosen: List[int] = []
+        attempts = 0
+        while len(chosen) < stubs and len(chosen) < size:
+            if attempts >= _MAX_ATTEMPTS_PER_STUB or horizon_total_degree == 0:
+                remaining = [
+                    index
+                    for index, peer in enumerate(horizon)
+                    if peer not in chosen and degrees[index] < cutoff
+                ]
+                if not remaining:
+                    break
+                weights = [max(degrees[index], 1) for index in remaining]
+                peer = horizon[remaining[rng.weighted_index(weights)]]
+                overlay.add_edge(node, peer)
+                chosen.append(peer)
+                attempts = 0
+                continue
+            attempts += 1
+            pick = getrandbits(width)
+            while pick >= size:
+                pick = getrandbits(width)
+            peer = horizon[pick]
+            if peer in chosen:
+                continue
+            degree = degrees[pick]
+            if degree >= cutoff:
+                continue
+            if random_float() < degree / horizon_total_degree:
+                overlay.add_edge(node, peer)
+                chosen.append(peer)
 
 
 def generate_dapa(

@@ -20,12 +20,13 @@ by the total degree ``k_total`` of the network (Table II classifies it as
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+import random  # repro-lint: disable=RPL103(annotation only: the inlined-draw path draws from raw_stream(rng), the twister inside a plain RandomSource)
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import HAPAConfig
 from repro.core.errors import ConfigurationError
 from repro.core.graph import Graph
-from repro.core.rng import RandomSource
+from repro.core.rng import RandomSource, raw_stream
 from repro.generators.base import TopologyGenerator
 from repro.kernels.dispatch import kernel_ready
 
@@ -111,7 +112,116 @@ class HAPAGenerator(TopologyGenerator):
             from repro.kernels.generators import hapa_build
 
             return hapa_build(self.config, rng)
+        stream = raw_stream(rng)
+        if stream is not None:
+            return self._build_fast(stream, rng)
         return self._build_reference(rng)
+
+    def _build_fast(
+        self, stream: random.Random, rng: RandomSource
+    ) -> Tuple[Graph, Dict[str, Any]]:
+        """:meth:`_build_reference` with its draws inlined (plain sources only).
+
+        Consumes exactly the reference's draw sequence from ``stream``, the
+        Mersenne Twister underneath ``rng``: each ``rng.randint(0, n - 1)``
+        becomes CPython's ``_randbelow`` rejection loop over ``getrandbits``
+        (which draws even for ``n == 1``), each ``rng.random()`` a bound
+        ``random()``.  Adjacency rows are local lists, so a degree is
+        ``len(row)``, and "already linked" is a scan of the joining node's
+        at most ``m`` chosen peers.  The graph is replayed edge by edge in
+        attachment order, so node order, neighbor order and even set
+        iteration order match the reference's graph.
+        """
+        config = self.config
+        n, m = config.number_of_nodes, config.stubs
+        cutoff = config.effective_cutoff()
+        max_hops = config.max_hops_per_stub
+        getrandbits = stream.getrandbits
+        random_float = stream.random
+
+        seed_size = min(m + 1, n)
+        # Graph.complete's neighbor order: lower ids first, then higher.
+        rows = [[v for v in range(seed_size) if v != u] for u in range(seed_size)]
+        total_degree = seed_size * (seed_size - 1)
+        chosen_counts = []
+        total_hops = 0
+        fallback_attachments = 0
+        unfilled_stubs = 0
+
+        for new_node in range(seed_size, n):
+            chosen: List[int] = []
+            rows.append(chosen)
+            filled = 0
+            bits = new_node.bit_length()
+
+            # Step 1: one attempt at a uniformly random existing node.
+            current = getrandbits(bits)
+            while current >= new_node:
+                current = getrandbits(bits)
+            neighbors = rows[current]
+            degree = len(neighbors)
+            if 0 < degree < cutoff and random_float() < degree / total_degree:
+                chosen.append(current)
+                neighbors.append(new_node)
+                total_degree += 2
+                filled = 1
+
+            # Step 2: hop along existing links until all stubs are filled.
+            hops = 0
+            give_up_at = max_hops
+            while filled < m:
+                size = len(neighbors)
+                if size:
+                    width = size.bit_length()
+                    pick = getrandbits(width)
+                    while pick >= size:
+                        pick = getrandbits(width)
+                    current = neighbors[pick]
+                else:
+                    current = getrandbits(bits)
+                    while current >= new_node:
+                        current = getrandbits(bits)
+                neighbors = rows[current]
+                hops += 1
+                if current != new_node and current not in chosen:
+                    degree = len(neighbors)
+                    if 0 < degree < cutoff and random_float() < degree / total_degree:
+                        chosen.append(current)
+                        neighbors.append(new_node)
+                        total_degree += 2
+                        filled += 1
+                        give_up_at = hops + max_hops
+                        continue
+                if hops >= give_up_at:
+                    eligible = [
+                        node
+                        for node in range(new_node)
+                        if node not in chosen and len(rows[node]) < cutoff
+                    ]
+                    if not eligible:
+                        unfilled_stubs += m - filled
+                        break
+                    peer = rng.choice(eligible)
+                    chosen.append(peer)
+                    rows[peer].append(new_node)
+                    total_degree += 2
+                    filled += 1
+                    fallback_attachments += 1
+                    give_up_at = hops + max_hops
+            total_hops += hops
+            chosen_counts.append(filled)
+
+        graph = Graph.complete(seed_size)
+        for new_node, count in enumerate(chosen_counts, start=seed_size):
+            graph.add_node(new_node)
+            for peer in rows[new_node][:count]:
+                graph.add_edge(new_node, peer)
+        metadata = {
+            "total_hops": total_hops,
+            "fallback_attachments": fallback_attachments,
+            "unfilled_stubs": unfilled_stubs,
+        }
+        return graph, metadata
 
     def _build_reference(self, rng: RandomSource) -> Tuple[Graph, Dict[str, Any]]:
         config = self.config

@@ -39,7 +39,7 @@ from typing import Dict, Iterator, Literal, Optional
 
 from repro.core.ambient import AmbientStack
 from repro.core.errors import ConfigurationError
-from repro.core.rng import RandomSource
+from repro.core.rng import RandomSource, raw_stream
 from repro.telemetry.collector import (
     NULL_TELEMETRY,
     active_telemetry,
@@ -556,12 +556,13 @@ def kernel_ready(
     (batched protocol queries) — and names the ``kernels.<layer>.<tier>``
     counter the decision is recorded under.  Requires the resolved tier to
     be ``jit`` and ``rng`` to be a plain
-    :class:`~repro.core.rng.RandomSource`: subclasses (e.g. counting or
+    :class:`~repro.core.rng.RandomSource` (the
+    :func:`~repro.core.rng.raw_stream` test): subclasses (e.g. counting or
     instrumented sources) keep the reference path, because the kernels
     consume the Mersenne-Twister stream directly and would bypass any
     overridden draw methods.
     """
-    if type(rng) is not RandomSource:
+    if raw_stream(rng) is None:
         return False
     ready = resolve_kernels() == "jit"
     telemetry = active_telemetry()

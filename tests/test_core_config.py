@@ -17,6 +17,7 @@ from repro.core.config import (
     TopologyConfig,
 )
 from repro.core.errors import ConfigurationError
+from repro.generators.dapa import DAPAGenerator
 
 
 class TestTopologyConfig:
@@ -137,6 +138,20 @@ class TestDAPAConfig:
             DAPAConfig(overlay_size=50, initial_peers=1)
         with pytest.raises(ConfigurationError):
             DAPAConfig(overlay_size=5, initial_peers=10)
+
+    def test_seed_clique_must_respect_cutoff(self):
+        # The initial_peers seeds form a clique of degree initial_peers - 1.
+        with pytest.raises(ConfigurationError, match="seed clique"):
+            DAPAConfig(overlay_size=60, hard_cutoff=2, initial_peers=5)
+        with pytest.raises(ConfigurationError, match="seed clique"):
+            DAPAGenerator(
+                overlay_size=60, stubs=1, hard_cutoff=2, local_ttl=3,
+                initial_peers=5, seed=3,
+            )
+        # A clique of degree exactly kc is allowed, as is any clique
+        # without a cutoff.
+        DAPAConfig(overlay_size=60, hard_cutoff=2, initial_peers=3)
+        DAPAConfig(overlay_size=60, initial_peers=20)
 
     def test_substrate_must_be_large_enough(self):
         small_substrate = GRNConfig(number_of_nodes=10, radius=0.2)

@@ -122,6 +122,62 @@ class TestSpanTree:
         assert current_span_id() is None
 
 
+class TestGenerateSpanAttributes:
+    """A ``generate`` span names the model, its scalar parameters (not the
+    seed) and the build's work counters, copied from the metadata."""
+
+    @staticmethod
+    def _traced(generator):
+        collector = TelemetryCollector()
+        with use_telemetry(collector):
+            result = generator.generate(5)
+        (node,) = [node for node in collector.span_tree if node["name"] == "generate"]
+        return node["attrs"], result
+
+    def test_hapa_span(self):
+        from repro.generators.hapa import HAPAGenerator
+
+        attrs, result = self._traced(HAPAGenerator(120, stubs=2, hard_cutoff=10))
+        assert attrs == {
+            "model": "hapa",
+            "number_of_nodes": 120,
+            "stubs": 2,
+            "hard_cutoff": 10,
+            "max_hops_per_stub": 10_000,
+            "total_hops": result.metadata["total_hops"],
+            "unfilled_stubs": result.metadata["unfilled_stubs"],
+        }
+        assert attrs["total_hops"] > 0
+
+    def test_dapa_span(self):
+        from repro.generators.dapa import DAPAGenerator
+
+        attrs, result = self._traced(
+            DAPAGenerator(overlay_size=60, stubs=2, hard_cutoff=8, local_ttl=3)
+        )
+        assert attrs == {
+            "model": "dapa",
+            "overlay_size": 60,
+            "stubs": 2,
+            "hard_cutoff": 8,
+            "local_ttl": 3,
+            "initial_peers": 2,
+            "substrate": "default_grn",
+            "discovery_messages": result.metadata["discovery_messages"],
+        }
+        assert attrs["discovery_messages"] > 0
+
+    def test_untraced_build_skips_the_attributes(self, monkeypatch):
+        from repro.generators.base import TopologyGenerator
+        from repro.generators.hapa import HAPAGenerator
+
+        def refuse(self):
+            raise AssertionError("span attributes built with telemetry off")
+
+        monkeypatch.setattr(TopologyGenerator, "_span_attributes", refuse)
+        HAPAGenerator(30, stubs=1, hard_cutoff=5).generate(5)
+
+
 # --------------------------------------------------------------------------- #
 # Serial vs parallel tree identity + trace-context pickling
 # --------------------------------------------------------------------------- #
