@@ -27,10 +27,12 @@ from repro.generators.cm import generate_cm
 from repro.generators.dapa import generate_dapa
 from repro.generators.hapa import HAPAGenerator, generate_hapa
 from repro.generators.pa import generate_pa
+from repro.kernels.dispatch import use_kernels
 from repro.search.flooding import FloodingSearch, flood
-from repro.search.metrics import search_curve
-from repro.search.normalized_flooding import normalized_flood
-from repro.search.random_walk import random_walk
+from repro.search.metrics import search_curve, select_sources
+from repro.search.normalized_flooding import NormalizedFloodingSearch, normalized_flood
+from repro.search.probabilistic_flooding import ProbabilisticFloodingSearch
+from repro.search.random_walk import RandomWalkSearch, random_walk
 
 NODES = 2000
 
@@ -170,14 +172,20 @@ class TestBackendBenchmarks:
         assert trajectory.shape == (201, self.QUERIES)
 
 
-class TestPythonTierFastLoopBenchmarks:
-    """The python tier's inlined-draw HAPA loop against its reference loop.
+class _ReferenceSource(RandomSource):
+    """A subclass: ``raw_stream`` refuses it, so searches keep their
+    reference loops and PF draws its coins through ``random``."""
 
-    A plain RandomSource builds HAPA through ``_build_fast``, which inlines
-    CPython's ``_randbelow`` instead of calling ``rng.randint``; it must
-    consume the same draws and stay an integer multiple faster (3.7-3.9x
-    measured at N = 420, 1500 and 3000).  Needs no numba, so it runs on
-    every host.
+
+class TestPythonTierFastLoopBenchmarks:
+    """The python tier's inlined-draw loops against their reference loops.
+
+    A plain RandomSource builds HAPA through ``_build_fast``, runs NF and
+    single-walker RW queries through ``_run_fast`` and hands PF the
+    twister's ``random``; each draws from the twister directly instead of
+    calling the RandomSource methods.  They must consume the same draws and
+    stay a multiple faster (HAPA 3.7-3.9x measured at N = 420, 1500 and
+    3000).  Needs no numba, so it runs on every host.
     """
 
     def test_hapa_fast_loop_speedup_at_least_2_5x(self):
@@ -204,6 +212,47 @@ class TestPythonTierFastLoopBenchmarks:
         speedup = reference_seconds / fast_seconds
         assert speedup >= 2.5, (
             f"python-tier HAPA fast loop speedup regressed: {speedup:.2f}x "
+            f"(reference {reference_seconds * 1e3:.1f} ms, "
+            f"fast {fast_seconds * 1e3:.1f} ms)"
+        )
+
+    def test_search_fast_loops_speedup_at_least_1_4x(self):
+        # The artefact-search shape: PA, N=1400, m=2, kc=10, 28 queries,
+        # TTL 2..10.  Per source, as in the artefact: an NF query, a PF
+        # query, and the normalized RW (an NF query measures the budget,
+        # the walk spends it), each kind on its own stream.
+        graph = generate_pa(1400, stubs=2, hard_cutoff=10, seed=3).freeze()
+        sources = select_sources(graph, 28, rng=5)
+        nf, pf = NormalizedFloodingSearch(k_min=2), ProbabilisticFloodingSearch()
+        rw = RandomWalkSearch()
+
+        def batch(source_class):
+            nf_rng, pf_rng, budget_rng, rw_rng = (source_class(seed) for seed in range(4))
+            curves = []
+            with use_kernels("python"):
+                for source in sources:
+                    for result in (
+                        nf.run(graph, source, 10, rng=nf_rng),
+                        pf.run(graph, source, 10, rng=pf_rng),
+                    ):
+                        curves.append((result.hits_per_ttl, result.messages_per_ttl))
+                    budget = max(1, nf.run(graph, source, 10, rng=budget_rng).messages)
+                    walk = rw.run(graph, source, budget, rng=rw_rng)
+                    curves.append((walk.hits_per_ttl, walk.messages_per_ttl))
+            next_draws = [rng.random() for rng in (nf_rng, pf_rng, budget_rng, rw_rng)]
+            return curves, next_draws
+
+        # Identity first: same curves, every stream left at the same place.
+        assert batch(RandomSource) == batch(_ReferenceSource)
+
+        # Best of 3, interleaved so a burst of host noise hits both sides.
+        reference_seconds = fast_seconds = float("inf")
+        for _ in range(3):
+            reference_seconds = min(reference_seconds, _best_of(1, lambda: batch(_ReferenceSource)))
+            fast_seconds = min(fast_seconds, _best_of(1, lambda: batch(RandomSource)))
+        speedup = reference_seconds / fast_seconds
+        assert speedup >= 1.4, (
+            f"python-tier NF+PF+RW fast loop speedup regressed: {speedup:.2f}x "
             f"(reference {reference_seconds * 1e3:.1f} ms, "
             f"fast {fast_seconds * 1e3:.1f} ms)"
         )

@@ -1005,7 +1005,8 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     else:
         print(
             f"last run:     {last_run.get('hits', 0)} hits, "
-            f"{last_run.get('misses', 0)} misses, "
+            f"{last_run.get('misses', 0)} misses "
+            f"({last_run.get('corrupt', 0)} corrupt), "
             f"{last_run.get('bytes_read', 0)} bytes read, "
             f"{last_run.get('bytes_written', 0)} bytes written"
         )

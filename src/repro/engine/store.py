@@ -33,8 +33,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.errors import ExperimentError
 from repro.experiments.results import ExperimentResult
 from repro.telemetry.collector import active_telemetry
+from repro.telemetry.logs import get_logger
 
 __all__ = ["ResultStore"]
+
+_log = get_logger("repro.store")
 
 #: Bump when the result schema or the experiment semantics change in a way
 #: that should invalidate previously cached artifacts.
@@ -68,6 +71,7 @@ class ResultStore:
             ) from error
         self.hits = 0
         self.misses = 0
+        self.corrupt = 0
         self.bytes_read = 0
         self.bytes_written = 0
 
@@ -120,9 +124,14 @@ class ResultStore:
         scale: Any,
         extra: Optional[Dict[str, Any]] = None,
     ) -> Optional[ExperimentResult]:
-        """Return the cached result, or ``None`` on a miss (counted)."""
+        """Return the cached result, or ``None`` on a miss (counted).
+
+        An entry that cannot be read back is a miss too, counted as
+        ``corrupt`` and logged as a ``store-corrupt`` warning.
+        """
         telemetry = active_telemetry()
-        path = self.path_for(self.key_for(experiment_id, scale, extra)) / "result.json"
+        key = self.key_for(experiment_id, scale, extra)
+        path = self.path_for(key) / "result.json"
         with telemetry.span("store"):
             if not path.exists():
                 self.misses += 1
@@ -130,11 +139,15 @@ class ResultStore:
                 return None
             try:
                 result = ExperimentResult.load_json(path)
-            except (OSError, ValueError, KeyError):
-                # A truncated write (e.g. an interrupted run) must not poison
-                # future runs; treat it as a miss and recompute.
+            except (OSError, ValueError, KeyError, TypeError) as error:
+                # A torn or malformed entry (JSON of the wrong shape raises
+                # TypeError) must not poison future runs: the caller
+                # recomputes and the next put replaces it.
                 self.misses += 1
+                self.corrupt += 1
                 telemetry.count("store.misses")
+                telemetry.count("store.corrupt")
+                _log.warning("store-corrupt", key=key, error=type(error).__name__)
                 return None
             self.hits += 1
             telemetry.count("store.hits")
@@ -232,6 +245,7 @@ class ResultStore:
         return {
             "hits": self.hits,
             "misses": self.misses,
+            "corrupt": self.corrupt,
             "entries": len(self.entries()),
             "bytes_read": self.bytes_read,
             "bytes_written": self.bytes_written,
@@ -337,9 +351,7 @@ class ResultStore:
             (self.root / "last-gc.json").write_text(
                 json.dumps(summary, indent=2, sort_keys=True)
             )
-        from repro.telemetry.logs import get_logger
-
-        get_logger("repro.store").info(
+        _log.info(
             "gc",
             removed_entries=summary["removed_entries"],
             reclaimed_bytes=summary["reclaimed_bytes"],

@@ -417,7 +417,7 @@ def _simulation_parity_check() -> "tuple[bool, str]":
 def _reference_nf(graph, rng):
     from repro.search.normalized_flooding import NormalizedFloodingSearch
 
-    return NormalizedFloodingSearch(k_min=2).run(graph, 0, 5, rng=rng, target=7)
+    return NormalizedFloodingSearch(k_min=2)._run_reference(graph, 0, 5, rng, 2, 7)
 
 
 def _reference_pf(graph, rng):
@@ -429,7 +429,7 @@ def _reference_pf(graph, rng):
 def _reference_rw(graph, rng):
     from repro.search.random_walk import RandomWalkSearch
 
-    return RandomWalkSearch(walkers=2).run(graph, 0, 8, rng=rng, target=7)
+    return RandomWalkSearch(walkers=2)._run_reference(graph, 0, 8, rng, 7)
 
 
 def kernel_self_check() -> bool:

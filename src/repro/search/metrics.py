@@ -166,10 +166,16 @@ def search_curve(
     random_source = ensure_source(rng)
     if sources is None:
         sources = select_sources(graph, queries, random_source.spawn("sources"))
+    _require_queries(sources)
     query_rng = random_source.spawn("queries")
 
     telemetry = active_telemetry()
-    with telemetry.span("search"):
+    attrs = (
+        {"algorithm": algorithm.algorithm_name, "queries": len(sources)}
+        if telemetry.enabled
+        else None
+    )
+    with telemetry.span("search", attrs):
         if type(algorithm) is FloodingSearch and isinstance(graph, CSRGraph):
             # Batched CSR fast path: one vectorized kernel call covers the whole
             # query batch.  Flooding is deterministic (``query_rng`` is never
@@ -191,7 +197,6 @@ def search_curve(
             messages_matrix = batch_messages[:, columns].astype(float, order="C")
         elif (
             isinstance(graph, CSRGraph)
-            and len(sources) > 0
             and type(algorithm) in (
                 NormalizedFloodingSearch,
                 ProbabilisticFloodingSearch,
@@ -217,6 +222,10 @@ def search_curve(
                 for column, ttl in enumerate(ttl_list):
                     hits_matrix[row, column] = result.hits_at(ttl)
                     messages_matrix[row, column] = result.messages_at(ttl)
+        if attrs is not None:
+            # The span copies its attributes on exit, so the batch's
+            # message total lands on it while it is still open.
+            attrs["messages"] = int(messages_matrix[:, -1].sum())
 
     if telemetry.enabled:
         telemetry.count("search.queries", len(sources))
@@ -236,6 +245,12 @@ def search_curve(
         queries=len(sources),
         metadata={"graph_nodes": graph.number_of_nodes},
     )
+
+
+def _require_queries(sources: Sequence[NodeId]) -> None:
+    """Refuse an empty query batch: its mean curve would be all NaN."""
+    if len(sources) == 0:
+        raise SearchError("the query batch is empty: ask for at least one query")
 
 
 def _stochastic_batch_curves(
@@ -308,6 +323,7 @@ def normalized_walk_curve(
     random_source = ensure_source(rng)
     if sources is None:
         sources = select_sources(graph, queries, random_source.spawn("sources"))
+    _require_queries(sources)
     nf_rng = random_source.spawn("nf")
     rw_rng = random_source.spawn("rw")
 
@@ -315,10 +331,10 @@ def normalized_walk_curve(
     rw_search = RandomWalkSearch(walkers=walkers)
 
     telemetry = active_telemetry()
-    with telemetry.span("search"):
+    attrs = {"algorithm": "rw", "queries": len(sources)} if telemetry.enabled else None
+    with telemetry.span("search", attrs):
         if (
             isinstance(graph, CSRGraph)
-            and len(sources) > 0
             and kernel_ready(nf_rng, "search")
             and kernel_ready(rw_rng, "search")
         ):
@@ -353,6 +369,8 @@ def normalized_walk_curve(
                 for column, budget in enumerate(budgets):
                     hits_matrix[row, column] = walk_result.hits_at(budget)
                     messages_matrix[row, column] = walk_result.messages_at(budget)
+        if attrs is not None:
+            attrs["messages"] = int(messages_matrix[:, -1].sum())
 
     if telemetry.enabled:
         telemetry.count("search.queries", len(sources))

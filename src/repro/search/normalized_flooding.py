@@ -21,12 +21,14 @@ match that choice.
 
 from __future__ import annotations
 
+import random  # repro-lint: disable=RPL103(annotation only: the inlined-draw path draws from raw_stream(rng), the twister inside a plain RandomSource)
 from collections import deque
+from math import ceil, log
 from typing import List, Optional
 
-from repro.core.csr import CSRGraph
+from repro.core.csr import CSRGraph, GraphLike
 from repro.core.graph import Graph
-from repro.core.rng import RandomSource
+from repro.core.rng import RandomSource, raw_stream
 from repro.core.types import NodeId
 from repro.kernels.dispatch import kernel_ready
 from repro.search.base import QueryResult, SearchAlgorithm
@@ -98,13 +100,140 @@ class NormalizedFloodingSearch(SearchAlgorithm):
                 target=target,
                 found_at=found_at,
             )
+        stream = raw_stream(random_source)
+        if stream is not None:
+            return self._run_fast(stream, graph, source, ttl, branching, target)
+        return self._run_reference(graph, source, ttl, random_source, branching, target)
+
+    def _run_fast(
+        self,
+        stream: random.Random,
+        graph: GraphLike,
+        source: NodeId,
+        ttl: int,
+        branching: int,
+        target: Optional[NodeId],
+    ) -> QueryResult:
+        """:meth:`_run_reference` with its draws inlined (plain sources only).
+
+        Consumes exactly the reference's draws from ``stream``, the Mersenne
+        Twister underneath a plain :class:`~repro.core.rng.RandomSource`:
+        each ``rng.sample(candidates, branching)`` becomes CPython's
+        ``random.sample`` over a copy of the candidate list (pool swap when
+        the population fits ``setsize``, index rejection against a set
+        otherwise), with ``_randbelow`` inlined as its ``getrandbits``
+        rejection loop.  The graph is simple, so dropping the previous hop
+        removes exactly one row entry.
+        """
+        neighbors_of = graph.iter_neighbors
+        getrandbits = stream.getrandbits
+        # random.sample's choice between its two algorithms.
+        setsize = 21
+        if branching > 5:
+            setsize += 4 ** ceil(log(branching * 3, 4))
+        telemetry = active_telemetry()
+        observe = telemetry.observe if telemetry.enabled else None
 
         base_hits = 1 if self.count_source_as_hit else 0
         hits_per_ttl: List[int] = [base_hits]
         messages_per_ttl: List[int] = [0]
-
         visited = {source}
-        forwarded = {source}
+        visit = visited.add
+        found_at: Optional[int] = 0 if target == source else None
+        hits = base_hits
+        messages = 0
+
+        # The source forwards first, with no previous hop to exclude.
+        frontier = [(source, None)]
+        for hop in range(1, ttl + 1):
+            next_frontier = []
+            extend = next_frontier.append
+            for node, previous in frontier:
+                row = neighbors_of(node)
+                size = len(row) if previous is None else len(row) - 1
+                if size <= branching:
+                    recipients = row
+                    messages += size
+                else:
+                    # A copy: the cached row is shared by every query.
+                    candidates = row.copy()
+                    if previous is not None:
+                        candidates.remove(previous)
+                    recipients = []
+                    pick = recipients.append
+                    if size <= setsize:
+                        for remaining in range(size, size - branching, -1):
+                            width = remaining.bit_length()
+                            index = getrandbits(width)
+                            while index >= remaining:
+                                index = getrandbits(width)
+                            pick(candidates[index])
+                            candidates[index] = candidates[remaining - 1]
+                    else:
+                        selected = set()
+                        width = size.bit_length()
+                        for _ in range(branching):
+                            index = getrandbits(width)
+                            while index >= size or index in selected:
+                                index = getrandbits(width)
+                            selected.add(index)
+                            pick(candidates[index])
+                    messages += branching
+                # The previous hop is visited already, so a full row needs
+                # no separate exclusion here.
+                for neighbor in recipients:
+                    if neighbor in visited:
+                        continue
+                    visit(neighbor)
+                    hits += 1
+                    if neighbor == target:
+                        found_at = hop
+                    extend((neighbor, node))
+            frontier = next_frontier
+            hits_per_ttl.append(hits)
+            messages_per_ttl.append(messages)
+            if observe is not None:
+                observe("search.frontier", len(frontier))
+            # The reference records one more (empty) frontier when hop 1
+            # reaches no new peer, so it stops no earlier than hop 2.
+            if not frontier and hop > 1:
+                break
+        padding = ttl + 1 - len(hits_per_ttl)
+        hits_per_ttl.extend([hits] * padding)
+        messages_per_ttl.extend([messages] * padding)
+
+        return QueryResult(
+            algorithm=self.algorithm_name,
+            source=source,
+            ttl=ttl,
+            hits_per_ttl=hits_per_ttl,
+            messages_per_ttl=messages_per_ttl,
+            visited=visited,
+            target=target,
+            found_at=found_at,
+        )
+
+    def _run_reference(
+        self,
+        graph: GraphLike,
+        source: NodeId,
+        ttl: int,
+        random_source: RandomSource,
+        branching: int,
+        target: Optional[NodeId],
+    ) -> QueryResult:
+        """The reference loop: every draw goes through ``random_source``.
+
+        Subclassed sources (counting or instrumented) take this path, and
+        the kernel self-check and the fast-loop tests compare against it.
+        """
+        base_hits = 1 if self.count_source_as_hit else 0
+        hits_per_ttl: List[int] = [base_hits]
+        messages_per_ttl: List[int] = [0]
+
+        # A node joins a frontier only on its first visit, so each node
+        # forwards the query at most once.
+        visited = {source}
         frontier: deque = deque()
         found_at: Optional[int] = 0 if target == source else None
 
@@ -135,9 +264,6 @@ class NormalizedFloodingSearch(SearchAlgorithm):
             next_frontier: deque = deque()
             while frontier:
                 node, previous = frontier.popleft()
-                if node in forwarded:
-                    continue
-                forwarded.add(node)
                 recipients = self._select_recipients(
                     graph, node, previous=previous, branching=branching, rng=random_source
                 )

@@ -18,13 +18,12 @@ rather than set order, so a seeded query is byte-identical on the mutable
 
 from __future__ import annotations
 
-from collections import deque
 from typing import List, Optional
 
 from repro.core.csr import CSRGraph
 from repro.core.errors import SearchError
 from repro.core.graph import Graph
-from repro.core.rng import RandomSource
+from repro.core.rng import RandomSource, raw_stream
 from repro.core.types import NodeId
 from repro.kernels.dispatch import kernel_ready
 from repro.search.base import QueryResult, SearchAlgorithm
@@ -70,14 +69,13 @@ class ProbabilisticFloodingSearch(SearchAlgorithm):
     ) -> QueryResult:
         self._validate(graph, source, ttl)
         random_source = self._resolve_rng(rng)
-        probability = self.forward_probability
 
         if isinstance(graph, CSRGraph) and kernel_ready(random_source, "search"):
             # Kernel tier: same coins in the same neighbor order.
             from repro.kernels.search import pf_query
 
             hits, messages, visited, found_at = pf_query(
-                graph, source, ttl, random_source, probability,
+                graph, source, ttl, random_source, self.forward_probability,
                 self.count_source_as_hit, target,
             )
             return QueryResult(
@@ -90,51 +88,53 @@ class ProbabilisticFloodingSearch(SearchAlgorithm):
                 target=target,
                 found_at=found_at,
             )
+        # A plain source's coins come straight from its twister; a subclass
+        # (counting or instrumented) keeps its own ``random``, so it still
+        # sees every coin.
+        stream = raw_stream(random_source)
+        coin = stream.random if stream is not None else random_source.random
+        neighbors_of = graph.iter_neighbors
+        probability = self.forward_probability
+        toss = probability < 1.0
 
         base_hits = 1 if self.count_source_as_hit else 0
         hits_per_ttl: List[int] = [base_hits]
         messages_per_ttl: List[int] = [0]
         visited = {source}
-        frontier: deque = deque([(source, None)])
+        visit = visited.add
         found_at: Optional[int] = 0 if target == source else None
+        hits = base_hits
+        messages = 0
 
-        cumulative_hits = base_hits
-        cumulative_messages = 0
-
+        frontier = [(source, None)]
         for hop in range(1, ttl + 1):
-            next_frontier: deque = deque()
-            while frontier:
-                node, previous = frontier.popleft()
+            next_frontier = []
+            extend = next_frontier.append
+            for node, previous in frontier:
                 # Iterate in the defined neighbor order (edge insertion
                 # order), NOT set order: each neighbor consumes one
                 # forwarding coin, so the iteration order is part of the
                 # seeded behaviour and must be identical on the mutable
                 # graph and its frozen CSR snapshot.
-                for neighbor in graph.iter_neighbors(node):
-                    if neighbor == previous:
+                for neighbor in neighbors_of(node):
+                    if neighbor == previous or (toss and coin() >= probability):
                         continue
-                    if probability < 1.0 and random_source.random() >= probability:
-                        continue
-                    cumulative_messages += 1
+                    messages += 1
                     if neighbor in visited:
                         continue
-                    visited.add(neighbor)
-                    cumulative_hits += 1
-                    if target is not None and neighbor == target and found_at is None:
+                    visit(neighbor)
+                    hits += 1
+                    if neighbor == target:
                         found_at = hop
-                    next_frontier.append((neighbor, node))
+                    extend((neighbor, node))
             frontier = next_frontier
-            hits_per_ttl.append(cumulative_hits)
-            messages_per_ttl.append(cumulative_messages)
+            hits_per_ttl.append(hits)
+            messages_per_ttl.append(messages)
             if not frontier:
-                for _ in range(hop + 1, ttl + 1):
-                    hits_per_ttl.append(cumulative_hits)
-                    messages_per_ttl.append(cumulative_messages)
                 break
-
-        while len(hits_per_ttl) < ttl + 1:
-            hits_per_ttl.append(cumulative_hits)
-            messages_per_ttl.append(cumulative_messages)
+        padding = ttl + 1 - len(hits_per_ttl)
+        hits_per_ttl.extend([hits] * padding)
+        messages_per_ttl.extend([messages] * padding)
 
         return QueryResult(
             algorithm=self.algorithm_name,

@@ -27,11 +27,12 @@ many walkers per vectorized step.
 
 from __future__ import annotations
 
+import random  # repro-lint: disable=RPL103(annotation only: the inlined-draw path draws from raw_stream(rng), the twister inside a plain RandomSource)
 from typing import List, Optional
 
-from repro.core.csr import CSRGraph
+from repro.core.csr import CSRGraph, GraphLike
 from repro.core.graph import Graph
-from repro.core.rng import RandomSource
+from repro.core.rng import RandomSource, raw_stream
 from repro.core.types import NodeId
 from repro.kernels.dispatch import kernel_ready
 from repro.search.base import QueryResult, SearchAlgorithm
@@ -103,7 +104,93 @@ class RandomWalkSearch(SearchAlgorithm):
                 target=target,
                 found_at=found_at,
             )
+        stream = raw_stream(random_source)
+        if stream is not None and self.walkers == 1:
+            return self._run_fast(stream, graph, source, ttl, target)
+        return self._run_reference(graph, source, ttl, random_source, target)
 
+    def _run_fast(
+        self,
+        stream: random.Random,
+        graph: GraphLike,
+        source: NodeId,
+        ttl: int,
+        target: Optional[NodeId],
+    ) -> QueryResult:
+        """:meth:`_run_reference` for one walker, the paper's RW, with its
+        draws inlined (plain sources only).
+
+        Each step's ``rng.randint(0, count - 1)`` becomes CPython's
+        ``_randbelow(count)`` rejection loop over a bound ``getrandbits``
+        (which draws even for ``count == 1``).  The graph is simple and
+        symmetric, so the previous hop sits exactly once in the current
+        row.  The walk sends one message per hop until it gets stuck.
+        """
+        neighbors_of = graph.iter_neighbors
+        getrandbits = stream.getrandbits
+        exclude_previous = not self.allow_backtracking
+
+        base_hits = 1 if self.count_source_as_hit else 0
+        hits_per_ttl: List[int] = [base_hits]
+        record = hits_per_ttl.append
+        visited = {source}
+        visit = visited.add
+        found_at: Optional[int] = 0 if target == source else None
+        hits = base_hits
+
+        node, before = source, None
+        for hop in range(1, ttl + 1):
+            row = neighbors_of(node)
+            size = len(row)
+            skip = size
+            if exclude_previous and before is not None:
+                skip = row.index(before)
+                size -= 1
+            if not size:
+                break
+            width = size.bit_length()
+            choice = getrandbits(width)
+            while choice >= size:
+                choice = getrandbits(width)
+            if choice >= skip:
+                choice += 1
+            before, node = node, row[choice]
+            if node not in visited:
+                visit(node)
+                hits += 1
+                if node == target:
+                    found_at = hop
+            record(hits)
+        messages = len(hits_per_ttl) - 1  # one per hop taken
+        padding = ttl - messages
+        hits_per_ttl.extend([hits] * padding)
+        messages_per_ttl = list(range(messages + 1)) + [messages] * padding
+
+        return QueryResult(
+            algorithm=self.algorithm_name,
+            source=source,
+            ttl=ttl,
+            hits_per_ttl=hits_per_ttl,
+            messages_per_ttl=messages_per_ttl,
+            visited=visited,
+            target=target,
+            found_at=found_at,
+        )
+
+    def _run_reference(
+        self,
+        graph: GraphLike,
+        source: NodeId,
+        ttl: int,
+        random_source: RandomSource,
+        target: Optional[NodeId],
+    ) -> QueryResult:
+        """The reference loop: every draw goes through ``random_source``.
+
+        Subclassed sources (counting or instrumented) and ``walkers > 1``
+        take this path, and the kernel self-check and the fast-loop tests
+        compare against it.
+        """
         base_hits = 1 if self.count_source_as_hit else 0
         visited = {source}
         hits_per_ttl: List[int] = [base_hits]

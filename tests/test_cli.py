@@ -93,6 +93,14 @@ class TestSearchCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["metadata"]["normalization"] == "nf_messages"
 
+    @pytest.mark.parametrize("algorithm", ["nf", "rw"])
+    def test_search_without_queries_fails(self, algorithm, capsys):
+        code = main(["search", algorithm, "--nodes", "50", "--queries", "0", "--seed", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: the query batch is empty" in captured.err
+
 
 class TestFigureCommand:
     def test_figure_table2_smoke(self, capsys, tmp_path):

@@ -33,6 +33,8 @@ from repro.experiments.registry import run_experiment
 from repro.experiments.results import ExperimentResult, Series
 from repro.experiments.runner import ExperimentScale
 from repro.scenarios.measure import averaged_search_curve, degree_distribution_series
+from repro.telemetry.collector import TelemetryCollector, use_telemetry
+from repro.telemetry.logs import MemoryHandler, use_log_handler
 
 
 # Module-level task bodies: picklable, so they can cross process boundaries.
@@ -204,6 +206,42 @@ class TestResultStore:
         directory = store.put("fake", smoke_scale, self._result())
         (directory / "result.json").write_text("{ truncated")
         assert store.get("fake", smoke_scale) is None
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            (lambda text: text[: len(text) // 2], "JSONDecodeError"),
+            (lambda text: json.dumps({"title": "no experiment id"}), "KeyError"),
+            (lambda text: "[]", "TypeError"),
+        ],
+        ids=["truncated", "missing-key", "wrong-shape"],
+    )
+    def test_corrupt_entry_is_counted_logged_and_recomputed(
+        self, tmp_path, smoke_scale, capsys, corrupt, error
+    ):
+        store = ResultStore(tmp_path)
+        path = store.put("fake", smoke_scale, self._result()) / "result.json"
+        path.write_text(corrupt(path.read_text()))
+        collector, records = TelemetryCollector(), MemoryHandler()
+        with use_telemetry(collector), use_log_handler(records):
+            assert store.get("fake", smoke_scale) is None
+        assert (store.corrupt, store.misses, store.hits) == (1, 1, 0)
+        assert collector.counters["store.corrupt"] == 1
+        (record,) = [item for item in records.records if item["event"] == "store-corrupt"]
+        assert record["level"] == "warning"
+        assert record["key"] == ResultStore.key_for("fake", smoke_scale)
+        assert record["error"] == error
+
+        # Recompute: the next put replaces the entry and get hits again.
+        store.put("fake", smoke_scale, self._result())
+        loaded = store.get("fake", smoke_scale)
+        assert loaded is not None
+        assert _result_json(loaded) == _result_json(self._result())
+
+        store.save_stats()
+        assert store.last_run_stats()["corrupt"] == 1
+        assert main(["cache", "stats", "--cache", str(tmp_path)]) == 0
+        assert "1 misses (1 corrupt)" in capsys.readouterr().out
 
     def test_fetch_or_run_runs_exactly_once(self, tmp_path, smoke_scale):
         store = ResultStore(tmp_path)

@@ -232,22 +232,17 @@ class TestBatchKernels:
         assert rng_seq.random() == rng_batch.random()
 
     def test_empty_query_batch_matches_python_tier(self, pa_frozen):
-        # queries=0 must behave identically on every tier (the python
-        # tier returns an all-NaN curve); the batch dispatch must not be
-        # taken for an empty source list.
-        import warnings
-
+        # queries=0 must fail identically on every tier: the same
+        # SearchError, raised before any batch dispatch.
+        from repro.core.errors import SearchError
         from repro.search.metrics import search_curve
 
-        curves = {}
+        messages = {}
         for mode in ("python", "jit"):
-            with use_kernels(mode), warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                curves[mode] = search_curve(
-                    pa_frozen, RandomWalkSearch(), [1, 2, 4], queries=0, rng=3
-                )
-        assert curves["python"].queries == curves["jit"].queries == 0
-        assert str(curves["python"].mean_hits) == str(curves["jit"].mean_hits)
+            with use_kernels(mode), pytest.raises(SearchError) as raised:
+                search_curve(pa_frozen, RandomWalkSearch(), [1, 2, 4], queries=0, rng=3)
+            messages[mode] = str(raised.value)
+        assert messages["python"] == messages["jit"]
 
     def test_rw_batch_honours_per_query_ttls(self, pa_frozen):
         ttls = [3, 9, 1, 6, 4]

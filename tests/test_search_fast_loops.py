@@ -1,0 +1,218 @@
+"""The python tier's inlined-draw search loops against the reference loops.
+
+A plain :class:`RandomSource` draws from the raw Mersenne Twister: NF and
+single-walker RW queries run through ``_run_fast`` (NF replays CPython's
+``random.sample``, pool swap or set rejection; RW inlines ``_randbelow``),
+and PF's one loop takes its coins from the twister's ``random``.  A trivial
+``RandomSource`` subclass keeps ``_run_reference`` and PF's coins through
+its own ``random`` (``raw_stream`` refuses subclasses).  Every comparison
+here runs a batch of queries on one graph with both sources and checks the
+per-TTL curves, the visited set, ``found_at``, the next ``random()`` draw,
+and that no cached neighbor list was reordered.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.graph import Graph
+from repro.core.rng import RandomSource
+from repro.kernels.dispatch import use_kernels
+from repro.search.normalized_flooding import NormalizedFloodingSearch
+from repro.search.probabilistic_flooding import ProbabilisticFloodingSearch
+from repro.search.random_walk import RandomWalkSearch
+from repro.telemetry.collector import TelemetryCollector, use_telemetry
+
+
+class _SubclassSource(RandomSource):
+    """Overrides nothing: being a subclass is enough to keep the reference."""
+
+
+def _build_graph(nodes, hub_degree, extra_edges, isolated, sparse_ids, seed):
+    """A random tree plus one hub and extra chords, with optional isolated
+    nodes and non-contiguous ids (built with ``random.Random(seed)``)."""
+    draw = random.Random(seed)
+    ids = [3 * index + 2 if sparse_ids else index for index in range(nodes + isolated)]
+    graph = Graph()
+    for node in ids:
+        graph.add_node(node)
+    for index in range(1, nodes):
+        graph.add_edge(ids[index], ids[draw.randrange(index)])
+    hub = ids[draw.randrange(nodes)]
+    for peer in draw.sample(ids[:nodes], min(hub_degree, nodes - 1) + 1):
+        if peer != hub:
+            graph.add_edge(hub, peer)
+    for _ in range(extra_edges):
+        u, v = ids[draw.randrange(nodes)], ids[draw.randrange(nodes)]
+        if u != v:
+            graph.add_edge(u, v)
+    return graph
+
+
+@st.composite
+def search_graphs(draw):
+    graph = _build_graph(
+        nodes=draw(st.integers(min_value=1, max_value=130)),
+        # Hubs above 22 take sample's set branch for k <= 5; above 86, for
+        # the larger setsize of k > 5.
+        hub_degree=draw(st.sampled_from([0, 3, 12, 30, 60, 100])),
+        extra_edges=draw(st.integers(min_value=0, max_value=150)),
+        isolated=draw(st.integers(min_value=0, max_value=2)),
+        sparse_ids=draw(st.booleans()),
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+    )
+    nodes = graph.nodes()
+    sources = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4))
+    target = draw(st.one_of(st.none(), st.sampled_from(nodes)))
+    return graph, sources, target
+
+
+def _assert_fast_matches_reference(algorithm, graph, sources, ttl, target, seed):
+    """Run ``sources`` on ``graph`` and on its frozen snapshot, with a plain
+    source (fast loop) and a subclass (reference loop)."""
+    rows = {node: list(graph.iter_neighbors(node)) for node in graph.nodes()}
+    for subject in (graph, graph.freeze()):
+        plain, subclass = RandomSource(seed), _SubclassSource(seed)
+        with use_kernels("python"):
+            for source in sources:
+                fast = algorithm.run(subject, source, ttl, rng=plain, target=target)
+                reference = algorithm.run(subject, source, ttl, rng=subclass, target=target)
+                assert fast.hits_per_ttl == reference.hits_per_ttl
+                assert fast.messages_per_ttl == reference.messages_per_ttl
+                assert fast.visited == reference.visited
+                assert fast.found_at == reference.found_at
+                assert len(fast.hits_per_ttl) == ttl + 1
+        assert plain.random() == subclass.random()
+        for node, row in rows.items():
+            assert subject.iter_neighbors(node) == row, "a cached row was mutated"
+
+
+_PROPERTY = settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestNormalizedFloodingFastLoop:
+    @_PROPERTY
+    @given(
+        case=search_graphs(),
+        k_min=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+        count_source=st.booleans(),
+        ttl=st.integers(min_value=0, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_property_matches_reference(self, case, k_min, count_source, ttl, seed):
+        graph, sources, target = case
+        algorithm = NormalizedFloodingSearch(k_min=k_min, count_source_as_hit=count_source)
+        _assert_fast_matches_reference(algorithm, graph, sources, ttl, target, seed)
+
+    @pytest.mark.parametrize(
+        "hub_degree, k_min",
+        # set branch (k <= 5), pool branch under the larger setsize (k > 5),
+        # set branch under the larger setsize.
+        [(30, 2), (30, 5), (30, 6), (60, 8), (100, 6), (100, 8)],
+    )
+    def test_hub_sampling_branches(self, hub_degree, k_min):
+        graph = _build_graph(120, hub_degree, 200, 0, False, seed=hub_degree + k_min)
+        hub = max(graph.nodes(), key=graph.degree)
+        assert graph.degree(hub) >= hub_degree
+        neighbors = list(graph.iter_neighbors(hub))
+        _assert_fast_matches_reference(
+            NormalizedFloodingSearch(k_min=k_min), graph, [hub, neighbors[0], hub], 6, None, 5
+        )
+
+    def test_frontier_histograms_match(self):
+        graph = _build_graph(90, 30, 60, 1, False, seed=4).freeze()
+        histograms = []
+        for rng in (RandomSource(9), _SubclassSource(9)):
+            collector = TelemetryCollector()
+            with use_kernels("python"), use_telemetry(collector):
+                for source in (0, 5, 89, 90):  # 90 is isolated
+                    NormalizedFloodingSearch(k_min=2).run(graph, source, 6, rng=rng)
+            histograms.append(collector.histograms["search.frontier"])
+        assert histograms[0] == histograms[1]
+        assert histograms[0]["count"] > 0
+
+
+class TestProbabilisticFloodingFastLoop:
+    @_PROPERTY
+    @given(
+        case=search_graphs(),
+        probability=st.one_of(
+            st.sampled_from([0.05, 0.5, 0.99, 1.0]),
+            st.floats(min_value=0.01, max_value=1.0),
+        ),
+        count_source=st.booleans(),
+        ttl=st.integers(min_value=0, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_property_matches_reference(self, case, probability, count_source, ttl, seed):
+        graph, sources, target = case
+        algorithm = ProbabilisticFloodingSearch(probability, count_source_as_hit=count_source)
+        _assert_fast_matches_reference(algorithm, graph, sources, ttl, target, seed)
+
+    def test_certain_forwarding_draws_nothing(self):
+        graph = _build_graph(60, 12, 40, 0, False, seed=2)
+        rng = RandomSource(3)
+        with use_kernels("python"):
+            ProbabilisticFloodingSearch(1.0).run(graph, 0, 5, rng=rng)
+        assert rng.random() == RandomSource(3).random()
+
+
+class TestRandomWalkFastLoop:
+    @_PROPERTY
+    @given(
+        case=search_graphs(),
+        walkers=st.integers(min_value=1, max_value=3),
+        backtracking=st.booleans(),
+        count_source=st.booleans(),
+        ttl=st.integers(min_value=0, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_property_matches_reference(
+        self, case, walkers, backtracking, count_source, ttl, seed
+    ):
+        graph, sources, target = case
+        algorithm = RandomWalkSearch(
+            walkers=walkers,
+            count_source_as_hit=count_source,
+            allow_backtracking=backtracking,
+        )
+        _assert_fast_matches_reference(algorithm, graph, sources, ttl, target, seed)
+
+    def test_walk_gets_stuck_at_a_leaf(self):
+        # A path: every non-backtracking walk ends at a leaf, 3 or 5 hops
+        # from node 3 and 8 hops from either end, all inside the TTL.
+        graph = Graph.from_edges(9, [(index, index + 1) for index in range(8)])
+        _assert_fast_matches_reference(RandomWalkSearch(), graph, [3, 0, 8], 12, 8, 1)
+
+
+class TestDispatch:
+    @pytest.mark.parametrize(
+        "algorithm, plain_loop",
+        [
+            (NormalizedFloodingSearch(k_min=2), "_run_fast"),
+            (RandomWalkSearch(), "_run_fast"),
+            (RandomWalkSearch(walkers=2), "_run_reference"),
+        ],
+        ids=["nf", "rw", "rw-walkers"],
+    )
+    def test_only_a_plain_source_takes_the_fast_loop(self, algorithm, plain_loop, monkeypatch):
+        graph = _build_graph(40, 6, 20, 0, False, seed=1).freeze()
+        taken = []
+        for name in ("_run_fast", "_run_reference"):
+            original = getattr(type(algorithm), name)
+
+            def spy(self, *args, _name=name, _original=original, **kwargs):
+                taken.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(type(algorithm), name, spy)
+        with use_kernels("python"):
+            algorithm.run(graph, 0, 4, rng=RandomSource(1))
+            algorithm.run(graph, 0, 4, rng=_SubclassSource(1))
+        assert taken == [plain_loop, "_run_reference"]

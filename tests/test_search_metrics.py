@@ -53,6 +53,18 @@ class TestSearchCurve:
         with pytest.raises(SearchError):
             search_curve(star_graph, FloodingSearch(), [], queries=2)
 
+    @pytest.mark.parametrize(
+        "batch", [{"queries": 0}, {"queries": -3}, {"sources": []}],
+        ids=["zero", "negative", "no-sources"],
+    )
+    @pytest.mark.parametrize("frozen", [False, True], ids=["graph", "csr"])
+    def test_empty_query_batch_rejected(self, pa_graph_cutoff, batch, frozen):
+        # The mean of no queries is NaN; the batch is refused instead.
+        graph = pa_graph_cutoff.freeze() if frozen else pa_graph_cutoff
+        for algorithm in (FloodingSearch(), NormalizedFloodingSearch(k_min=2)):
+            with pytest.raises(SearchError, match="query batch is empty"):
+                search_curve(graph, algorithm, [1, 2], rng=1, **batch)
+
     def test_round_trip_dict(self):
         curve = SearchCurve("nf", [1, 2], [3.0, 4.0], [5.0, 6.0], std_hits=[0.1, 0.2],
                             queries=7, metadata={"k": 1})
@@ -104,6 +116,14 @@ class TestNormalizedWalkCurve:
     def test_empty_ttl_rejected(self, pa_graph_cutoff):
         with pytest.raises(SearchError):
             normalized_walk_curve(pa_graph_cutoff, [], queries=3)
+
+    @pytest.mark.parametrize(
+        "batch", [{"queries": 0}, {"queries": -1}, {"sources": []}],
+        ids=["zero", "negative", "no-sources"],
+    )
+    def test_empty_query_batch_rejected(self, pa_graph_cutoff, batch):
+        with pytest.raises(SearchError, match="query batch is empty"):
+            normalized_walk_curve(pa_graph_cutoff.freeze(), [2, 4], k_min=2, rng=1, **batch)
 
 
 class TestAverageSearchCurve:

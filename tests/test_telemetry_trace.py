@@ -178,6 +178,75 @@ class TestGenerateSpanAttributes:
         HAPAGenerator(30, stubs=1, hard_cutoff=5).generate(5)
 
 
+class TestSearchSpanAttributes:
+    """A ``search`` span names the algorithm, the batch size and the batch's
+    messages at the largest TTL (what ``search.messages.total`` adds)."""
+
+    @staticmethod
+    def _graph():
+        from repro.generators.pa import generate_pa
+
+        return generate_pa(150, stubs=2, hard_cutoff=10, seed=3).freeze()
+
+    @staticmethod
+    def _traced(run):
+        collector = TelemetryCollector()
+        with use_telemetry(collector):
+            curve = run()
+        (node,) = [node for node in collector.span_tree if node["name"] == "search"]
+        assert node["attrs"]["messages"] == collector.counters["search.messages.total"]
+        return node["attrs"], curve
+
+    @pytest.mark.parametrize("algorithm", ["fl", "nf"])
+    def test_search_curve_span(self, algorithm):
+        from repro.search.metrics import search_curve
+        from repro.search.registry import create_search_algorithm
+
+        graph = self._graph()
+        searcher = create_search_algorithm(algorithm)
+        attrs, curve = self._traced(
+            lambda: search_curve(graph, searcher, [1, 3, 5], queries=7, rng=2)
+        )
+        assert attrs == {
+            "algorithm": algorithm,
+            "queries": 7,
+            "messages": round(curve.mean_messages[-1] * 7),
+        }
+        assert attrs["messages"] > 0
+
+    def test_normalized_walk_span(self):
+        from repro.search.metrics import normalized_walk_curve
+
+        graph = self._graph()
+        attrs, curve = self._traced(
+            lambda: normalized_walk_curve(graph, [2, 4], k_min=2, queries=6, rng=2)
+        )
+        assert attrs == {
+            "algorithm": "rw",
+            "queries": 6,
+            "messages": round(curve.mean_messages[-1] * 6),
+        }
+
+    def test_untraced_search_builds_no_attributes(self, monkeypatch):
+        from repro.search.flooding import FloodingSearch
+        from repro.search.metrics import normalized_walk_curve, search_curve
+        from repro.telemetry.collector import NullTelemetry
+
+        seen = []
+        original = NullTelemetry.span
+
+        def record(self, name, attrs=None, aggregate=True):
+            seen.append((name, attrs))
+            return original(self, name, attrs, aggregate)
+
+        monkeypatch.setattr(NullTelemetry, "span", record)
+        graph = self._graph()
+        search_curve(graph, FloodingSearch(), [1, 2], queries=3, rng=1)
+        search_curve(graph, NormalizedFloodingSearch(k_min=2), [1, 2], queries=3, rng=1)
+        normalized_walk_curve(graph, [1, 2], k_min=2, queries=3, rng=1)
+        assert [attrs for name, attrs in seen if name == "search"] == [None, None, None]
+
+
 # --------------------------------------------------------------------------- #
 # Serial vs parallel tree identity + trace-context pickling
 # --------------------------------------------------------------------------- #
