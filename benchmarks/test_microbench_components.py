@@ -21,10 +21,11 @@ import time
 import numpy as np
 import pytest
 
+from oracles import dapa as dapa_oracle
 from repro.core.csr import batch_random_walks
 from repro.core.rng import RandomSource, raw_stream
 from repro.generators.cm import generate_cm
-from repro.generators.dapa import generate_dapa
+from repro.generators.dapa import DAPAGenerator, generate_dapa
 from repro.generators.hapa import HAPAGenerator, generate_hapa
 from repro.generators.pa import generate_pa
 from repro.kernels.dispatch import use_kernels
@@ -144,8 +145,11 @@ class TestBackendBenchmarks:
         csr_curve = self._flooding_curve(fig9_frozen)
         assert adj_curve.as_dict() == csr_curve.as_dict()
 
-        adj_seconds = _best_of(5, lambda: self._flooding_curve(fig9_topology))
-        csr_seconds = _best_of(5, lambda: self._flooding_curve(fig9_frozen))
+        # Best of 5, interleaved so a burst of host noise hits both sides.
+        adj_seconds = csr_seconds = float("inf")
+        for _ in range(5):
+            adj_seconds = min(adj_seconds, _best_of(1, lambda: self._flooding_curve(fig9_topology)))
+            csr_seconds = min(csr_seconds, _best_of(1, lambda: self._flooding_curve(fig9_frozen)))
         speedup = adj_seconds / csr_seconds
         try:
             import scipy  # noqa: F401
@@ -178,14 +182,17 @@ class _ReferenceSource(RandomSource):
 
 
 class TestPythonTierFastLoopBenchmarks:
-    """The python tier's inlined-draw loops against their reference loops.
+    """The python tier's fast loops against the loops they replaced.
 
     A plain RandomSource builds HAPA through ``_build_fast``, runs NF and
     single-walker RW queries through ``_run_fast`` and hands PF the
     twister's ``random``; each draws from the twister directly instead of
-    calling the RandomSource methods.  They must consume the same draws and
-    stay a multiple faster (HAPA 3.7-3.9x measured at N = 420, 1500 and
-    3000).  Needs no numba, so it runs on every host.
+    calling the RandomSource methods.  DAPA's draw-free phases, the GRN
+    cell sweep and the horizon BFS, are timed against their oracles in
+    ``tests/oracles/``.  Each must give the same results and stay a
+    multiple faster (HAPA 3.7-3.9x measured at N = 420, 1500 and 3000;
+    DAPA about 1.9x at the artefact-generation shape).  Needs no numba, so
+    it runs on every host.
     """
 
     def test_hapa_fast_loop_speedup_at_least_2_5x(self):
@@ -207,8 +214,11 @@ class TestPythonTierFastLoopBenchmarks:
         assert np.array_equal(frozen_fast._indices, frozen_reference._indices)
         assert meta_fast == meta_reference
 
-        reference_seconds = _best_of(3, reference)
-        fast_seconds = _best_of(3, fast)
+        # Best of 3, interleaved so a burst of host noise hits both sides.
+        reference_seconds = fast_seconds = float("inf")
+        for _ in range(3):
+            reference_seconds = min(reference_seconds, _best_of(1, reference))
+            fast_seconds = min(fast_seconds, _best_of(1, fast))
         speedup = reference_seconds / fast_seconds
         assert speedup >= 2.5, (
             f"python-tier HAPA fast loop speedup regressed: {speedup:.2f}x "
@@ -255,6 +265,51 @@ class TestPythonTierFastLoopBenchmarks:
             f"python-tier NF+PF+RW fast loop speedup regressed: {speedup:.2f}x "
             f"(reference {reference_seconds * 1e3:.1f} ms, "
             f"fast {fast_seconds * 1e3:.1f} ms)"
+        )
+
+    def test_dapa_draw_free_phases_speedup_at_least_1_5x(self):
+        # The artefact-generation shape: overlay 420 on the default 840-node
+        # GRN, m=2, kc=10, tau_sub=4.  The oracle builds the substrate with
+        # the dict cell sweep and discovers horizons with the deque BFS; the
+        # draws (seed sample, join picks, attach step) are the same code on
+        # both sides, so the ratio measures the two draw-free phases.
+        generator = DAPAGenerator(overlay_size=420, stubs=2, hard_cutoff=10, local_ttl=4)
+
+        def build(builder):
+            rng = RandomSource(seed=7)
+            with use_kernels("python"):
+                overlay, metadata = builder(rng)
+            return overlay, metadata, rng.random()
+
+        def oracle():
+            return build(lambda rng: dapa_oracle.build_dapa(generator, rng))
+
+        def shipped():
+            return build(generator._build)
+
+        # Identity first: overlay, substrate, metadata and the next draw.
+        overlay_oracle, meta_oracle, draw_oracle = oracle()
+        overlay, meta, draw = shipped()
+        assert overlay.nodes() == overlay_oracle.nodes()
+        for node in overlay_oracle.nodes():
+            assert overlay.iter_neighbors(node) == overlay_oracle.iter_neighbors(node)
+        substrate_oracle, substrate = meta_oracle.pop("substrate_graph"), meta.pop("substrate_graph")
+        assert substrate.nodes() == substrate_oracle.nodes()
+        for node in substrate_oracle.nodes():
+            assert substrate.iter_neighbors(node) == substrate_oracle.iter_neighbors(node)
+        assert meta == meta_oracle
+        assert draw == draw_oracle
+
+        # Best of 3, interleaved so a burst of host noise hits both sides.
+        oracle_seconds = shipped_seconds = float("inf")
+        for _ in range(3):
+            oracle_seconds = min(oracle_seconds, _best_of(1, oracle))
+            shipped_seconds = min(shipped_seconds, _best_of(1, shipped))
+        speedup = oracle_seconds / shipped_seconds
+        assert speedup >= 1.5, (
+            f"python-tier DAPA draw-free phases speedup regressed: {speedup:.2f}x "
+            f"(oracle {oracle_seconds * 1e3:.1f} ms, "
+            f"shipped {shipped_seconds * 1e3:.1f} ms)"
         )
 
 

@@ -459,8 +459,10 @@ class Graph:
         if len(edge_u):
             low = np.minimum(row_u, row_v)
             high = np.maximum(row_u, row_v)
-            keys = low * np.int64(count) + high
-            if len(np.unique(keys)) != len(keys):
+            keys = np.sort(low * np.int64(count) + high)
+            # Equal neighbors after a sort: many times faster than
+            # np.unique, which hashes on numpy 2.x.
+            if np.any(keys[1:] == keys[:-1]):
                 raise GraphError("duplicate edges are not allowed")
         ids_array = None if ids is None else np.array(ids, dtype=np.int64)
         frozen = CSRGraph.from_edge_arrays(count, row_u, row_v, ids=ids_array)

@@ -26,7 +26,6 @@ any node ever holding global topology information.
 from __future__ import annotations
 
 import random  # repro-lint: disable=RPL103(annotation only: the inlined-draw path draws from raw_stream(rng), the twister inside a plain RandomSource)
-from collections import deque
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import DAPAConfig, GRNConfig, MeshConfig
@@ -37,6 +36,7 @@ from repro.generators.base import TopologyGenerator
 from repro.kernels.dispatch import kernel_ready
 from repro.substrate.grn import GeometricRandomNetwork
 from repro.substrate.mesh import MeshNetwork
+from repro.telemetry.collector import active_telemetry
 
 __all__ = ["DAPAGenerator", "generate_dapa"]
 
@@ -140,8 +140,25 @@ class DAPAGenerator(TopologyGenerator):
             "seed": self.seed,
         }
 
+    def _span_attributes(self) -> Dict[str, Any]:
+        # The substrate's size explains the build's cost; parameters() keeps
+        # naming where the substrate comes from.
+        attrs = super()._span_attributes()
+        if self.substrate_graph is not None:
+            attrs["substrate"] = self.substrate_graph.number_of_nodes
+        else:
+            substrate = self.config.substrate or self.config.default_substrate()
+            attrs["substrate"] = substrate.number_of_nodes
+        return attrs
+
     def _build(self, rng: RandomSource) -> Tuple[Graph, Dict[str, Any]]:
-        substrate = self._resolve_substrate(rng)
+        telemetry = active_telemetry()
+        attrs: Optional[Dict[str, Any]] = {} if telemetry.enabled else None
+        with telemetry.span("substrate", attrs):
+            substrate = self._resolve_substrate(rng)
+            if attrs is not None:
+                attrs["nodes"] = substrate.number_of_nodes
+                attrs["edges"] = substrate.number_of_edges
         if substrate.number_of_nodes < self.config.overlay_size:
             raise GenerationError(
                 "substrate has fewer nodes than the requested overlay size"
@@ -158,10 +175,14 @@ class DAPAGenerator(TopologyGenerator):
         """The python-tier growth loop (no kernel dispatch: the parity
         self-check replays it against the kernel tier).
 
-        Only the attach step forks on the source: a plain
-        :class:`RandomSource` takes the inlined-draw twin
-        :meth:`_attach_preferentially_fast`, a subclass the reference
-        :meth:`_attach_preferentially`; both consume the same draws.
+        The horizon BFS runs on substrate *rows* (positions in
+        ``substrate.nodes()``): per-row neighbor lists are built once, and
+        peer membership and overlay degree live in flat per-row lists, kept
+        in step with the overlay after every join.  Only the attach step
+        forks on the source: a plain :class:`RandomSource` takes the
+        inlined-draw twin :meth:`_attach_preferentially_fast`, a subclass
+        the reference :meth:`_attach_preferentially`; both consume the same
+        draws.
         """
         config = self.config
         stream = raw_stream(rng)
@@ -169,44 +190,65 @@ class DAPAGenerator(TopologyGenerator):
         m = config.stubs
         target_peers = config.overlay_size
         substrate_nodes = substrate.nodes()
+        size = len(substrate_nodes)
+        row_of = {node: row for row, node in enumerate(substrate_nodes)}
+        if substrate_nodes == list(range(size)):
+            # Dense ids are their own rows: share the substrate's lists.
+            rows = [substrate.iter_neighbors(node) for node in substrate_nodes]
+        else:
+            rows = [
+                [row_of[neighbor] for neighbor in substrate.iter_neighbors(node)]
+                for node in substrate_nodes
+            ]
+        is_peer = [False] * size
+        overlay_degree = [0] * size
+        # Epoch stamps: row r was seen by the current BFS iff seen[r] == epoch.
+        seen = [0] * size
+        epoch = 0
 
         # Overlay graph shares node ids with the substrate; only peers are
-        # added to it.  `peers` tracks membership for O(1) lookups.
+        # added to it.
         overlay = Graph()
-        peers: Set[int] = set()
 
         # Seed the overlay with a small clique of random substrate nodes.
         seeds = rng.sample(substrate_nodes, config.initial_peers)
         for node in seeds:
             overlay.add_node(node)
-            peers.add(node)
+            is_peer[row_of[node]] = True
+            overlay_degree[row_of[node]] = len(seeds) - 1
         for index, u in enumerate(seeds):
             for v in seeds[index + 1 :]:
                 overlay.add_edge(u, v)
+        peer_count = len(seeds)
 
         attempts_without_progress = 0
-        max_attempts_without_progress = 20 * len(substrate_nodes)
+        max_attempts_without_progress = 20 * size
         empty_horizons = 0
         short_horizons = 0
         discovery_messages = 0
 
-        while len(peers) < target_peers:
+        while peer_count < target_peers:
             if attempts_without_progress > max_attempts_without_progress:
                 # No remaining substrate node can see a peer within tau_sub
                 # hops (e.g. a disconnected substrate component with no seed).
                 break
-            node = substrate_nodes[rng.randint(0, len(substrate_nodes) - 1)]
-            if node in peers:
+            row = rng.randint(0, size - 1)
+            if is_peer[row]:
                 attempts_without_progress += 1
                 continue
 
-            horizon = self._discover_horizon(substrate, node, peers, overlay, cutoff)
+            epoch += 1
+            horizon = self._discover_horizon(
+                rows, substrate_nodes, row, is_peer, overlay_degree,
+                peer_count, cutoff, seen, epoch,
+            )
             discovery_messages += 1
             if not horizon:
                 empty_horizons += 1
                 attempts_without_progress += 1
                 continue
 
+            node = substrate_nodes[row]
             overlay.add_node(node)
             if len(horizon) <= m:
                 short_horizons += 1
@@ -218,16 +260,21 @@ class DAPAGenerator(TopologyGenerator):
                 self._attach_preferentially_fast(
                     overlay, node, horizon, m, cutoff, rng, stream
                 )
-            peers.add(node)
+            joined = overlay.iter_neighbors(node)
+            for peer in joined:
+                overlay_degree[row_of[peer]] += 1
+            overlay_degree[row] = len(joined)
+            is_peer[row] = True
+            peer_count += 1
             attempts_without_progress = 0
 
         metadata = {
             "substrate_nodes": substrate.number_of_nodes,
             "substrate_edges": substrate.number_of_edges,
             "substrate_mean_degree": substrate.mean_degree(),
-            "overlay_peers": len(peers),
+            "overlay_peers": peer_count,
             "target_overlay_size": target_peers,
-            "reached_target": len(peers) >= target_peers,
+            "reached_target": peer_count >= target_peers,
             "empty_horizons": empty_horizons,
             "short_horizons": short_horizons,
             "discovery_messages": discovery_messages,
@@ -266,45 +313,52 @@ class DAPAGenerator(TopologyGenerator):
     # ------------------------------------------------------------------ #
     def _discover_horizon(
         self,
-        substrate: Graph,
-        node: int,
-        peers: Set[int],
-        overlay: Graph,
+        rows: List[List[int]],
+        ids: List[int],
+        root: int,
+        is_peer: List[bool],
+        overlay_degree: List[int],
+        peer_count: int,
         cutoff: int,
+        seen: List[int],
+        epoch: int,
     ) -> List[int]:
         """Breadth-first search bounded by ``τ_sub`` returning eligible peers.
 
         Eligible means: already an overlay peer, within ``τ_sub`` substrate
-        hops of ``node``, and with overlay degree strictly below the hard
-        cutoff (paper Algorithm 4, lines 6-10).
+        hops of ``root``, and with overlay degree strictly below the hard
+        cutoff (paper Algorithm 4, lines 6-10).  The horizon lists their
+        ids in discovery order.
 
-        Neighbors are visited in the substrate's *defined* order
-        (``iter_neighbors``, edge-insertion order), not set order: the
-        horizon's element order feeds the attachment draws, and set
-        iteration — like PF's old set-order forwarding, fixed in the CSR
-        backend PR — was the one draw consumer a compiled replay could not
-        reproduce.  This deliberately versioned the DAPA stream; the
-        cross-tier equivalence tests pin the new sequence.
+        The search runs on rows, one level at a time: each level's nodes
+        are expanded in discovery order, and their neighbors in the
+        substrate's *defined* order (edge-insertion order, not set order),
+        so the discovery order is a FIFO BFS's.  That order matters: the
+        horizon's element order feeds the attachment draws.  Nodes at depth
+        ``τ_sub`` are not expanded, and the search stops as soon as all
+        ``peer_count`` peers have been seen.  ``seen[row] == epoch`` marks a
+        row seen by this search (``epoch`` is fresh per call), which spares
+        clearing a visited set per join.
         """
-        max_depth = self.config.local_ttl
-        visited = {node: 0}
-        frontier = deque([node])
+        seen[root] = epoch
+        frontier = [root]
         horizon: List[int] = []
-        remaining_peers = len(peers)
-        while frontier and remaining_peers > 0:
-            current = frontier.popleft()
-            depth = visited[current]
-            if depth >= max_depth:
-                continue
-            for neighbor in substrate.iter_neighbors(current):
-                if neighbor in visited:
-                    continue
-                visited[neighbor] = depth + 1
-                frontier.append(neighbor)
-                if neighbor in peers:
-                    remaining_peers -= 1
-                    if overlay.degree(neighbor) < cutoff:
-                        horizon.append(neighbor)
+        remaining_peers = peer_count
+        for _ in range(self.config.local_ttl):
+            next_frontier: List[int] = []
+            for current in frontier:
+                for neighbor in rows[current]:
+                    if seen[neighbor] == epoch:
+                        continue
+                    seen[neighbor] = epoch
+                    next_frontier.append(neighbor)
+                    if is_peer[neighbor]:
+                        if overlay_degree[neighbor] < cutoff:
+                            horizon.append(ids[neighbor])
+                        remaining_peers -= 1
+                        if not remaining_peers:
+                            return horizon
+            frontier = next_frontier
         return horizon
 
     @staticmethod

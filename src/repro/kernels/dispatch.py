@@ -327,8 +327,9 @@ def _substrate_parity_check() -> "tuple[bool, str]":
     """The substrate probe: the GRN cell-grid sweep — in the plain unit box
     and on a small-grid torus, where the ±1 offsets wrap onto the same
     neighbor cell and the dedupe logic matters — and the ER skip loop must
-    reproduce their dict-based reference builders: edges, neighbor order,
-    positions, and final stream position.
+    reproduce their python-tier builds (the GRN's numpy sweep, the ER
+    reference loop): edges, neighbor order, positions, and final stream
+    position.
     """
     from repro.kernels import substrate as substrate_kernels
     from repro.substrate.grn import GeometricRandomNetwork
@@ -342,7 +343,7 @@ def _substrate_parity_check() -> "tuple[bool, str]":
         builder = GeometricRandomNetwork(**kwargs)
         rng_ref = RandomSource(seed=67)
         rng_kernel = RandomSource(seed=67)
-        graph_ref = builder._build_reference(rng_ref)
+        graph_ref = builder._build_python(rng_ref)
         positions_ref = dict(builder.positions)
         graph_kernel, positions = substrate_kernels.grn_build_arrays(
             builder.config, rng_kernel

@@ -113,9 +113,7 @@ def nf_query_kernel(
     hits = np.empty(ttl + 1, dtype=np.int64)
     messages = np.empty(ttl + 1, dtype=np.int64)
     visited = np.zeros(n, dtype=np.bool_)
-    forwarded = np.zeros(n, dtype=np.bool_)
     visited[source] = True
-    forwarded[source] = True
     found_at = 0 if target == source else -1
     cumulative_hits = base_hits
     cumulative_messages = 0
@@ -162,15 +160,14 @@ def nf_query_kernel(
         hits[1] = cumulative_hits
         messages[1] = cumulative_messages
 
+    # A node joins a frontier only on its first visit, so each forwards at
+    # most once.
     hop = 2
     while hop <= ttl:
         next_len = 0
         for entry in range(frontier_len):
             node = frontier_nodes[entry]
             previous = frontier_prev[entry]
-            if forwarded[node]:
-                continue
-            forwarded[node] = True
             start = indptr[node]
             end = indptr[node + 1]
             count = 0

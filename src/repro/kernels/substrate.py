@@ -9,15 +9,17 @@ growth ran compiled.  This module ports the substrate builders to the same
 kernel tier as :mod:`repro.kernels.generators`:
 
 * :func:`grn_build_arrays` — fills the position matrix with the exact
-  row-major ``rng.random()`` sequence of the reference (spliced through
-  :mod:`repro.kernels.mt19937`), then runs a compiled cell-grid sweep that
-  enumerates candidate pairs in the reference's dict order — cells in
+  row-major ``rng.random()`` sequence of the python build (spliced through
+  :mod:`repro.kernels.mt19937`), buckets it with the python build's
+  :func:`~repro.substrate.grn.bucket_cells`, then runs a compiled
+  cell-grid sweep that enumerates candidate pairs in the python sweep's
+  order (:func:`~repro.substrate.grn.sweep_cells`) — cells in
   first-occurrence order, offsets in ``itertools.product((-1, 0, 1), ...)``
   order, lexicographic unordered-pair skip, members in node order — and
   emits the within-radius pairs as edge arrays for
   :meth:`repro.core.graph.Graph.from_edge_array`.  The sweep visits each
-  unordered cell pair exactly once (the reference's torus wrapping used to
-  enumerate duplicates when ``cells_per_side <= 2``).
+  unordered cell pair exactly once (torus wrapping maps several offsets
+  onto one cell when ``cells_per_side <= 2``).
 * :func:`er_build` — the Batagelj–Brandes geometric-skipping loop of
   :class:`~repro.substrate.random_graph.ErdosRenyiNetwork`, one
   ``rng.random()`` per emitted edge, identical skip arithmetic.
@@ -42,6 +44,7 @@ from repro.core.graph import Graph
 from repro.core.rng import RandomSource
 from repro.kernels._compat import maybe_njit
 from repro.kernels.mt19937 import mt_random
+from repro.substrate.grn import bucket_cells
 
 __all__ = ["grn_build_arrays", "er_build"]
 
@@ -51,7 +54,7 @@ __all__ = ["grn_build_arrays", "er_build"]
 # --------------------------------------------------------------------------- #
 @maybe_njit
 def _fill_unit_positions(state, positions):
-    """Row-major uniform fill — the reference's per-node coordinate tuples."""
+    """Row-major uniform fill — the python build's per-node coordinate draws."""
     for node in range(positions.shape[0]):
         for axis in range(positions.shape[1]):
             positions[node, axis] = mt_random(state)
@@ -59,7 +62,8 @@ def _fill_unit_positions(state, positions):
 
 @maybe_njit
 def _grn_within(positions, u, v, torus, radius_squared):
-    """``GeometricRandomNetwork._distance_squared`` compare, float-for-float."""
+    """The squared-distance compare of :func:`~repro.substrate.grn.sweep_cells`,
+    float-for-float: axes summed left to right, wrapped on a torus."""
     total = 0.0
     for axis in range(positions.shape[1]):
         delta = positions[u, axis] - positions[v, axis]
@@ -78,16 +82,16 @@ def _grn_sweep_kernel(
     positions, unique_lin, cell_start, cell_count, order, occ_order,
     cells_per_side, torus, radius_squared, edge_u, edge_v,
 ):
-    """Enumerate within-radius pairs in reference order; returns edge count.
+    """Enumerate within-radius pairs in sweep order; returns edge count.
 
-    ``unique_lin`` holds the occupied cells' linear ids (most-significant
-    coordinate first, so integer comparison equals the reference's tuple
-    comparison) in sorted order; ``order``/``cell_start``/``cell_count``
-    group the node indices by cell, members in node order; ``occ_order``
-    iterates the occupied cells in first-occurrence order — the iteration
-    order of the reference's ``cell_of`` dict.  Draws nothing: when the
-    emitted count exceeds the arrays' capacity the surplus edges are only
-    counted, and the caller re-runs with exact capacity.
+    ``unique_lin``/``cell_start``/``cell_count``/``order``/``occ_order``
+    are the fields of :class:`~repro.substrate.grn.CellGrid`: the occupied
+    cells' sorted linear ids (most-significant coordinate first, so integer
+    comparison is the cells' tuple comparison), the node indices grouped
+    by cell in node order, and the occupied cells in first-occurrence
+    order.  Draws nothing: when the emitted count exceeds the arrays'
+    capacity the surplus edges are only counted, and the caller re-runs
+    with exact capacity.
     """
     capacity = edge_u.shape[0]
     num_cells = unique_lin.shape[0]
@@ -180,7 +184,7 @@ def _grn_sweep_kernel(
 
 def grn_build_arrays(config: Any, rng: RandomSource) -> Tuple[Graph, np.ndarray]:
     """Kernel-tier GRN build; returns ``(graph, positions)`` — same draws,
-    same edges in the same insertion order as the reference dict sweep."""
+    same edges in the same insertion order as the python build."""
     n = config.number_of_nodes
     radius = config.effective_radius()
     dims = config.dimensions
@@ -192,22 +196,7 @@ def grn_build_arrays(config: Any, rng: RandomSource) -> Tuple[Graph, np.ndarray]
     rng.import_mt_state(state)
 
     cells_per_side = max(1, int(math.floor(1.0 / radius)))
-    # min(cps - 1, int(coordinate * cps)): same truncation as the reference.
-    cell = np.minimum(
-        cells_per_side - 1, (positions * cells_per_side).astype(np.int64)
-    )
-    lin = np.zeros(n, dtype=np.int64)
-    for axis in range(dims):
-        lin = lin * cells_per_side + cell[:, axis]
-    unique_lin, first_index, cell_count = np.unique(
-        lin, return_index=True, return_counts=True
-    )
-    occ_order = np.argsort(first_index, kind="stable").astype(np.int64)
-    order = np.argsort(lin, kind="stable").astype(np.int64)
-    cell_count = cell_count.astype(np.int64)
-    cell_start = np.zeros(len(unique_lin), dtype=np.int64)
-    if len(unique_lin) > 1:
-        np.cumsum(cell_count[:-1], out=cell_start[1:])
+    grid = bucket_cells(positions, cells_per_side)
 
     if dims == 1:
         volume = 2.0 * radius
@@ -223,15 +212,14 @@ def grn_build_arrays(config: Any, rng: RandomSource) -> Tuple[Graph, np.ndarray]
     edge_u = np.empty(max(1, capacity), dtype=np.int64)
     edge_v = np.empty(max(1, capacity), dtype=np.int64)
     edge_count = _grn_sweep_kernel(
-        positions, unique_lin, cell_start, cell_count, order, occ_order,
-        cells_per_side, torus, radius_squared, edge_u, edge_v,
+        positions, *grid, cells_per_side, torus, radius_squared, edge_u, edge_v
     )
     if edge_count > capacity:
         edge_u = np.empty(edge_count, dtype=np.int64)
         edge_v = np.empty(edge_count, dtype=np.int64)
         _grn_sweep_kernel(
-            positions, unique_lin, cell_start, cell_count, order, occ_order,
-            cells_per_side, torus, radius_squared, edge_u, edge_v,
+            positions, *grid, cells_per_side, torus, radius_squared,
+            edge_u, edge_v,
         )
     if edge_count == 0:
         return Graph(n), positions

@@ -25,11 +25,11 @@ class SubstrateNetwork(abc.ABC):
     generators' two-tier contract: ``build`` consults
     :func:`repro.kernels.dispatch.kernel_ready` and either emits
     edge arrays straight into CSR arrays through a compiled kernel
-    (:mod:`repro.kernels.substrate`) or falls back to its dict-based
-    ``_build_reference`` body — both tiers consuming the same draws and
-    producing byte-identical graphs (same edges, same neighbor order, same
-    final RNG stream position).  Deterministic substrates (the mesh) simply
-    vectorize unconditionally.
+    (:mod:`repro.kernels.substrate`) or falls back to its python-tier body
+    (the GRN's numpy cell sweep, the ER reference loop) — both tiers
+    consuming the same draws and producing byte-identical graphs (same
+    edges, same neighbor order, same final RNG stream position).
+    Deterministic substrates (the mesh) simply vectorize unconditionally.
     """
 
     #: Short machine-readable name; subclasses override.

@@ -11,13 +11,18 @@ Finding all pairs within distance ``R`` naively costs O(N²); this
 implementation buckets nodes into a grid of cells of side ``R`` and only
 compares nodes in neighboring cells, which is O(N·<k>) in the sparse regime
 the paper operates in and makes the 2×10⁴-node substrate cheap to build.
+The sweep consumes no draws (all randomness is in the positions), so it
+runs vectorized in numpy (:func:`sweep_cells`) and emits the edges in the
+order a cell-by-cell scalar sweep would add them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.core.config import GRNConfig
 from repro.core.graph import Graph
@@ -25,7 +30,14 @@ from repro.core.rng import RandomSource
 from repro.kernels.dispatch import kernel_ready
 from repro.substrate.base import SubstrateNetwork
 
-__all__ = ["GeometricRandomNetwork", "generate_grn", "CRITICAL_MEAN_DEGREE_2D"]
+__all__ = [
+    "GeometricRandomNetwork",
+    "generate_grn",
+    "CRITICAL_MEAN_DEGREE_2D",
+    "CellGrid",
+    "bucket_cells",
+    "sweep_cells",
+]
 
 #: Critical mean degree for the appearance of a giant component in a 2-D GRN
 #: (Dall & Christensen 2002, quoted by the paper as k ≈ 4.52).
@@ -111,92 +123,189 @@ class GeometricRandomNetwork(SubstrateNetwork):
                 node: tuple(row) for node, row in enumerate(positions.tolist())
             }
             return graph
-        return self._build_reference(rng)
+        return self._build_python(rng)
 
-    def _build_reference(self, rng: RandomSource) -> Graph:
-        """Pure-Python dict-based build — the kernel path's reference."""
+    def _build_python(self, rng: RandomSource) -> Graph:
+        """The python-tier build (no kernel dispatch: the parity self-check
+        replays it against the kernel tier).
+
+        Draws the coordinates row-major, one ``rng.random()`` each, then
+        hands the within-radius pairs from :func:`sweep_cells` straight to
+        :meth:`Graph.from_edge_array`, in the order the edges are defined
+        to be added.
+        """
         config = self.config
         n = config.number_of_nodes
-        radius = config.effective_radius()
         dimensions = config.dimensions
+        radius = config.effective_radius()
 
-        positions = [
-            tuple(rng.random() for _ in range(dimensions)) for _ in range(n)
-        ]
-        self.positions = dict(enumerate(positions))
+        draw = rng.random
+        coordinates = [draw() for _ in range(n * dimensions)]
+        self.positions = dict(enumerate(zip(*[iter(coordinates)] * dimensions)))
+        positions = np.array(coordinates, dtype=np.float64).reshape(n, dimensions)
 
-        graph = Graph(n)
-        radius_squared = radius * radius
-
-        # Grid cells of side `radius`: points within `radius` of each other
-        # are necessarily in the same or an adjacent cell.
         cells_per_side = max(1, int(math.floor(1.0 / radius)))
-        cell_of: Dict[Tuple[int, ...], List[int]] = {}
-        for node, position in enumerate(positions):
-            key = tuple(
-                min(cells_per_side - 1, int(coordinate * cells_per_side))
-                for coordinate in position
-            )
-            cell_of.setdefault(key, []).append(node)
+        edge_u, edge_v, _ = sweep_cells(
+            positions,
+            bucket_cells(positions, cells_per_side),
+            cells_per_side,
+            config.torus,
+            radius * radius,
+        )
+        return Graph.from_edge_array(n, edge_u, edge_v)
 
-        neighbor_offsets = list(itertools.product((-1, 0, 1), repeat=dimensions))
-        for key, members in cell_of.items():  # repro-lint: disable=RPL102(cell insertion order is a pure function of the already-drawn positions; the resulting edge order is pinned by the cross-tier equivalence suite)
-            # Torus wrapping with cells_per_side <= 2 maps the +1 and -1
-            # offsets onto the same neighbor cell; track the cells already
-            # swept from this one so each unordered cell pair is visited
-            # exactly once (duplicates used to burn redundant distance
-            # checks and no-op add_edge calls).
-            visited_neighbor_cells: set = set()
-            for offset in neighbor_offsets:
-                other_key = self._offset_key(key, offset, cells_per_side, config.torus)
-                if other_key is None or other_key in visited_neighbor_cells:
-                    continue
-                visited_neighbor_cells.add(other_key)
-                if other_key not in cell_of:
-                    continue
-                # Avoid visiting each unordered cell pair twice.
-                if other_key < key:
-                    continue
-                candidates = cell_of[other_key]
-                if other_key == key:
-                    pairs = itertools.combinations(members, 2)
-                else:
-                    pairs = itertools.product(members, candidates)
-                for u, v in pairs:
-                    if self._distance_squared(
-                        positions[u], positions[v], config.torus
-                    ) <= radius_squared:
-                        graph.add_edge(u, v)
-        return graph
 
-    @staticmethod
-    def _offset_key(
-        key: Tuple[int, ...],
-        offset: Tuple[int, ...],
-        cells_per_side: int,
-        torus: bool,
-    ) -> Optional[Tuple[int, ...]]:
-        shifted = []
-        for coordinate, delta in zip(key, offset):
-            value = coordinate + delta
+class CellGrid(NamedTuple):
+    """Nodes bucketed into the occupied cells of a grid with side ``R``.
+
+    ``unique_lin`` holds the occupied cells' linear ids (most-significant
+    coordinate first, so integer order is the order of the cells'
+    coordinate tuples), sorted; ``order``/``cell_start``/``cell_count``
+    group the node indices by cell, members in node order; ``occ_order``
+    lists the occupied cells in first-occurrence order (the order in which
+    the nodes, taken in index order, first land in each cell).
+    """
+
+    unique_lin: np.ndarray
+    cell_start: np.ndarray
+    cell_count: np.ndarray
+    order: np.ndarray
+    occ_order: np.ndarray
+
+
+def bucket_cells(positions: np.ndarray, cells_per_side: int) -> CellGrid:
+    """Bucket the ``(n, d)`` ``positions`` into a ``cells_per_side``-grid.
+
+    Shared by the python build and the kernel tier
+    (:func:`repro.kernels.substrate.grn_build_arrays`).
+    """
+    n, dimensions = positions.shape
+    # min(cps - 1, int(coordinate * cps)) per axis, as a scalar sweep would.
+    cell = np.minimum(
+        cells_per_side - 1, (positions * cells_per_side).astype(np.int64)
+    )
+    lin = np.zeros(n, dtype=np.int64)
+    for axis in range(dimensions):
+        lin = lin * cells_per_side + cell[:, axis]
+    unique_lin, first_index, cell_count = np.unique(
+        lin, return_index=True, return_counts=True
+    )
+    cell_count = cell_count.astype(np.int64)
+    cell_start = np.zeros(len(unique_lin), dtype=np.int64)
+    if len(unique_lin) > 1:
+        np.cumsum(cell_count[:-1], out=cell_start[1:])
+    return CellGrid(
+        unique_lin=unique_lin,
+        cell_start=cell_start,
+        cell_count=cell_count,
+        order=np.argsort(lin, kind="stable").astype(np.int64),
+        occ_order=np.argsort(first_index, kind="stable").astype(np.int64),
+    )
+
+
+def sweep_cells(
+    positions: np.ndarray,
+    grid: CellGrid,
+    cells_per_side: int,
+    torus: bool,
+    radius_squared: float,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Return ``(edge_u, edge_v, tested)``: the pairs within the radius, in
+    edge order, and the number of candidate pairs whose distance was tested.
+
+    The edge order is the cell sweep's: home cells in first-occurrence
+    order; for each, the neighbor-cell offsets in
+    ``itertools.product((-1, 0, 1), repeat=d)`` order, skipping a neighbor
+    cell that sorts below the home cell (its pairs come from the other
+    side) and, on a torus with ``cells_per_side <= 2``, one that an earlier
+    offset already wrapped onto; members paired in ``itertools.combinations``
+    order inside a cell and ``itertools.product`` order across two.  So
+    each unordered pair is tested exactly once.
+
+    One offset is swept at a time, for every home cell at once, which
+    bounds the numpy temporaries by the candidate pairs of one offset; a
+    stable sort on ``(home rank, offset)`` then restores the sweep order.
+    The squared distance is summed axis by axis, left to right, with
+    ``min(delta, 1 - delta)`` on a torus, so each comparison with
+    ``radius_squared`` sees the same float as a scalar loop would.
+    """
+    dimensions = positions.shape[1]
+    columns = [np.ascontiguousarray(positions[:, axis]) for axis in range(dimensions)]
+    home_lin = grid.unique_lin[grid.occ_order]
+    home_start = grid.cell_start[grid.occ_order]
+    home_count = grid.cell_count[grid.occ_order]
+    home_key = np.empty((len(home_lin), dimensions), dtype=np.int64)
+    remainder = home_lin
+    for axis in range(dimensions - 1, -1, -1):
+        home_key[:, axis] = remainder % cells_per_side
+        remainder = remainder // cells_per_side
+    last_cell = len(grid.unique_lin) - 1
+    offsets = list(itertools.product((-1, 0, 1), repeat=dimensions))
+    # Torus wrapping with cells_per_side <= 2 maps the +1 and -1 offsets
+    # onto the same neighbor cell: keep each cell pair's first offset.
+    dedupe = torus and cells_per_side <= 2
+    swept: List[np.ndarray] = []
+    parts_u: List[np.ndarray] = []
+    parts_v: List[np.ndarray] = []
+    parts_key: List[np.ndarray] = []
+    tested = 0
+    for offset_index, offset in enumerate(offsets):
+        shifted = home_key + np.array(offset, dtype=np.int64)
+        if torus:
+            shifted %= cells_per_side
+            keep = np.ones(len(home_lin), dtype=bool)
+        else:
+            keep = np.all((shifted >= 0) & (shifted < cells_per_side), axis=1)
+        other_lin = np.zeros(len(home_lin), dtype=np.int64)
+        for axis in range(dimensions):
+            other_lin = other_lin * cells_per_side + shifted[:, axis]
+        if dedupe:
+            for earlier in swept:
+                keep &= other_lin != earlier
+            swept.append(other_lin)
+        keep &= other_lin >= home_lin
+        other = np.minimum(np.searchsorted(grid.unique_lin, other_lin), last_cell)
+        keep &= grid.unique_lin[other] == other_lin
+        rank = np.flatnonzero(keep)
+        if not len(rank):
+            continue
+        other = other[rank]
+        other_start = grid.cell_start[other]
+        other_count = grid.cell_count[other]
+        sizes = home_count[rank] * other_count
+        # Candidate (a, b) member positions of every kept cell pair, cell
+        # pair by cell pair, a-major: the product order.
+        pair = np.repeat(np.arange(len(rank)), sizes)
+        local = np.arange(len(pair)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        width = other_count[pair]
+        a = local // width
+        b = local - a * width
+        same = home_lin[rank] == other_lin[rank]
+        if same.any():
+            # Inside one cell only a < b: the combinations order.
+            inside = (b > a) | ~same[pair]
+            pair, a, b = pair[inside], a[inside], b[inside]
+        tested += len(pair)
+        u = grid.order[home_start[rank][pair] + a]
+        v = grid.order[other_start[pair] + b]
+        total = np.zeros(len(pair), dtype=np.float64)
+        for column in columns:
+            delta = np.abs(column[u] - column[v])
             if torus:
-                value %= cells_per_side
-            elif value < 0 or value >= cells_per_side:
-                return None
-            shifted.append(value)
-        return tuple(shifted)
-
-    @staticmethod
-    def _distance_squared(
-        a: Tuple[float, ...], b: Tuple[float, ...], torus: bool
-    ) -> float:
-        total = 0.0
-        for x, y in zip(a, b):
-            delta = abs(x - y)
-            if torus:
-                delta = min(delta, 1.0 - delta)
+                delta = np.minimum(delta, 1.0 - delta)
             total += delta * delta
-        return total
+        within = total <= radius_squared
+        parts_u.append(u[within])
+        parts_v.append(v[within])
+        parts_key.append(rank[pair[within]] * len(offsets) + offset_index)
+    # Every home cell keeps itself (the zero offset, or on a one-cell torus
+    # the first offset wrapping onto it), so the parts are never empty.
+    sequence = np.argsort(np.concatenate(parts_key), kind="stable")
+    return (
+        np.concatenate(parts_u)[sequence],
+        np.concatenate(parts_v)[sequence],
+        tested,
+    )
 
 
 def generate_grn(

@@ -4,56 +4,72 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+from oracles import grn as grn_oracle
 from repro.analysis.components import giant_component_fraction
 from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
-from repro.substrate.grn import CRITICAL_MEAN_DEGREE_2D, GeometricRandomNetwork, generate_grn
+from repro.substrate.grn import (
+    CRITICAL_MEAN_DEGREE_2D,
+    GeometricRandomNetwork,
+    bucket_cells,
+    generate_grn,
+    sweep_cells,
+)
 
 
 class TestTorusCellPairDedupe:
     """Torus wrap with few cells: each unordered cell pair swept exactly once.
 
     With ``cells_per_side == 1`` (radius >= 0.5) every ±1 offset wraps back
-    onto the home cell; before the dedupe fix the sweep enumerated the same
-    cell pair for all 3^d offsets, burning 9× the distance checks in 2-D
-    (and issuing duplicate no-op ``add_edge`` calls).
+    onto the home cell; without the dedupe the sweep would enumerate the
+    same cell pair for all 3^d offsets, burning 9× the distance checks in
+    2-D.  The dict sweep (``tests/oracles/grn.py``) counts its scalar
+    distance calls; the shipped numpy sweep reports how many candidate
+    pairs it tested.
     """
 
     def test_large_radius_torus_checks_each_pair_once(self, monkeypatch):
         calls = {"count": 0}
-        original = GeometricRandomNetwork._distance_squared
+        original = grn_oracle.distance_squared
 
         def counting(a, b, torus):
             calls["count"] += 1
             return original(a, b, torus)
 
-        monkeypatch.setattr(
-            GeometricRandomNetwork, "_distance_squared", staticmethod(counting)
-        )
+        monkeypatch.setattr(grn_oracle, "distance_squared", counting)
         n = 12
         builder = GeometricRandomNetwork(n, radius=0.8, torus=True)
-        graph = builder._build_reference(RandomSource(seed=6))
+        graph = grn_oracle.build_grn(builder, RandomSource(seed=6))
         # On the torus no pair is farther than sqrt(2)/2 < 0.8, so the
         # graph is complete and every pair was checked exactly once.
         assert graph.number_of_edges == n * (n - 1) // 2
         assert calls["count"] == n * (n - 1) // 2
+
+    def test_shipped_sweep_tests_each_pair_once(self):
+        n = 12
+        builder = GeometricRandomNetwork(n, radius=0.8, torus=True)
+        builder._build_python(RandomSource(seed=6))
+        positions = np.array([builder.positions[node] for node in range(n)])
+        grid = bucket_cells(positions, 1)
+        edge_u, _, tested = sweep_cells(positions, grid, 1, True, 0.8 * 0.8)
+        assert len(edge_u) == n * (n - 1) // 2
+        assert tested == n * (n - 1) // 2
 
     def test_wrapped_sweep_produces_same_graph_as_wide_grid(self):
         # The dedupe must not change results: a radius just below 0.5
         # (two cells per side, wrap still collapses offsets) agrees with
         # the brute-force distance filter.
         builder = GeometricRandomNetwork(40, radius=0.45, torus=True)
-        graph = builder._build_reference(RandomSource(seed=17))
+        graph = builder._build_python(RandomSource(seed=17))
         positions = builder.positions
         expected = set()
         for u in range(40):
             for v in range(u + 1, 40):
                 if (
-                    GeometricRandomNetwork._distance_squared(
-                        positions[u], positions[v], True
-                    )
+                    grn_oracle.distance_squared(positions[u], positions[v], True)
                     <= 0.45 * 0.45
                 ):
                     expected.add((u, v))

@@ -132,12 +132,12 @@ class TestGenerateSpanAttributes:
         with use_telemetry(collector):
             result = generator.generate(5)
         (node,) = [node for node in collector.span_tree if node["name"] == "generate"]
-        return node["attrs"], result
+        return node["attrs"], result, collector
 
     def test_hapa_span(self):
         from repro.generators.hapa import HAPAGenerator
 
-        attrs, result = self._traced(HAPAGenerator(120, stubs=2, hard_cutoff=10))
+        attrs, result, _ = self._traced(HAPAGenerator(120, stubs=2, hard_cutoff=10))
         assert attrs == {
             "model": "hapa",
             "number_of_nodes": 120,
@@ -152,9 +152,11 @@ class TestGenerateSpanAttributes:
     def test_dapa_span(self):
         from repro.generators.dapa import DAPAGenerator
 
-        attrs, result = self._traced(
+        attrs, result, collector = self._traced(
             DAPAGenerator(overlay_size=60, stubs=2, hard_cutoff=8, local_ttl=3)
         )
+        # ``substrate`` is the substrate's node count (the default GRN has
+        # twice the overlay's nodes); parameters() still names its source.
         assert attrs == {
             "model": "dapa",
             "overlay_size": 60,
@@ -162,20 +164,65 @@ class TestGenerateSpanAttributes:
             "hard_cutoff": 8,
             "local_ttl": 3,
             "initial_peers": 2,
-            "substrate": "default_grn",
+            "substrate": 120,
             "discovery_messages": result.metadata["discovery_messages"],
         }
         assert attrs["discovery_messages"] > 0
+        assert result.parameters["substrate"] == "default_grn"
+
+        # The substrate build is a child span of generate, with its size.
+        (generate,) = [node for node in collector.span_tree if node["name"] == "generate"]
+        (substrate,) = [node for node in collector.span_tree if node["name"] == "substrate"]
+        assert substrate["parent"] == generate["id"]
+        assert substrate["attrs"] == {
+            "nodes": 120,
+            "edges": result.metadata["substrate_edges"],
+        }
+        assert substrate["attrs"]["edges"] > 0
+
+    @pytest.mark.parametrize("source", ["explicit", "mesh"])
+    def test_dapa_span_names_the_substrate_size(self, source):
+        from repro.core.config import MeshConfig
+        from repro.core.graph import Graph
+        from repro.generators.dapa import DAPAGenerator
+
+        if source == "explicit":
+            ring = [(node, (node + 1) % 50) for node in range(50)]
+            generator = DAPAGenerator(
+                overlay_size=20, stubs=1, local_ttl=3, substrate_graph=Graph.from_edges(50, ring)
+            )
+        else:
+            generator = DAPAGenerator(
+                overlay_size=20, stubs=1, local_ttl=3, substrate_config=MeshConfig(6, 7)
+            )
+        attrs, result, collector = self._traced(generator)
+        (substrate,) = [node for node in collector.span_tree if node["name"] == "substrate"]
+        assert attrs["substrate"] == substrate["attrs"]["nodes"]
+        assert attrs["substrate"] == result.metadata["substrate_nodes"]
 
     def test_untraced_build_skips_the_attributes(self, monkeypatch):
         from repro.generators.base import TopologyGenerator
+        from repro.generators.dapa import DAPAGenerator
         from repro.generators.hapa import HAPAGenerator
+        from repro.telemetry.collector import NullTelemetry
 
         def refuse(self):
             raise AssertionError("span attributes built with telemetry off")
 
+        passed = []
+        null_span = NullTelemetry.span
+
+        def record(self, name, attrs=None, aggregate=True):
+            passed.append((name, attrs))
+            return null_span(self, name, attrs, aggregate)
+
         monkeypatch.setattr(TopologyGenerator, "_span_attributes", refuse)
+        monkeypatch.setattr(DAPAGenerator, "_span_attributes", refuse)
+        monkeypatch.setattr(NullTelemetry, "span", record)
         HAPAGenerator(30, stubs=1, hard_cutoff=5).generate(5)
+        DAPAGenerator(overlay_size=30, stubs=1, hard_cutoff=5).generate(5)
+        assert [name for name, _ in passed].count("substrate") == 1
+        assert all(attrs is None for _, attrs in passed)
 
 
 class TestSearchSpanAttributes:
