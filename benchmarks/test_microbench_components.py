@@ -21,13 +21,15 @@ import time
 import numpy as np
 import pytest
 
+from oracles import cm as cm_oracle
 from oracles import dapa as dapa_oracle
+from oracles import pa as pa_oracle
 from repro.core.csr import batch_random_walks
 from repro.core.rng import RandomSource, raw_stream
-from repro.generators.cm import generate_cm
+from repro.generators.cm import ConfigurationModelGenerator, generate_cm
 from repro.generators.dapa import DAPAGenerator, generate_dapa
 from repro.generators.hapa import HAPAGenerator, generate_hapa
-from repro.generators.pa import generate_pa
+from repro.generators.pa import PreferentialAttachmentGenerator, generate_pa
 from repro.kernels.dispatch import use_kernels
 from repro.search.flooding import FloodingSearch, flood
 from repro.search.metrics import search_curve, select_sources
@@ -188,11 +190,12 @@ class TestPythonTierFastLoopBenchmarks:
     single-walker RW queries through ``_run_fast`` and hands PF the
     twister's ``random``; each draws from the twister directly instead of
     calling the RandomSource methods.  DAPA's draw-free phases, the GRN
-    cell sweep and the horizon BFS, are timed against their oracles in
-    ``tests/oracles/``.  Each must give the same results and stay a
-    multiple faster (HAPA 3.7-3.9x measured at N = 420, 1500 and 3000;
-    DAPA about 1.9x at the artefact-generation shape).  Needs no numba, so
-    it runs on every host.
+    cell sweep and the horizon BFS, and the PA and CM bulk builds are timed
+    against their oracles in ``tests/oracles/``.  Each must give the same
+    results and stay a multiple faster (HAPA 3.7-3.9x measured at N = 420,
+    1500 and 3000; DAPA about 1.9x at the artefact-generation shape; PA and
+    CM about 3.5x and 1.8x at the artefact-search shape).  Needs no numba,
+    so it runs on every host.
     """
 
     def test_hapa_fast_loop_speedup_at_least_2_5x(self):
@@ -308,6 +311,70 @@ class TestPythonTierFastLoopBenchmarks:
         speedup = oracle_seconds / shipped_seconds
         assert speedup >= 1.5, (
             f"python-tier DAPA draw-free phases speedup regressed: {speedup:.2f}x "
+            f"(oracle {oracle_seconds * 1e3:.1f} ms, "
+            f"shipped {shipped_seconds * 1e3:.1f} ms)"
+        )
+
+    @staticmethod
+    def _bulk_build_speedup(generator, oracle_build):
+        """Oracle build vs shipped ``generate``, each through ``freeze()``
+        and the first neighbor-list read, as a search realization runs."""
+
+        def build(builder):
+            rng = RandomSource(seed=7)
+            with use_kernels("python"):
+                graph, metadata = builder(rng)
+                frozen = graph.freeze()
+                frozen.iter_neighbors(0)
+            return frozen, metadata, rng.random()
+
+        def generate(rng):
+            result = generator.generate(rng)
+            return result.graph, result.metadata
+
+        def oracle():
+            return build(lambda rng: oracle_build(generator, rng))
+
+        def shipped():
+            return build(generate)
+
+        # Identity first: graph bytes, metadata (key order too), next draw.
+        frozen_oracle, meta_oracle, draw_oracle = oracle()
+        frozen, meta, draw = shipped()
+        assert np.array_equal(frozen._indptr, frozen_oracle._indptr)
+        assert np.array_equal(frozen._indices, frozen_oracle._indices)
+        assert list(meta.items()) == list(meta_oracle.items())
+        assert draw == draw_oracle
+
+        # Best of 3, interleaved so a burst of host noise hits both sides.
+        oracle_seconds = shipped_seconds = float("inf")
+        for _ in range(3):
+            oracle_seconds = min(oracle_seconds, _best_of(1, oracle))
+            shipped_seconds = min(shipped_seconds, _best_of(1, shipped))
+        return oracle_seconds / shipped_seconds, oracle_seconds, shipped_seconds
+
+    def test_pa_roulette_build_speedup_at_least_2x(self):
+        # The artefact-search shape: N=1400, m=2, kc=10.
+        generator = PreferentialAttachmentGenerator(1400, stubs=2, hard_cutoff=10)
+        speedup, oracle_seconds, shipped_seconds = self._bulk_build_speedup(
+            generator, pa_oracle.build_pa
+        )
+        assert speedup >= 2.0, (
+            f"python-tier PA roulette build speedup regressed: {speedup:.2f}x "
+            f"(oracle {oracle_seconds * 1e3:.1f} ms, "
+            f"shipped {shipped_seconds * 1e3:.1f} ms)"
+        )
+
+    def test_cm_stub_matching_speedup_at_least_1_4x(self):
+        # The artefact-search shape: N=1400, m=2, gamma=2.2, kc=40.
+        generator = ConfigurationModelGenerator(
+            1400, exponent=2.2, min_degree=2, hard_cutoff=40
+        )
+        speedup, oracle_seconds, shipped_seconds = self._bulk_build_speedup(
+            generator, cm_oracle.build_cm
+        )
+        assert speedup >= 1.4, (
+            f"python-tier CM stub matching speedup regressed: {speedup:.2f}x "
             f"(oracle {oracle_seconds * 1e3:.1f} ms, "
             f"shipped {shipped_seconds * 1e3:.1f} ms)"
         )

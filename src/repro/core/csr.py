@@ -307,7 +307,8 @@ class CSRGraph:
 
     def degree_sequence(self) -> List[int]:
         """Return the list of degrees in node order."""
-        return [int(value) for value in self._degrees]
+        degrees: List[int] = self._degrees.tolist()
+        return degrees
 
     def degree_array(self) -> np.ndarray:
         """Return the (read-only) degree vector, one entry per node row."""
@@ -368,14 +369,23 @@ class CSRGraph:
             )
         return self._sparse_matrix
 
-    def _build_neighbor_lists(self) -> Dict[NodeId, List[NodeId]]:
-        """Materialise the id -> neighbor-list cache from the CSR arrays."""
+    def fresh_neighbor_lists(self) -> Dict[NodeId, List[NodeId]]:
+        """Return a new id -> neighbor-list dict built from the CSR arrays.
+
+        Nodes come in row order and each list in insertion order.  The
+        lists are the caller's own: a bulk-built
+        :class:`~repro.core.graph.Graph` takes them as its mutable views.
+        """
         flat = (self._indices if self._ids is None else self._ids[self._indices]).tolist()
         bounds = self._indptr.tolist()
-        lists = {
+        return {
             node: flat[start:end]
             for node, start, end in zip(self.nodes(), bounds, bounds[1:])
         }
+
+    def _build_neighbor_lists(self) -> Dict[NodeId, List[NodeId]]:
+        """Materialise the id -> neighbor-list cache from the CSR arrays."""
+        lists = self.fresh_neighbor_lists()
         self._neighbor_lists = lists
         return lists
 

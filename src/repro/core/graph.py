@@ -23,7 +23,7 @@ create them in the first place.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Set
 
 import networkx as nx
 import numpy as np
@@ -83,7 +83,32 @@ class Graph:
         self._total_degree = 0
         # Prebuilt CSRGraph snapshot from a bulk constructor; makes
         # freeze() free and is dropped on any mutation.
-        self._csr_cache = None
+        self._csr_cache: Optional["CSRGraph"] = None
+
+    def __getattr__(self, name: str) -> Any:
+        """Build a bulk-built graph's mutable views on first access.
+
+        :meth:`from_edge_array` leaves the ``_adjacency`` and
+        ``_neighbor_lists`` slots unset and keeps only the CSR snapshot.
+        Python calls this method only when a normal lookup fails, so a
+        graph built with :meth:`add_edge` never pays for it.  The lists
+        follow the snapshot's row order, which is edge-insertion order, and
+        each set is built from its list, so set iteration order and
+        :meth:`edges` match an ``add_edge``-built twin.  Every mutator reads
+        ``_adjacency`` before it drops the snapshot, so the views always
+        exist before the snapshot goes.
+        """
+        if name not in ("_adjacency", "_neighbor_lists"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        lists = self._csr_cache.fresh_neighbor_lists()
+        adjacency = {node: set(values) for node, values in lists.items()}
+        # Concurrent first accesses each build equal views; whichever
+        # assignment lands last is kept.
+        self._neighbor_lists = lists
+        self._adjacency = adjacency
+        return lists if name == "_neighbor_lists" else adjacency
 
     # ------------------------------------------------------------------ #
     # Node operations
@@ -218,6 +243,10 @@ class Graph:
 
     def degree_sequence(self) -> List[int]:
         """Return the list of degrees in node-id order."""
+        if self._csr_cache is not None:
+            # The snapshot's degree array answers without building the
+            # mutable views of a bulk-built graph.
+            return self._csr_cache.degree_sequence()
         return [len(self._adjacency[node]) for node in self._adjacency]
 
     @property
@@ -334,7 +363,7 @@ class Graph:
         mutations of this graph do not affect the snapshot.
 
         Graphs built by :meth:`from_edge_array` carry their frozen snapshot
-        already (the bulk constructor assembles it anyway), so freezing one
+        already (the bulk constructor builds nothing else), so freezing one
         is free — the shared immutable instance is returned — until the
         first mutation drops it.
         """
@@ -343,6 +372,15 @@ class Graph:
         if self._csr_cache is not None:
             return self._csr_cache
         return CSRGraph.from_graph(self)
+
+    @property
+    def has_snapshot(self) -> bool:
+        """``True`` when :meth:`freeze` returns a prebuilt snapshot for free.
+
+        That holds for a :meth:`from_edge_array` graph until its first
+        mutation; any other graph is snapshotted on each ``freeze()``.
+        """
+        return self._csr_cache is not None
 
     def stats(self) -> GraphStats:
         """Return a :class:`~repro.core.types.GraphStats` summary."""
@@ -416,13 +454,13 @@ class Graph:
         graphs.  Edges must be simple: self-loops and duplicates raise
         :class:`~repro.core.errors.GraphError`.
 
-        This is the ingestion path for the generator kernels of
-        :mod:`repro.kernels.generators`: they emit edge arrays, and this
-        constructor turns them into a graph in a handful of vectorized
-        operations — assembling the frozen
-        :class:`~repro.core.csr.CSRGraph` snapshot directly along the way,
-        so the measurement phase's ``freeze()`` costs nothing until the
-        first mutation.
+        This is the ingestion path for every bulk build (PA, CM, the GRN
+        and mesh substrates, and the kernels of :mod:`repro.kernels`): they
+        emit edge arrays, and this constructor checks them and assembles
+        only the frozen :class:`~repro.core.csr.CSRGraph` snapshot, in a
+        handful of vectorized operations.  The measurement phase's
+        ``freeze()`` returns that snapshot for free, and the mutable views
+        (neighbor sets and lists) are built from it on first access.
 
         Examples
         --------
@@ -465,22 +503,11 @@ class Graph:
             if np.any(keys[1:] == keys[:-1]):
                 raise GraphError("duplicate edges are not allowed")
         ids_array = None if ids is None else np.array(ids, dtype=np.int64)
-        frozen = CSRGraph.from_edge_arrays(count, row_u, row_v, ids=ids_array)
-        indptr, indices = frozen._indptr, frozen._indices
-
-        graph = cls()
-        id_list = ids if ids is not None else list(range(count))
-        neighbor_values = indices if ids_array is None else ids_array[indices]
-        flat = neighbor_values.tolist()
-        lists = {
-            node: flat[indptr[row] : indptr[row + 1]]
-            for row, node in enumerate(id_list)
-        }
-        graph._neighbor_lists = lists
-        graph._adjacency = {node: set(values) for node, values in lists.items()}
+        graph = cls.__new__(cls)
+        # The view slots stay unset: __getattr__ builds them on first use.
         graph._number_of_edges = len(edge_u)
         graph._total_degree = 2 * len(edge_u)
-        graph._csr_cache = frozen
+        graph._csr_cache = CSRGraph.from_edge_arrays(count, row_u, row_v, ids=ids_array)
         return graph
 
     @classmethod

@@ -186,13 +186,17 @@ class ParallelExecutor(Executor):
             return self._pool
 
     def _graph_registry(self) -> "Optional[Any]":
-        """The lazily created shared-graph registry, or ``None`` if disabled."""
+        """The lazily created shared-graph registry, or ``None`` if disabled.
+
+        The registry probes shared memory itself, on the first graph it is
+        asked to share: the probe starts multiprocessing's resource tracker,
+        a fresh interpreter whose start-up competes for the CPU, so a batch
+        that carries no frozen graph must not trigger it.
+        """
         if not self.share_graphs:
             return None
-        from repro.core.shm import SharedGraphRegistry, shm_available
+        from repro.core.shm import SharedGraphRegistry
 
-        if not shm_available():
-            return None
         with self._pool_lock:
             if self._registry is None:
                 self._registry = SharedGraphRegistry()

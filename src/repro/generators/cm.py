@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.config import CMConfig
 from repro.core.errors import ConfigurationError
 from repro.core.graph import Graph
@@ -180,22 +182,32 @@ class ConfigurationModelGenerator(TopologyGenerator):
     def _stub_matching(
         sequence: Sequence[int], rng: RandomSource
     ) -> Tuple[Graph, int, int]:
-        """Standard CM: shuffle the stub list and pair consecutive stubs."""
-        graph = Graph(len(sequence))
-        stubs: List[int] = []
-        for node, degree in enumerate(sequence):
-            stubs.extend([node] * degree)
+        """Standard CM: shuffle the stub list and pair consecutive stubs.
+
+        The shuffle is the one draw; the pairing is numpy.  Self-loops are
+        dropped, and of each repeated pair only the first in stub order is
+        kept, the edge an ``add_edge`` per pair would have kept.  The kept
+        pairs go, in stub order, to :meth:`Graph.from_edge_array`.
+        """
+        n = len(sequence)
+        stubs: List[int] = np.repeat(np.arange(n, dtype=np.int64), sequence).tolist()
         rng.shuffle(stubs)
 
-        removed_self_loops = 0
-        removed_multi_edges = 0
-        for index in range(0, len(stubs) - 1, 2):
-            u, v = stubs[index], stubs[index + 1]
-            if u == v:
-                removed_self_loops += 1
-                continue
-            if not graph.add_edge(u, v):
-                removed_multi_edges += 1
+        paired = np.array(stubs, dtype=np.int64)
+        end = len(paired) - len(paired) % 2
+        edge_u, edge_v = paired[0:end:2], paired[1:end:2]
+        loops = edge_u == edge_v
+        removed_self_loops = int(np.count_nonzero(loops))
+        edge_u, edge_v = edge_u[~loops], edge_v[~loops]
+        # A stable sort keeps equal pairs in stub order: every pair equal
+        # to its sorted predecessor is a repeat.
+        keys = np.minimum(edge_u, edge_v) * np.int64(n) + np.maximum(edge_u, edge_v)
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        repeat = np.zeros(len(keys), dtype=bool)
+        repeat[order[1:]] = ordered[1:] == ordered[:-1]
+        removed_multi_edges = int(np.count_nonzero(repeat))
+        graph = Graph.from_edge_array(n, edge_u[~repeat], edge_v[~repeat])
         return graph, removed_self_loops, removed_multi_edges
 
     @staticmethod

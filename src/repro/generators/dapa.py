@@ -238,7 +238,7 @@ class DAPAGenerator(TopologyGenerator):
                 continue
 
             epoch += 1
-            horizon = self._discover_horizon(
+            horizon, horizon_degrees = self._discover_horizon(
                 rows, substrate_nodes, row, is_peer, overlay_degree,
                 peer_count, cutoff, seen, epoch,
             )
@@ -258,7 +258,7 @@ class DAPAGenerator(TopologyGenerator):
                 self._attach_preferentially(overlay, node, horizon, m, cutoff, rng)
             else:
                 self._attach_preferentially_fast(
-                    overlay, node, horizon, m, cutoff, rng, stream
+                    overlay, node, horizon, horizon_degrees, m, cutoff, rng, stream
                 )
             joined = overlay.iter_neighbors(node)
             for peer in joined:
@@ -322,13 +322,14 @@ class DAPAGenerator(TopologyGenerator):
         cutoff: int,
         seen: List[int],
         epoch: int,
-    ) -> List[int]:
+    ) -> Tuple[List[int], List[int]]:
         """Breadth-first search bounded by ``τ_sub`` returning eligible peers.
 
         Eligible means: already an overlay peer, within ``τ_sub`` substrate
         hops of ``root``, and with overlay degree strictly below the hard
         cutoff (paper Algorithm 4, lines 6-10).  The horizon lists their
-        ids in discovery order.
+        ids in discovery order; a second list holds their overlay degrees,
+        which the attach step reads instead of asking the overlay.
 
         The search runs on rows, one level at a time: each level's nodes
         are expanded in discovery order, and their neighbors in the
@@ -343,6 +344,7 @@ class DAPAGenerator(TopologyGenerator):
         seen[root] = epoch
         frontier = [root]
         horizon: List[int] = []
+        degrees: List[int] = []
         remaining_peers = peer_count
         for _ in range(self.config.local_ttl):
             next_frontier: List[int] = []
@@ -353,13 +355,15 @@ class DAPAGenerator(TopologyGenerator):
                     seen[neighbor] = epoch
                     next_frontier.append(neighbor)
                     if is_peer[neighbor]:
-                        if overlay_degree[neighbor] < cutoff:
+                        degree = overlay_degree[neighbor]
+                        if degree < cutoff:
                             horizon.append(ids[neighbor])
+                            degrees.append(degree)
                         remaining_peers -= 1
                         if not remaining_peers:
-                            return horizon
+                            return horizon, degrees
             frontier = next_frontier
-        return horizon
+        return horizon, degrees
 
     @staticmethod
     def _attach_preferentially(
@@ -415,6 +419,7 @@ class DAPAGenerator(TopologyGenerator):
         overlay: Graph,
         node: int,
         horizon: List[int],
+        degrees: List[int],
         stubs: int,
         cutoff: int,
         rng: RandomSource,
@@ -426,14 +431,13 @@ class DAPAGenerator(TopologyGenerator):
         :func:`~repro.core.rng.raw_stream`); each ``rng.randint`` becomes
         CPython's ``_randbelow`` rejection loop over ``getrandbits`` and each
         ``rng.random()`` a bound ``random()``, so the draw sequence is the
-        reference's.  The joining node links only to the peers it chooses
-        here, so "already linked" is membership in ``chosen``, and an
-        unchosen peer's degree cannot change during the call: the degrees
-        are read once.
+        reference's.  ``degrees[i]`` is ``horizon[i]``'s overlay degree.
+        The joining node links only to the peers it chooses here, so
+        "already linked" is membership in ``chosen``, and an unchosen
+        peer's degree cannot change during the call.
         """
         getrandbits = stream.getrandbits
         random_float = stream.random
-        degrees = [overlay.degree(peer) for peer in horizon]
         horizon_total_degree = sum(degrees)
         size = len(horizon)
         width = size.bit_length()

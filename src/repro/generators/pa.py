@@ -32,10 +32,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.config import PAConfig
 from repro.core.errors import ConfigurationError, GenerationError
 from repro.core.graph import Graph
-from repro.core.rng import RandomSource
+from repro.core.rng import RandomSource, raw_stream
 from repro.generators.base import TopologyGenerator
 from repro.kernels.dispatch import kernel_ready
 
@@ -165,129 +167,127 @@ class PreferentialAttachmentGenerator(TopologyGenerator):
     # Fast strategy: stub-list roulette selection
     # ------------------------------------------------------------------ #
     def _build_roulette(self, rng: RandomSource) -> Tuple[Graph, Dict[str, Any]]:
+        """Grow the network by degree-proportional roulette over a stub list.
+
+        One loop over flat per-node lists: ``degrees``, ``entries`` (each
+        node's slots in the stub list) and the stub list itself, which
+        holds each node once per unit of degree, so a uniform slot is a
+        degree-proportional node.  "Already linked" is a scan of the
+        joining node's at most ``m`` chosen peers.  Every slot draw is
+        ``rng.randint(0, size - 1)``; a plain source draws through the
+        twister's ``_randbelow``, the function that call reaches, so every
+        source sees the same draws.  The edges go, in attachment order, to
+        :meth:`Graph.from_edge_array`, which builds only the CSR snapshot
+        the search reads.
+        """
         config = self.config
         n, m = config.number_of_nodes, config.stubs
         cutoff = config.effective_cutoff()
+        # Read at call time, so patching the module constant takes effect.
+        max_rejections = _MAX_REJECTIONS_PER_STUB
+        stream = raw_stream(rng)
+        if stream is not None:
+            draw = stream._randbelow
+        else:
+            def draw(size: int) -> int:
+                return rng.randint(0, size - 1)
 
-        graph = Graph.complete(min(m + 1, n))
-        # The stub list holds each node id once per unit of degree, so a
-        # uniform draw from it is a degree-proportional draw over nodes.
+        seed_size = min(m + 1, n)
+        # Graph.complete's add order, which fixes the seed's neighbor order.
+        edge_u = [u for u in range(seed_size) for _ in range(u + 1, seed_size)]
+        edge_v = [v for u in range(seed_size) for v in range(u + 1, seed_size)]
         stub_list: List[int] = []
-        for u, v in graph.edges():
+        for u, v in Graph.complete(seed_size).edges():
             stub_list.append(u)
             stub_list.append(v)
+        degrees = [seed_size - 1] * seed_size + [0] * (n - seed_size)
         # Saturated-entry bookkeeping: the stub list retains entries of
         # nodes that have reached the cutoff (removing them would change
         # which slot every later draw lands on), so under tight cutoffs a
         # pick can become *doomed* — every slot points at a saturated or
         # already-linked node.  ``entries[x]`` counts x's slots and
-        # ``dead_entries`` the slots on saturated nodes; together they let
-        # ``_pick_roulette`` detect a doomed pick up front instead of
-        # burning ``_MAX_REJECTIONS_PER_STUB`` draws discovering it.
+        # ``dead_entries`` the slots on saturated nodes; together they
+        # detect a doomed pick up front instead of burning
+        # ``_MAX_REJECTIONS_PER_STUB`` draws discovering it.
         entries = [0] * n
         for node in stub_list:
             entries[node] += 1
         dead_entries = 0
-        for node in range(graph.number_of_nodes):
-            if graph.degree(node) >= cutoff:
+        for node in range(seed_size):
+            if degrees[node] >= cutoff:
                 dead_entries += entries[node]
 
         rejected_attempts = 0
         unfilled_stubs = 0
-
-        for new_node in range(graph.number_of_nodes, n):
-            graph.add_node(new_node)
+        for new_node in range(seed_size, n):
             chosen: List[int] = []
             for _ in range(m):
-                target, rejections = self._pick_roulette(
-                    graph, stub_list, new_node, cutoff, rng,
-                    entries, dead_entries, chosen,
-                )
-                rejected_attempts += rejections
-                if target is None:
+                # Live-entry audit: slots on an unsaturated node the new
+                # node is not linked to yet (it has no slots itself).  Zero
+                # live slots dooms the rejection loop *and* the fallback
+                # scan — any node with degree > 0 below the cutoff still
+                # has live slots — so give up without consuming a draw.
+                size = len(stub_list)
+                live = size - dead_entries
+                for peer in chosen:
+                    if degrees[peer] < cutoff:
+                        live -= entries[peer]
+                if live <= 0:
                     unfilled_stubs += 1
                     continue
-                graph.add_edge(new_node, target)
-                if graph.degree(target) == cutoff:
+                target = -1
+                rejections = 0
+                while rejections < max_rejections:
+                    candidate = stub_list[draw(size)]
+                    if degrees[candidate] < cutoff and candidate not in chosen:
+                        target = candidate
+                        break
+                    rejections += 1
+                rejected_attempts += rejections
+                if target < 0:
+                    # Extremely unlikely path: an explicit degree-weighted
+                    # scan.  ``degree > 0`` keeps the draw
+                    # degree-proportional (a zero-degree node has no slots
+                    # either, so the loop above could never pick it).
+                    eligible = [
+                        node
+                        for node in range(new_node)
+                        if 0 < degrees[node] < cutoff and node not in chosen
+                    ]
+                    if not eligible:
+                        unfilled_stubs += 1
+                        continue
+                    weights = [degrees[node] for node in eligible]
+                    target = eligible[rng.weighted_index(weights)]
+                degrees[target] += 1
+                if degrees[target] == cutoff:
                     dead_entries += entries[target]
                 chosen.append(target)
+                edge_u.append(new_node)
+                edge_v.append(target)
             # Update the stub list only after all of this node's stubs are
-            # placed so the node does not preferentially attach to itself's
+            # placed so the node does not preferentially attach to its own
             # earlier targets more than their degree warrants.
-            for neighbor in chosen:
-                stub_list.append(neighbor)
-                entries[neighbor] += 1
-                if graph.degree(neighbor) >= cutoff:
+            degrees[new_node] = len(chosen)
+            for peer in chosen:
+                stub_list.append(peer)
+                entries[peer] += 1
+                if degrees[peer] >= cutoff:
                     dead_entries += 1
                 stub_list.append(new_node)
                 entries[new_node] += 1
-                if graph.degree(new_node) >= cutoff:
+                if degrees[new_node] >= cutoff:
                     dead_entries += 1
 
+        graph = Graph.from_edge_array(
+            n, np.array(edge_u, dtype=np.int64), np.array(edge_v, dtype=np.int64)
+        )
         metadata = {
             "rejected_attempts": rejected_attempts,
             "unfilled_stubs": unfilled_stubs,
             "strategy": "roulette",
         }
         return graph, metadata
-
-    @staticmethod
-    def _pick_roulette(
-        graph: Graph,
-        stub_list: List[int],
-        new_node: int,
-        cutoff: int,
-        rng: RandomSource,
-        entries: List[int],
-        dead_entries: int,
-        chosen: List[int],
-    ) -> Tuple[Optional[int], int]:
-        """Pick an eligible target by degree-proportional roulette selection.
-
-        Returns ``(target, rejections)``; ``target`` is ``None`` when no
-        eligible node exists (every candidate is saturated or already
-        linked).  ``rejections`` counts the draws burned before success —
-        including the draws of a failed loop that fell back to the scan,
-        which the caller now always accounts for.
-        """
-        neighbor_set = graph.neighbor_set(new_node)
-        # Live-entry audit: slots pointing at an unsaturated node that is
-        # not already a neighbor (the new node has no slots yet).  Zero
-        # live slots means the rejection loop *and* the fallback scan are
-        # both doomed — any node with degree > 0 below the cutoff would
-        # still have live slots — so bail out without consuming a draw.
-        live = len(stub_list) - dead_entries
-        for node in chosen:
-            if graph.degree(node) < cutoff:
-                live -= entries[node]
-        if live <= 0:
-            return None, 0
-        rejections = 0
-        while rejections < _MAX_REJECTIONS_PER_STUB:
-            candidate = stub_list[rng.randint(0, len(stub_list) - 1)]
-            if (
-                candidate != new_node
-                and candidate not in neighbor_set
-                and graph.degree(candidate) < cutoff
-            ):
-                return candidate, rejections
-            rejections += 1
-        # Extremely unlikely path: fall back to an explicit scan.  The
-        # ``degree > 0`` filter keeps the draw degree-proportional (a
-        # zero-degree node has no stub slots either, so the loop above
-        # could never have selected it).
-        eligible = [
-            node
-            for node in graph.nodes()
-            if node != new_node
-            and node not in neighbor_set
-            and graph.degree(node) < cutoff
-            and graph.degree(node) > 0
-        ]
-        if not eligible:
-            return None, rejections
-        weights = [graph.degree(node) for node in eligible]
-        return eligible[rng.weighted_index(weights)], rejections
 
     # ------------------------------------------------------------------ #
     # Paper-literal strategy: uniform pick + acceptance test (Algorithm 1)

@@ -243,12 +243,22 @@ class RealizationSpec:
     def build_for_measurement(self) -> CSRGraph:
         """Build the topology and freeze it: generate mutable, search frozen.
 
-        Kernel-built graphs carry their CSR arrays already, so their freeze
-        is free; a Python-built graph is snapshotted in one pass.
+        Bulk-built graphs (PA, CM, every kernel build) carry their CSR
+        arrays already, so their freeze is free; an ``add_edge``-built
+        graph is snapshotted in one pass.  The ``freeze`` span's attributes
+        say which: ``nodes``, ``edges`` and ``cached``, true when the bulk
+        build's snapshot came back.
         """
         graph = self.build()
-        with active_telemetry().span("freeze"):
-            return graph.freeze()
+        telemetry = active_telemetry()
+        attrs: Optional[Dict[str, Any]] = {} if telemetry.enabled else None
+        with telemetry.span("freeze", attrs):
+            frozen = graph.freeze()
+            if attrs is not None:
+                attrs["nodes"] = frozen.number_of_nodes
+                attrs["edges"] = frozen.number_of_edges
+                attrs["cached"] = graph.has_snapshot
+        return frozen
 
 
 #: Generator-metadata counters surfaced (summed over realizations) in the

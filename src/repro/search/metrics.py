@@ -164,18 +164,17 @@ def search_curve(
     max_ttl = ttl_list[-1]
 
     random_source = ensure_source(rng)
-    if sources is None:
-        sources = select_sources(graph, queries, random_source.spawn("sources"))
-    _require_queries(sources)
-    query_rng = random_source.spawn("queries")
-
     telemetry = active_telemetry()
-    attrs = (
-        {"algorithm": algorithm.algorithm_name, "queries": len(sources)}
-        if telemetry.enabled
-        else None
-    )
+    attrs = {"algorithm": algorithm.algorithm_name} if telemetry.enabled else None
+    # The span covers the whole measurement, from the source picks to the
+    # curve statistics, so none of a realization's search time escapes it.
     with telemetry.span("search", attrs):
+        if sources is None:
+            sources = select_sources(graph, queries, random_source.spawn("sources"))
+        _require_queries(sources)
+        query_rng = random_source.spawn("queries")
+        if attrs is not None:
+            attrs["queries"] = len(sources)
         if type(algorithm) is FloodingSearch and isinstance(graph, CSRGraph):
             # Batched CSR fast path: one vectorized kernel call covers the whole
             # query batch.  Flooding is deterministic (``query_rng`` is never
@@ -226,6 +225,15 @@ def search_curve(
             # The span copies its attributes on exit, so the batch's
             # message total lands on it while it is still open.
             attrs["messages"] = int(messages_matrix[:, -1].sum())
+        curve = SearchCurve(
+            algorithm=algorithm.algorithm_name,
+            ttl_values=ttl_list,
+            mean_hits=[float(v) for v in hits_matrix.mean(axis=0)],
+            mean_messages=[float(v) for v in messages_matrix.mean(axis=0)],
+            std_hits=[float(v) for v in hits_matrix.std(axis=0)],
+            queries=len(sources),
+            metadata={"graph_nodes": graph.number_of_nodes},
+        )
 
     if telemetry.enabled:
         telemetry.count("search.queries", len(sources))
@@ -236,15 +244,7 @@ def search_curve(
         telemetry.count(
             "search.messages.total", float(messages_matrix[:, -1].sum())
         )
-    return SearchCurve(
-        algorithm=algorithm.algorithm_name,
-        ttl_values=ttl_list,
-        mean_hits=[float(v) for v in hits_matrix.mean(axis=0)],
-        mean_messages=[float(v) for v in messages_matrix.mean(axis=0)],
-        std_hits=[float(v) for v in hits_matrix.std(axis=0)],
-        queries=len(sources),
-        metadata={"graph_nodes": graph.number_of_nodes},
-    )
+    return curve
 
 
 def _require_queries(sources: Sequence[NodeId]) -> None:
@@ -321,18 +321,20 @@ def normalized_walk_curve(
     max_ttl = ttl_list[-1]
 
     random_source = ensure_source(rng)
-    if sources is None:
-        sources = select_sources(graph, queries, random_source.spawn("sources"))
-    _require_queries(sources)
-    nf_rng = random_source.spawn("nf")
-    rw_rng = random_source.spawn("rw")
-
     nf_search = NormalizedFloodingSearch(k_min=k_min)
     rw_search = RandomWalkSearch(walkers=walkers)
 
     telemetry = active_telemetry()
-    attrs = {"algorithm": "rw", "queries": len(sources)} if telemetry.enabled else None
+    attrs = {"algorithm": "rw"} if telemetry.enabled else None
+    # As in search_curve, the span covers the source picks and statistics.
     with telemetry.span("search", attrs):
+        if sources is None:
+            sources = select_sources(graph, queries, random_source.spawn("sources"))
+        _require_queries(sources)
+        nf_rng = random_source.spawn("nf")
+        rw_rng = random_source.spawn("rw")
+        if attrs is not None:
+            attrs["queries"] = len(sources)
         if (
             isinstance(graph, CSRGraph)
             and kernel_ready(nf_rng, "search")
@@ -371,6 +373,20 @@ def normalized_walk_curve(
                     messages_matrix[row, column] = walk_result.messages_at(budget)
         if attrs is not None:
             attrs["messages"] = int(messages_matrix[:, -1].sum())
+        curve = SearchCurve(
+            algorithm="rw",
+            ttl_values=ttl_list,
+            mean_hits=[float(v) for v in hits_matrix.mean(axis=0)],
+            mean_messages=[float(v) for v in messages_matrix.mean(axis=0)],
+            std_hits=[float(v) for v in hits_matrix.std(axis=0)],
+            queries=len(sources),
+            metadata={
+                "graph_nodes": graph.number_of_nodes,
+                "normalization": "nf_messages",
+                "k_min": k_min,
+                "walkers": walkers,
+            },
+        )
 
     if telemetry.enabled:
         telemetry.count("search.queries", len(sources))
@@ -378,20 +394,7 @@ def normalized_walk_curve(
         telemetry.count(
             "search.messages.total", float(messages_matrix[:, -1].sum())
         )
-    return SearchCurve(
-        algorithm="rw",
-        ttl_values=ttl_list,
-        mean_hits=[float(v) for v in hits_matrix.mean(axis=0)],
-        mean_messages=[float(v) for v in messages_matrix.mean(axis=0)],
-        std_hits=[float(v) for v in hits_matrix.std(axis=0)],
-        queries=len(sources),
-        metadata={
-            "graph_nodes": graph.number_of_nodes,
-            "normalization": "nf_messages",
-            "k_min": k_min,
-            "walkers": walkers,
-        },
-    )
+    return curve
 
 
 def average_search_curve(curves: Sequence[SearchCurve]) -> SearchCurve:

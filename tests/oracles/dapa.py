@@ -116,8 +116,9 @@ def grow_overlay(
         elif stream is None:
             generator._attach_preferentially(overlay, node, horizon, m, cutoff, rng)
         else:
+            degrees = [overlay.degree(peer) for peer in horizon]
             generator._attach_preferentially_fast(
-                overlay, node, horizon, m, cutoff, rng, stream
+                overlay, node, horizon, degrees, m, cutoff, rng, stream
             )
         peers.add(node)
         attempts_without_progress = 0

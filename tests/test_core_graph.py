@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+import sys
+import threading
+
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.core.errors import GraphError, NodeNotFoundError
 from repro.core.graph import Graph
+from repro.core.rng import RandomSource
 
 
 class TestConstruction:
@@ -230,3 +237,191 @@ class TestNetworkXInterop:
         assert graph.number_of_nodes == 3
         assert graph.number_of_edges == 2
         assert all(isinstance(node, int) for node in graph.nodes())
+
+
+def _edge_list(ids, seed):
+    """A fixed, order-sensitive simple edge list over ``ids``."""
+    chooser = RandomSource(seed)
+    edges, seen = [], set()
+    while len(edges) < 3 * len(ids):
+        u, v = chooser.sample(ids, 2)
+        if (u, v) not in seen and (v, u) not in seen:
+            seen.add((u, v))
+            edges.append((u, v))
+    return edges
+
+
+#: (node ids or count, edges) for dense ids, sparse ids and no edges.  The
+#: ids reach past a small set's table size, so set iteration order depends
+#: on insertion order.
+LAZY_CASES = {
+    "dense": (40, _edge_list(list(range(40)), seed=1)),
+    "sparse": ([100, 5, 42, 7, 900, 13, 64, 3, 17, 250], _edge_list(
+        [100, 5, 42, 7, 900, 13, 64, 3, 17, 250], seed=2
+    )),
+    "no-edges": ([8, 2, 30], []),
+}
+
+
+def _lazy_pair(case):
+    """The case built by from_edge_array, and its add_edge-built twin."""
+    nodes, edges = LAZY_CASES[case]
+    ids = list(range(nodes)) if isinstance(nodes, int) else nodes
+    twin = Graph()
+    for node in ids:
+        twin.add_node(node)
+    for u, v in edges:
+        twin.add_edge(u, v)
+    graph = Graph.from_edge_array(
+        nodes,
+        np.array([u for u, _ in edges], dtype=np.int64),
+        np.array([v for _, v in edges], dtype=np.int64),
+    )
+    return graph, twin
+
+
+def _views_built(graph):
+    try:
+        object.__getattribute__(graph, "_adjacency")
+    except AttributeError:
+        return False
+    return True
+
+
+def _assert_reads_equal(graph, twin):
+    nodes = twin.nodes()
+    assert graph.nodes() == nodes
+    assert list(graph) == list(twin) and len(graph) == len(twin)
+    assert graph.edges() == twin.edges()
+    assert graph.degrees() == twin.degrees()
+    assert graph.degree_sequence() == twin.degree_sequence()
+    assert graph.min_degree() == twin.min_degree()
+    assert graph.max_degree() == twin.max_degree()
+    assert graph.mean_degree() == twin.mean_degree()
+    assert graph.total_degree == twin.total_degree
+    assert graph.number_of_nodes == twin.number_of_nodes
+    assert graph.number_of_edges == twin.number_of_edges
+    assert graph.stats() == twin.stats()
+    for node in nodes:
+        assert node in graph and graph.has_node(node)
+        assert graph.degree(node) == twin.degree(node)
+        assert graph.neighbors(node) == twin.neighbors(node)
+        assert graph.iter_neighbors(node) == twin.iter_neighbors(node)
+        assert list(graph.neighbor_set(node)) == list(twin.neighbor_set(node))
+        for other in nodes:
+            assert graph.has_edge(node, other) == twin.has_edge(node, other)
+    exported, expected = graph.to_networkx(), twin.to_networkx()
+    assert list(exported.nodes()) == list(expected.nodes())
+    assert list(exported.edges()) == list(expected.edges())
+    assert graph == twin and twin == graph
+
+
+class TestFromEdgeArrayLazyViews:
+    """from_edge_array keeps only the CSR snapshot; the views come on demand."""
+
+    @pytest.mark.parametrize("case", sorted(LAZY_CASES))
+    def test_snapshot_reads_build_no_views(self, case):
+        graph, twin = _lazy_pair(case)
+        frozen = graph.freeze()
+        assert graph.freeze() is frozen
+        assert graph.degree_sequence() == twin.degree_sequence()
+        assert graph.number_of_edges == twin.number_of_edges
+        assert graph.total_degree == twin.total_degree
+        assert frozen.nodes() == twin.nodes()
+        assert not _views_built(graph)
+
+    @pytest.mark.parametrize("case", sorted(LAZY_CASES))
+    def test_views_equal_an_add_edge_twin(self, case):
+        graph, twin = _lazy_pair(case)
+        _assert_reads_equal(graph, twin)
+        assert _views_built(graph)
+        # The snapshot survives reads: freezing stays free.
+        assert graph.freeze() is graph.freeze()
+
+    @pytest.mark.parametrize("case", sorted(LAZY_CASES))
+    def test_either_view_first_gives_equal_views(self, case):
+        by_lists, twin = _lazy_pair(case)
+        by_sets, _ = _lazy_pair(case)
+        node = twin.nodes()[0]
+        by_lists.iter_neighbors(node)
+        by_sets.neighbor_set(node)
+        _assert_reads_equal(by_lists, by_sets)
+        _assert_reads_equal(by_sets, twin)
+
+    @pytest.mark.parametrize("case", sorted(LAZY_CASES))
+    def test_mutation_after_freeze_leaves_the_snapshot(self, case):
+        graph, twin = _lazy_pair(case)
+        frozen = graph.freeze()
+        before = {node: list(frozen.iter_neighbors(node)) for node in frozen.nodes()}
+        indptr, indices = frozen._indptr.copy(), frozen._indices.copy()
+        u, v = twin.nodes()[:2]
+        if twin.has_edge(u, v):
+            graph.remove_edge(u, v)
+            twin.remove_edge(u, v)
+        else:
+            graph.add_edge(u, v)
+            twin.add_edge(u, v)
+        graph.add_node(10_000)
+        twin.add_node(10_000)
+        assert np.array_equal(frozen._indptr, indptr)
+        assert np.array_equal(frozen._indices, indices)
+        assert {node: frozen.iter_neighbors(node) for node in frozen.nodes()} == before
+        refrozen = graph.freeze()
+        assert refrozen is not frozen
+        assert refrozen.nodes() == twin.nodes()
+        _assert_reads_equal(graph, twin)
+
+    @pytest.mark.parametrize("case", sorted(LAZY_CASES))
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda graph: pickle.loads(pickle.dumps(graph)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_pickle_and_deepcopy_round_trip(self, case, round_trip):
+        # A set pickles as its elements in iteration order, so a round trip
+        # can reorder any graph's sets: compare with the twin's round trip.
+        graph, twin = _lazy_pair(case)
+        clone = round_trip(graph)
+        _assert_reads_equal(clone, round_trip(twin))
+        _assert_reads_equal(graph, twin)
+        clone.add_node(10_000)
+        assert 10_000 not in graph
+
+    @pytest.mark.parametrize("case", sorted(LAZY_CASES))
+    def test_concurrent_first_access_sees_equal_views(self, case):
+        # More threads than cores, switching as often as the interpreter
+        # allows, all touching a fresh graph at once.
+        threads_per_graph = 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                graph, twin = _lazy_pair(case)
+                barrier = threading.Barrier(threads_per_graph)
+                seen = []
+
+                def read():
+                    barrier.wait()
+                    seen.append(
+                        (
+                            [graph.iter_neighbors(node) for node in twin.nodes()],
+                            [list(graph.neighbor_set(node)) for node in twin.nodes()],
+                            graph.edges(),
+                        )
+                    )
+
+                threads = [threading.Thread(target=read) for _ in range(threads_per_graph)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                expected = (
+                    [twin.iter_neighbors(node) for node in twin.nodes()],
+                    [list(twin.neighbor_set(node)) for node in twin.nodes()],
+                    twin.edges(),
+                )
+                assert seen == [expected] * threads_per_graph
+                _assert_reads_equal(graph, twin)
+        finally:
+            sys.setswitchinterval(interval)

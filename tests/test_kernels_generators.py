@@ -268,20 +268,18 @@ class TestPASaturationBugfixes:
     """The PA roulette sweep: doomed picks, accounting, strict mode."""
 
     def test_doomed_pick_consumes_no_draws(self):
-        # All three existing nodes are saturated: the old code burned
-        # _MAX_REJECTIONS_PER_STUB draws per stub discovering that.
-        graph = Graph.complete(3)
-        graph.add_node(3)
-        stub_list = [0, 1, 0, 2, 1, 2]
-        entries = [2, 2, 2, 0]
-        rng = RandomSource(seed=9)
-        before = rng.getstate()
-        target, rejections = PreferentialAttachmentGenerator._pick_roulette(
-            graph, stub_list, 3, 2, rng, entries, dead_entries=6, chosen=[],
-        )
-        assert target is None
-        assert rejections == 0
-        assert rng.getstate() == before, "doomed pick consumed draws"
+        # kc == m + 1: a joining node's second pick is often doomed (its
+        # first peer holds the only live slots).  Every draw of the shipped
+        # loop is a rejection or a placed growth edge; a doomed pick that
+        # drew would burn _MAX_REJECTIONS_PER_STUB rejections on its own.
+        generator = PreferentialAttachmentGenerator(30, stubs=2, hard_cutoff=3)
+        rng = _CountingSource(seed=12)
+        graph, metadata = generator._build_roulette(rng)
+        assert metadata["unfilled_stubs"] > 0
+        growth_edges = graph.number_of_edges - 3
+        assert rng.calls["randint"] == growth_edges + metadata["rejected_attempts"]
+        assert metadata["rejected_attempts"] < pa_module._MAX_REJECTIONS_PER_STUB
+        assert rng.calls["weighted_index"] == 0, "a doomed pick reached the scan"
 
     def test_doomed_build_is_fast_and_degenerates_loudly_in_strict_mode(self):
         # kc == m + 1 with m == 2: after the seed clique every node pair is

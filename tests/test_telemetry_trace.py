@@ -225,6 +225,51 @@ class TestGenerateSpanAttributes:
         assert all(attrs is None for _, attrs in passed)
 
 
+class TestFreezeSpanAttributes:
+    """A search realization's ``freeze`` span names the snapshot's size and
+    whether the bulk build's snapshot came back (``cached``)."""
+
+    @staticmethod
+    def _traced(model):
+        from repro.experiments.runner import ExperimentScale
+        from repro.scenarios.measure import RealizationSpec
+
+        scale = ExperimentScale(name="custom", search_nodes=80, queries=2)
+        spec = RealizationSpec(model, scale, seed=3, stubs=2, hard_cutoff=8, for_search=True)
+        collector = TelemetryCollector()
+        with use_telemetry(collector):
+            frozen = spec.build_for_measurement()
+        (node,) = [node for node in collector.span_tree if node["name"] == "freeze"]
+        return node["attrs"], frozen
+
+    @pytest.mark.parametrize("model, cached", [("pa", True), ("cm", True), ("hapa", False)])
+    def test_freeze_span(self, model, cached):
+        attrs, frozen = self._traced(model)
+        assert attrs == {
+            "nodes": 80,
+            "edges": frozen.number_of_edges,
+            "cached": cached,
+        }
+        assert attrs["edges"] > 0
+
+    def test_untraced_freeze_builds_no_attributes(self, monkeypatch):
+        from repro.experiments.runner import ExperimentScale
+        from repro.scenarios.measure import RealizationSpec
+        from repro.telemetry.collector import NullTelemetry
+
+        seen = []
+        original = NullTelemetry.span
+
+        def record(self, name, attrs=None, aggregate=True):
+            seen.append((name, attrs))
+            return original(self, name, attrs, aggregate)
+
+        monkeypatch.setattr(NullTelemetry, "span", record)
+        scale = ExperimentScale(name="custom", search_nodes=40, queries=2)
+        RealizationSpec("pa", scale, seed=3, stubs=2, for_search=True).build_for_measurement()
+        assert [attrs for name, attrs in seen if name == "freeze"] == [None]
+
+
 class TestSearchSpanAttributes:
     """A ``search`` span names the algorithm, the batch size and the batch's
     messages at the largest TTL (what ``search.messages.total`` adds)."""
