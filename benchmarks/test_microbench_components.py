@@ -17,13 +17,17 @@ performance drift fails the suite instead of passing silently.
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from oracles import cm as cm_oracle
 from oracles import dapa as dapa_oracle
+from oracles import hapa as hapa_oracle
+from oracles import nf as nf_oracle
 from oracles import pa as pa_oracle
+from oracles import pf as pf_oracle
 from repro.core.csr import batch_random_walks
 from repro.core.rng import RandomSource, raw_stream
 from repro.generators.cm import ConfigurationModelGenerator, generate_cm
@@ -178,31 +182,27 @@ class TestBackendBenchmarks:
         assert trajectory.shape == (201, self.QUERIES)
 
 
-class _ReferenceSource(RandomSource):
-    """A subclass: ``raw_stream`` refuses it, so searches keep their
-    reference loops and PF draws its coins through ``random``."""
-
-
 class TestPythonTierFastLoopBenchmarks:
-    """The python tier's fast loops against the loops they replaced.
+    """The python tier's loops against the oracles in ``tests/oracles/``.
 
-    A plain RandomSource builds HAPA through ``_build_fast``, runs NF and
-    single-walker RW queries through ``_run_fast`` and hands PF the
-    twister's ``random``; each draws from the twister directly instead of
-    calling the RandomSource methods.  DAPA's draw-free phases, the GRN
-    cell sweep and the horizon BFS, and the PA and CM bulk builds are timed
-    against their oracles in ``tests/oracles/``.  Each must give the same
-    results and stay a multiple faster (HAPA 3.7-3.9x measured at N = 420,
-    1500 and 3000; DAPA about 1.9x at the artefact-generation shape; PA and
-    CM about 3.5x and 1.8x at the artefact-search shape).  Needs no numba,
-    so it runs on every host.
+    HAPA builds through ``_build_fast``, NF and single-walker RW queries run
+    through ``_run_fast`` and PF takes its coins from the twister's
+    ``random``; each draws from the source's twister directly, where the
+    oracles (HAPA's and NF's reference loops, PF's loop with ``rng.random()``
+    coins, RW's multi-walker loop at one walker) call the RandomSource
+    methods.  DAPA's draw-free phases and attach step and the PA and CM
+    bulk builds are timed against their oracles too.  Each must give the
+    same results and stay a multiple faster (HAPA 3.7-3.9x measured at
+    N = 420, 1500 and 3000; DAPA 2.7-3.2x at the artefact-generation
+    shape; PA and CM about 3.5x and 1.8x at the artefact-search shape).
+    Needs no numba, so it runs on every host.
     """
 
     def test_hapa_fast_loop_speedup_at_least_2_5x(self):
         generator = HAPAGenerator(800, stubs=2, hard_cutoff=40)
 
         def reference():
-            return generator._build_reference(RandomSource(seed=7))
+            return hapa_oracle.build_reference(generator, RandomSource(seed=7))
 
         def fast():
             rng = RandomSource(seed=7)
@@ -238,31 +238,34 @@ class TestPythonTierFastLoopBenchmarks:
         sources = select_sources(graph, 28, rng=5)
         nf, pf = NormalizedFloodingSearch(k_min=2), ProbabilisticFloodingSearch()
         rw = RandomWalkSearch()
+        shipped = (nf.run, pf.run, rw.run)
+        oracles = (partial(nf_oracle.run_nf, nf), partial(pf_oracle.run_pf, pf), rw._run_walkers)
 
-        def batch(source_class):
-            nf_rng, pf_rng, budget_rng, rw_rng = (source_class(seed) for seed in range(4))
+        def batch(loops):
+            run_nf, run_pf, run_rw = loops
+            nf_rng, pf_rng, budget_rng, rw_rng = (RandomSource(seed) for seed in range(4))
             curves = []
             with use_kernels("python"):
                 for source in sources:
                     for result in (
-                        nf.run(graph, source, 10, rng=nf_rng),
-                        pf.run(graph, source, 10, rng=pf_rng),
+                        run_nf(graph, source, 10, nf_rng, None),
+                        run_pf(graph, source, 10, pf_rng, None),
                     ):
                         curves.append((result.hits_per_ttl, result.messages_per_ttl))
-                    budget = max(1, nf.run(graph, source, 10, rng=budget_rng).messages)
-                    walk = rw.run(graph, source, budget, rng=rw_rng)
+                    budget = max(1, run_nf(graph, source, 10, budget_rng, None).messages)
+                    walk = run_rw(graph, source, budget, rw_rng, None)
                     curves.append((walk.hits_per_ttl, walk.messages_per_ttl))
             next_draws = [rng.random() for rng in (nf_rng, pf_rng, budget_rng, rw_rng)]
             return curves, next_draws
 
         # Identity first: same curves, every stream left at the same place.
-        assert batch(RandomSource) == batch(_ReferenceSource)
+        assert batch(shipped) == batch(oracles)
 
         # Best of 3, interleaved so a burst of host noise hits both sides.
         reference_seconds = fast_seconds = float("inf")
         for _ in range(3):
-            reference_seconds = min(reference_seconds, _best_of(1, lambda: batch(_ReferenceSource)))
-            fast_seconds = min(fast_seconds, _best_of(1, lambda: batch(RandomSource)))
+            reference_seconds = min(reference_seconds, _best_of(1, lambda: batch(oracles)))
+            fast_seconds = min(fast_seconds, _best_of(1, lambda: batch(shipped)))
         speedup = reference_seconds / fast_seconds
         assert speedup >= 1.4, (
             f"python-tier NF+PF+RW fast loop speedup regressed: {speedup:.2f}x "
@@ -273,9 +276,10 @@ class TestPythonTierFastLoopBenchmarks:
     def test_dapa_draw_free_phases_speedup_at_least_1_5x(self):
         # The artefact-generation shape: overlay 420 on the default 840-node
         # GRN, m=2, kc=10, tau_sub=4.  The oracle builds the substrate with
-        # the dict cell sweep and discovers horizons with the deque BFS; the
-        # draws (seed sample, join picks, attach step) are the same code on
-        # both sides, so the ratio measures the two draw-free phases.
+        # the dict cell sweep, discovers horizons with the deque BFS and
+        # attaches through the RandomSource methods; the seed sample and
+        # join picks are the same code on both sides, so the ratio measures
+        # the two draw-free phases and the attach step.
         generator = DAPAGenerator(overlay_size=420, stubs=2, hard_cutoff=10, local_ttl=4)
 
         def build(builder):

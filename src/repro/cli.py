@@ -151,11 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--kernels", default="auto",
                         choices=["auto", "python", "jit"],
                         help="execution tier for topology generation "
-                             "(substrate builds included), the stochastic "
-                             "search loops, and batched protocol queries: "
+                             "(substrate builds included) and the stochastic "
+                             "search loops: "
                              "'jit' compiles them with numba (identical "
                              "results), 'auto' picks jit when numba is "
-                             "installed, 'python' forces the reference loops")
+                             "installed, 'python' forces the python loops")
     figure.add_argument("--progress", action="store_true",
                         help="stream per-task progress to stderr")
     figure.add_argument("--json", action="store_true",

@@ -165,6 +165,8 @@ class Graph:
     @property
     def number_of_nodes(self) -> int:
         """Total number of nodes ``N``."""
+        if self._csr_cache is not None:
+            return self._csr_cache.number_of_nodes
         return len(self._adjacency)
 
     # ------------------------------------------------------------------ #
@@ -256,21 +258,18 @@ class Graph:
 
     def min_degree(self) -> int:
         """Return the smallest degree (0 for an empty graph)."""
-        if not self._adjacency:
-            return 0
-        return min(len(neighbors) for neighbors in self._adjacency.values())
+        return min(self.degree_sequence(), default=0)
 
     def max_degree(self) -> int:
         """Return the largest degree, i.e. the empirical cutoff of the network."""
-        if not self._adjacency:
-            return 0
-        return max(len(neighbors) for neighbors in self._adjacency.values())
+        return max(self.degree_sequence(), default=0)
 
     def mean_degree(self) -> float:
         """Return the average degree ``2E / N`` (0.0 for an empty graph)."""
-        if not self._adjacency:
+        nodes = self.number_of_nodes
+        if not nodes:
             return 0.0
-        return self._total_degree / len(self._adjacency)
+        return self._total_degree / nodes
 
     def neighbors(self, node: NodeId) -> List[NodeId]:
         """Return a list of the neighbors of ``node``."""

@@ -40,6 +40,12 @@ DEFAULT_SEED = 20070611  # arXiv submission date of the paper: cs/0611128.
 class RandomSource:
     """A seedable source of randomness with the primitives the paper uses.
 
+    The inlined-draw algorithm loops (see :func:`raw_stream`) and the
+    kernels draw from the underlying twister directly, not through the
+    methods below, so a subclass that overrides a draw method does not
+    change what they draw, and a counting subclass sees only the calls
+    made through its methods.
+
     Parameters
     ----------
     seed:
@@ -207,17 +213,14 @@ class RandomSource:
         return np.random.default_rng(self._random.getrandbits(63))
 
 
-def raw_stream(rng: object) -> Optional[random.Random]:
-    """Return the Mersenne Twister underneath a plain :class:`RandomSource`.
+def raw_stream(rng: RandomSource) -> random.Random:
+    """Return the Mersenne Twister underneath ``rng``.
 
-    This is the one test for "may a fast path draw from the stream
-    directly": it holds for an exact :class:`RandomSource` and for nothing
-    else.  Subclasses (counting or instrumented sources) may override the
-    draw methods and must see every draw, so they get ``None`` and keep the
-    reference loops.
+    The algorithm loops that inline CPython's draws (HAPA, PA's roulette,
+    DAPA's attach step, NF, PF and single-walker RW) call this twister
+    directly, and the kernels splice its state, for every source:
+    overriding a draw method of a subclass does not change what they draw.
     """
-    if type(rng) is not RandomSource:
-        return None
     return rng._random
 
 

@@ -135,7 +135,7 @@ class ConfigurationModelGenerator(TopologyGenerator):
     def _build(self, rng: RandomSource) -> Tuple[Graph, Dict[str, Any]]:
         sequence = self._resolve_degree_sequence(rng)
         if self.partner_selection == "stub_matching":
-            if kernel_ready(rng, "generation"):
+            if kernel_ready("generation"):
                 from repro.kernels.generators import cm_stub_matching_build
 
                 graph, removed_self_loops, removed_multi_edges = (

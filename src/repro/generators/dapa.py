@@ -25,8 +25,8 @@ any node ever holding global topology information.
 
 from __future__ import annotations
 
-import random  # repro-lint: disable=RPL103(annotation only: the inlined-draw path draws from raw_stream(rng), the twister inside a plain RandomSource)
-from typing import Any, Dict, List, Optional, Set, Tuple
+import random  # repro-lint: disable=RPL103(annotation only: the attach step draws from raw_stream(rng), the twister inside the RandomSource)
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import DAPAConfig, GRNConfig, MeshConfig
 from repro.core.errors import ConfigurationError, GenerationError
@@ -163,7 +163,7 @@ class DAPAGenerator(TopologyGenerator):
             raise GenerationError(
                 "substrate has fewer nodes than the requested overlay size"
             )
-        if kernel_ready(rng, "generation"):
+        if kernel_ready("generation"):
             from repro.kernels.generators import dapa_build
 
             return dapa_build(self.config, substrate, rng)
@@ -178,11 +178,9 @@ class DAPAGenerator(TopologyGenerator):
         The horizon BFS runs on substrate *rows* (positions in
         ``substrate.nodes()``): per-row neighbor lists are built once, and
         peer membership and overlay degree live in flat per-row lists, kept
-        in step with the overlay after every join.  Only the attach step
-        forks on the source: a plain :class:`RandomSource` takes the
-        inlined-draw twin :meth:`_attach_preferentially_fast`, a subclass
-        the reference :meth:`_attach_preferentially`; both consume the same
-        draws.
+        in step with the overlay after every join.  The attach step,
+        :meth:`_attach_preferentially_fast`, draws from the twister
+        underneath ``rng``.
         """
         config = self.config
         stream = raw_stream(rng)
@@ -254,8 +252,6 @@ class DAPAGenerator(TopologyGenerator):
                 short_horizons += 1
                 for peer in horizon:
                     overlay.add_edge(node, peer)
-            elif stream is None:
-                self._attach_preferentially(overlay, node, horizon, m, cutoff, rng)
             else:
                 self._attach_preferentially_fast(
                     overlay, node, horizon, horizon_degrees, m, cutoff, rng, stream
@@ -366,55 +362,6 @@ class DAPAGenerator(TopologyGenerator):
         return horizon, degrees
 
     @staticmethod
-    def _attach_preferentially(
-        overlay: Graph,
-        node: int,
-        horizon: List[int],
-        stubs: int,
-        cutoff: int,
-        rng: RandomSource,
-    ) -> None:
-        """Connect ``node`` to ``stubs`` horizon peers with probability ∝ degree.
-
-        Follows the accept/reject loop of Algorithm 4 (lines 18-29): a random
-        horizon peer is accepted with probability ``k_peer / k_horizon``
-        where ``k_horizon`` is the total degree of the peers in the horizon
-        ("their degrees divided by the total degrees of the peers in its
-        horizon").  Degenerate horizons (all degrees zero) fall back to a
-        uniform choice.
-        """
-        chosen: Set[int] = set()
-        attempts = 0
-        horizon_total_degree = sum(overlay.degree(peer) for peer in horizon)
-        while len(chosen) < stubs and len(chosen) < len(horizon):
-            if attempts >= _MAX_ATTEMPTS_PER_STUB or horizon_total_degree == 0:
-                # Weighted (or uniform) draw over the remaining eligible peers
-                # to guarantee termination.
-                remaining = [
-                    peer
-                    for peer in horizon
-                    if peer not in chosen and overlay.degree(peer) < cutoff
-                ]
-                if not remaining:
-                    break
-                weights = [max(overlay.degree(peer), 1) for peer in remaining]
-                peer = remaining[rng.weighted_index(weights)]
-                overlay.add_edge(node, peer)
-                chosen.add(peer)
-                attempts = 0
-                continue
-            attempts += 1
-            peer = horizon[rng.randint(0, len(horizon) - 1)]
-            if peer in chosen or overlay.has_edge(node, peer):
-                continue
-            degree = overlay.degree(peer)
-            if degree >= cutoff:
-                continue
-            if rng.random() < degree / horizon_total_degree:
-                overlay.add_edge(node, peer)
-                chosen.add(peer)
-
-    @staticmethod
     def _attach_preferentially_fast(
         overlay: Graph,
         node: int,
@@ -425,16 +372,25 @@ class DAPAGenerator(TopologyGenerator):
         rng: RandomSource,
         stream: random.Random,
     ) -> None:
-        """:meth:`_attach_preferentially` with its draws inlined.
+        """Connect ``node`` to ``stubs`` horizon peers with probability ∝ degree.
+
+        Follows the accept/reject loop of Algorithm 4 (lines 18-29): a random
+        horizon peer is accepted with probability ``k_peer / k_horizon``
+        where ``k_horizon`` is the total degree of the peers in the horizon
+        ("their degrees divided by the total degrees of the peers in its
+        horizon").  After ``_MAX_ATTEMPTS_PER_STUB`` attempts, or when every
+        horizon degree is zero, a weighted draw over the remaining eligible
+        peers places the stub.
 
         ``stream`` is the Mersenne Twister underneath ``rng`` (see
-        :func:`~repro.core.rng.raw_stream`); each ``rng.randint`` becomes
-        CPython's ``_randbelow`` rejection loop over ``getrandbits`` and each
-        ``rng.random()`` a bound ``random()``, so the draw sequence is the
-        reference's.  ``degrees[i]`` is ``horizon[i]``'s overlay degree.
-        The joining node links only to the peers it chooses here, so
-        "already linked" is membership in ``chosen``, and an unchosen
-        peer's degree cannot change during the call.
+        :func:`~repro.core.rng.raw_stream`): each pick is CPython's
+        ``_randbelow`` rejection loop over ``getrandbits`` and each coin a
+        bound ``random()``, so the draws are those of the same loop written
+        with ``rng.randint`` and ``rng.random`` (the test oracle
+        ``tests/oracles/dapa.py``).  ``degrees[i]`` is ``horizon[i]``'s
+        overlay degree.  The joining node links only to the peers it
+        chooses here, so "already linked" is membership in ``chosen``, and
+        an unchosen peer's degree cannot change during the call.
         """
         getrandbits = stream.getrandbits
         random_float = stream.random

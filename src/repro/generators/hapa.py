@@ -20,7 +20,7 @@ by the total degree ``k_total`` of the network (Table II classifies it as
 
 from __future__ import annotations
 
-import random  # repro-lint: disable=RPL103(annotation only: the inlined-draw path draws from raw_stream(rng), the twister inside a plain RandomSource)
+import random  # repro-lint: disable=RPL103(annotation only: the loop draws from raw_stream(rng), the twister inside the RandomSource)
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import HAPAConfig
@@ -108,29 +108,35 @@ class HAPAGenerator(TopologyGenerator):
         }
 
     def _build(self, rng: RandomSource) -> Tuple[Graph, Dict[str, Any]]:
-        if kernel_ready(rng, "generation"):
+        if kernel_ready("generation"):
             from repro.kernels.generators import hapa_build
 
             return hapa_build(self.config, rng)
-        stream = raw_stream(rng)
-        if stream is not None:
-            return self._build_fast(stream, rng)
-        return self._build_reference(rng)
+        return self._build_fast(raw_stream(rng), rng)
 
     def _build_fast(
         self, stream: random.Random, rng: RandomSource
     ) -> Tuple[Graph, Dict[str, Any]]:
-        """:meth:`_build_reference` with its draws inlined (plain sources only).
+        """Algorithm 3 with its draws inlined.
 
-        Consumes exactly the reference's draw sequence from ``stream``, the
-        Mersenne Twister underneath ``rng``: each ``rng.randint(0, n - 1)``
-        becomes CPython's ``_randbelow`` rejection loop over ``getrandbits``
-        (which draws even for ``n == 1``), each ``rng.random()`` a bound
-        ``random()``.  Adjacency rows are local lists, so a degree is
-        ``len(row)``, and "already linked" is a scan of the joining node's
-        at most ``m`` chosen peers.  The graph is replayed edge by edge in
-        attachment order, so node order, neighbor order and even set
-        iteration order match the reference's graph.
+        Step 1 attempts one uniformly random existing node; step 2 hops to
+        a random neighbor and attempts it, until all ``m`` stubs are filled
+        (or ``max_hops_per_stub`` hops without an attachment force a
+        uniform pick among the eligible nodes).  An attempt accepts a node
+        below the cutoff with probability ``degree / k_total``.
+
+        Draws come from ``stream``, the Mersenne Twister underneath
+        ``rng``, in the order the same loop written with ``rng.randint``
+        and ``rng.random`` draws them (the test oracle
+        ``tests/oracles/hapa.py``): each ``randint(0, n - 1)`` is CPython's
+        ``_randbelow`` rejection loop over ``getrandbits`` (which draws
+        even for ``n == 1``), each ``random()`` a bound call.
+
+        Adjacency rows are local lists, so a degree is ``len(row)``, and
+        "already linked" is a scan of the joining node's at most ``m``
+        chosen peers.  The graph is replayed edge by edge in attachment
+        order, so node order, neighbor order and set iteration order are
+        those of growing it with ``Graph.add_edge``.
         """
         config = self.config
         n, m = config.number_of_nodes, config.stubs
@@ -222,103 +228,6 @@ class HAPAGenerator(TopologyGenerator):
             "unfilled_stubs": unfilled_stubs,
         }
         return graph, metadata
-
-    def _build_reference(self, rng: RandomSource) -> Tuple[Graph, Dict[str, Any]]:
-        config = self.config
-        n, m = config.number_of_nodes, config.stubs
-        cutoff = config.effective_cutoff()
-        max_hops = config.max_hops_per_stub
-
-        graph = Graph.complete(min(m + 1, n))
-        total_hops = 0
-        fallback_attachments = 0
-        unfilled_stubs = 0
-
-        for new_node in range(graph.number_of_nodes, n):
-            graph.add_node(new_node)
-            filled = 0
-
-            # Step 1 (paper lines 3-7): one attempt at a uniformly random
-            # existing node with the PA acceptance test.
-            candidate = rng.randint(0, new_node - 1)
-            if self._accepts(graph, new_node, candidate, cutoff, rng):
-                graph.add_edge(new_node, candidate)
-                filled += 1
-                current = candidate
-            else:
-                current = candidate
-
-            # Step 2 (paper lines 8-15): hop along existing links, attempting
-            # to attach at every visited node, until all stubs are filled.
-            hops_for_node = 0
-            while filled < m:
-                next_node = graph.random_neighbor(current, rng)
-                if next_node is None:
-                    # Isolated landing spot (possible only in degenerate tiny
-                    # graphs): restart from a random existing node.
-                    next_node = rng.randint(0, new_node - 1)
-                current = next_node
-                hops_for_node += 1
-                total_hops += 1
-                if current != new_node and self._accepts(
-                    graph, new_node, current, cutoff, rng
-                ):
-                    graph.add_edge(new_node, current)
-                    filled += 1
-                    hops_for_node = 0
-                    continue
-                if hops_for_node >= max_hops:
-                    placed = self._fallback_attach(graph, new_node, cutoff, rng)
-                    if placed:
-                        fallback_attachments += 1
-                        filled += 1
-                    else:
-                        unfilled_stubs += m - filled
-                        break
-                    hops_for_node = 0
-
-        metadata = {
-            "total_hops": total_hops,
-            "fallback_attachments": fallback_attachments,
-            "unfilled_stubs": unfilled_stubs,
-        }
-        return graph, metadata
-
-    # ------------------------------------------------------------------ #
-    # Helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _accepts(
-        graph: Graph, new_node: int, candidate: int, cutoff: int, rng: RandomSource
-    ) -> bool:
-        """The PA acceptance test of Algorithm 3 (lines 4 and 11)."""
-        if candidate == new_node or graph.has_edge(new_node, candidate):
-            return False
-        degree = graph.degree(candidate)
-        if degree >= cutoff or degree == 0:
-            return False
-        total_degree = graph.total_degree
-        if total_degree == 0:
-            return False
-        return rng.random() < degree / total_degree
-
-    @staticmethod
-    def _fallback_attach(
-        graph: Graph, new_node: int, cutoff: int, rng: RandomSource
-    ) -> bool:
-        """Attach to a uniformly chosen eligible node (termination guarantee)."""
-        neighbor_set = graph.neighbor_set(new_node)
-        eligible = [
-            node
-            for node in graph.nodes()
-            if node != new_node
-            and node not in neighbor_set
-            and graph.degree(node) < cutoff
-        ]
-        if not eligible:
-            return False
-        graph.add_edge(new_node, rng.choice(eligible))
-        return True
 
 
 def generate_hapa(

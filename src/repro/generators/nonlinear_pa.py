@@ -113,7 +113,7 @@ class NonlinearPreferentialAttachmentGenerator(TopologyGenerator):
         }
 
     def _build(self, rng: RandomSource) -> Tuple[Graph, Dict[str, Any]]:
-        if kernel_ready(rng, "generation"):
+        if kernel_ready("generation"):
             from repro.kernels.generators import nlpa_build
 
             graph, metadata = nlpa_build(self.config, self.exponent_alpha, rng)

@@ -135,14 +135,14 @@ class PreferentialAttachmentGenerator(TopologyGenerator):
 
     def _build(self, rng: RandomSource) -> Tuple[Graph, Dict[str, Any]]:
         if self.strategy == "roulette":
-            if kernel_ready(rng, "generation"):
+            if kernel_ready("generation"):
                 from repro.kernels.generators import pa_roulette_build
 
                 graph, metadata = pa_roulette_build(self.config, rng)
             else:
                 graph, metadata = self._build_roulette(rng)
         else:
-            if kernel_ready(rng, "generation"):
+            if kernel_ready("generation"):
                 from repro.kernels.generators import pa_attempt_build
 
                 graph, metadata = pa_attempt_build(self.config, rng)
@@ -173,24 +173,19 @@ class PreferentialAttachmentGenerator(TopologyGenerator):
         node's slots in the stub list) and the stub list itself, which
         holds each node once per unit of degree, so a uniform slot is a
         degree-proportional node.  "Already linked" is a scan of the
-        joining node's at most ``m`` chosen peers.  Every slot draw is
-        ``rng.randint(0, size - 1)``; a plain source draws through the
-        twister's ``_randbelow``, the function that call reaches, so every
-        source sees the same draws.  The edges go, in attachment order, to
-        :meth:`Graph.from_edge_array`, which builds only the CSR snapshot
-        the search reads.
+        joining node's at most ``m`` chosen peers.  Every slot draw is the
+        twister's ``_randbelow(size)``, which is what
+        ``rng.randint(0, size - 1)`` calls, so the draws are those of the
+        loop written with ``rng.randint``.  The edges go, in attachment
+        order, to :meth:`Graph.from_edge_array`, which builds only the CSR
+        snapshot the search reads.
         """
         config = self.config
         n, m = config.number_of_nodes, config.stubs
         cutoff = config.effective_cutoff()
         # Read at call time, so patching the module constant takes effect.
         max_rejections = _MAX_REJECTIONS_PER_STUB
-        stream = raw_stream(rng)
-        if stream is not None:
-            draw = stream._randbelow
-        else:
-            def draw(size: int) -> int:
-                return rng.randint(0, size - 1)
+        draw = raw_stream(rng)._randbelow
 
         seed_size = min(m + 1, n)
         # Graph.complete's add order, which fixes the seed's neighbor order.

@@ -1,13 +1,12 @@
 """JIT kernel tier: compiled search and generation kernels over CSR arrays.
 
-The compiled execution tier below the Python reference loops:
+The compiled execution tier below the Python loops:
 :mod:`repro.kernels.search` JIT-compiles the NF/PF/RW query loops over the
 CSR ``indptr``/``indices`` arrays,
 :mod:`repro.kernels.generators` the PA (both strategies) / nonlinear-PA /
 HAPA / DAPA growth loops and CM stub matching over preallocated
-degree/stub arrays, :mod:`repro.kernels.substrate` the GRN cell-grid sweep
-and ER skip loop, and :mod:`repro.kernels.simulation` the protocol's
-batched Gnutella queries — all while consuming the *exact* CPython
+degree/stub arrays, and :mod:`repro.kernels.substrate` the GRN cell-grid
+sweep and ER skip loop — all while consuming the *exact* CPython
 Mersenne-Twister draw sequence (:mod:`repro.kernels.mt19937`), so results
 — graphs, curves, and RNG stream positions — are bit-for-bit identical to
 the Python implementations.  :mod:`repro.kernels.dispatch` owns tier

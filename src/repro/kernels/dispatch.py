@@ -3,8 +3,8 @@
 Three modes:
 
 ``python``
-    The reference implementations (the search classes' own loops) — always
-    available, the default consumer of every draw.
+    The algorithms' own Python loops, one per algorithm — always
+    available.
 ``jit``
     The compiled kernel tier of :mod:`repro.kernels.search`.  With numba
     installed the kernels run JIT-compiled; without it they run
@@ -24,9 +24,8 @@ cached for the process, so ``repro --help`` never pays for a numba import.
 The ambient mode is installed with :func:`use_kernels` — the CLI's
 ``--kernels`` flag and the engine's per-task capture both go through it —
 and consulted through one gate, :func:`kernel_ready`, by the search
-classes (``layer="search"``), the topology generators and substrate
-builders (``"generation"``), and the protocol's batched query path
-(``"simulation"``).
+classes (``layer="search"``) and the topology generators and substrate
+builders (``"generation"``).
 """
 
 from __future__ import annotations
@@ -129,12 +128,13 @@ def numba_available() -> bool:
 
 
 def _parity_self_check() -> "tuple[bool, str]":
-    """Verify the kernel stack against the reference, end to end.
+    """Verify the kernel stack against the python tier, end to end.
 
     Checks (1) MT19937 stream parity with :class:`random.Random` for a few
-    seeds, and (2) that each stochastic kernel reproduces its reference
-    algorithm — curves, visited set, ``found_at``, and final stream
-    position — on a probe graph.  Runs the *installed* kernel functions
+    seeds, and (2) that each stochastic kernel reproduces its algorithm's
+    python loop — curves, visited set, ``found_at``, and final stream
+    position — on a probe graph (the mutable one, so ``run`` never reaches
+    the kernel gate).  Runs the *installed* kernel functions
     (compiled under numba, interpreted otherwise), so a miscompilation is
     caught here and demotes the tier to ``python``.
     """
@@ -143,6 +143,9 @@ def _parity_self_check() -> "tuple[bool, str]":
     from repro.core.graph import Graph
     from repro.kernels import mt19937 as mt
     from repro.kernels import search as kernels
+    from repro.search.normalized_flooding import NormalizedFloodingSearch
+    from repro.search.probabilistic_flooding import ProbabilisticFloodingSearch
+    from repro.search.random_walk import RandomWalkSearch
 
     for seed in (0, 20070611, 2**40 + 123):
         state = mt.mt_state_from_seed(seed)
@@ -165,17 +168,17 @@ def _parity_self_check() -> "tuple[bool, str]":
     )
     frozen = graph.freeze()
     probes = (
-        ("nf", lambda g, rng: _reference_nf(g, rng),
+        ("nf", lambda rng: NormalizedFloodingSearch(k_min=2).run(graph, 0, 5, rng, 7),
          lambda rng: kernels.nf_query(frozen, 0, 5, rng, 2, False, 7)),
-        ("pf", lambda g, rng: _reference_pf(g, rng),
+        ("pf", lambda rng: ProbabilisticFloodingSearch(0.6).run(graph, 0, 5, rng, 7),
          lambda rng: kernels.pf_query(frozen, 0, 5, rng, 0.6, False, 7)),
-        ("rw", lambda g, rng: _reference_rw(g, rng),
+        ("rw", lambda rng: RandomWalkSearch(walkers=2).run(graph, 0, 8, rng, 7),
          lambda rng: kernels.rw_query(frozen, 0, 8, rng, 2, False, False, 7)),
     )
-    for name, run_reference, run_kernel in probes:
+    for name, run_python, run_kernel in probes:
         rng_ref = RandomSource(seed=97)
         rng_kernel = RandomSource(seed=97)
-        result = run_reference(graph, rng_ref)
+        result = run_python(rng_ref)
         hits, messages, visited, found_at = run_kernel(rng_kernel)
         if (
             hits != result.hits_per_ttl
@@ -189,10 +192,7 @@ def _parity_self_check() -> "tuple[bool, str]":
     passed, reason = _generation_parity_check()
     if not passed:
         return passed, reason
-    passed, reason = _substrate_parity_check()
-    if not passed:
-        return passed, reason
-    return _simulation_parity_check()
+    return _substrate_parity_check()
 
 
 def _graphs_identical(reference, subject) -> bool:
@@ -212,12 +212,12 @@ def _generation_parity_check() -> "tuple[bool, str]":
     """The generation probe: every generator kernel family (PA growth in
     both the roulette and paper-literal attempt strategies, nonlinear PA,
     CM stub matching, HAPA hop-and-attempt, DAPA discovery) must reproduce
-    its reference builder — edges, neighbor order, metadata counters, and
-    final stream position — on small topologies.
+    its python loop — edges, neighbor order, metadata counters, and final
+    stream position — on small topologies.
 
     Runs the *installed* kernel functions, like the search probes; a
     miscompiled or drifted generator kernel demotes ``auto`` to ``python``
-    for the whole process.  The reference side goes through the
+    for the whole process.  The python side goes through the
     dispatch-free ``_build_*``/``_grow_overlay``/``_stub_matching`` bodies
     (calling the dispatching ``_build`` here would recurse into this very
     check).
@@ -255,7 +255,7 @@ def _generation_parity_check() -> "tuple[bool, str]":
     hapa = HAPAGenerator(40, stubs=2, hard_cutoff=5)
     rng_ref = RandomSource(seed=37)
     rng_kernel = RandomSource(seed=37)
-    graph_ref, meta_ref = hapa._build_reference(rng_ref)
+    graph_ref, meta_ref = hapa._build_fast(raw_stream(rng_ref), rng_ref)
     graph_kernel, meta_kernel = generator_kernels.hapa_build(
         hapa.config, rng_kernel
     )
@@ -373,66 +373,6 @@ def _substrate_parity_check() -> "tuple[bool, str]":
     return True, ""
 
 
-def _simulation_parity_check() -> "tuple[bool, str]":
-    """The batched-query probe: for each forwarding policy the compiled
-    batch kernel must reproduce the pure-Python batch reference — per-query
-    counters, first-hit hops, provider lists, and final stream position —
-    on a probe overlay with multiple sources and providers.
-    """
-    import numpy as np
-
-    from repro.core.graph import Graph
-    from repro.kernels.simulation import gnutella_query_batch
-    from repro.simulation.protocol import batch_query_reference
-
-    graph = Graph.from_edges(
-        12,
-        [
-            (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 6), (2, 7),
-            (3, 8), (4, 9), (5, 10), (6, 7), (8, 9), (10, 11), (1, 3), (2, 4),
-        ],
-    )
-    frozen = graph.freeze()
-    provider_mask = np.zeros(12, dtype=np.bool_)
-    provider_mask[7] = True
-    provider_mask[11] = True
-    sources = [0, 4, 11]
-    for policy in ("fl", "nf", "rw"):
-        rng_ref = RandomSource(seed=83)
-        rng_kernel = RandomSource(seed=83)
-        expected = batch_query_reference(
-            frozen, sources, 4, policy, 2, 2, provider_mask, rng_ref
-        )
-        actual = gnutella_query_batch(
-            frozen, sources, 4, policy, 2, 2, provider_mask, rng_kernel
-        )
-        if expected != actual:
-            return False, f"{policy} batch query kernel diverged from the reference"
-        if rng_ref.random() != rng_kernel.random():
-            return False, (
-                f"{policy} batch query kernel left the stream at a different position"
-            )
-    return True, ""
-
-
-def _reference_nf(graph, rng):
-    from repro.search.normalized_flooding import NormalizedFloodingSearch
-
-    return NormalizedFloodingSearch(k_min=2)._run_reference(graph, 0, 5, rng, 2, 7)
-
-
-def _reference_pf(graph, rng):
-    from repro.search.probabilistic_flooding import ProbabilisticFloodingSearch
-
-    return ProbabilisticFloodingSearch(0.6).run(graph, 0, 5, rng=rng, target=7)
-
-
-def _reference_rw(graph, rng):
-    from repro.search.random_walk import RandomWalkSearch
-
-    return RandomWalkSearch(walkers=2)._run_reference(graph, 0, 8, rng, 7)
-
-
 def kernel_self_check() -> bool:
     """Return (and cache) the parity self-check verdict for this process.
 
@@ -547,24 +487,16 @@ def resolve_kernels(mode: Optional[str] = None) -> str:
     return "python"
 
 
-def kernel_ready(
-    rng: object, layer: Literal["search", "generation", "simulation"]
-) -> bool:
-    """Should ``layer``'s work with this RNG go to the kernel tier?
+def kernel_ready(layer: Literal["search", "generation"]) -> bool:
+    """Should ``layer``'s work go to the kernel tier?
 
-    ``layer`` is the caller's family — ``search`` (CSR stochastic queries),
-    ``generation`` (topology and substrate builds) or ``simulation``
-    (batched protocol queries) — and names the ``kernels.<layer>.<tier>``
-    counter the decision is recorded under.  Requires the resolved tier to
-    be ``jit`` and ``rng`` to be a plain
-    :class:`~repro.core.rng.RandomSource` (the
-    :func:`~repro.core.rng.raw_stream` test): subclasses (e.g. counting or
-    instrumented sources) keep the reference path, because the kernels
-    consume the Mersenne-Twister stream directly and would bypass any
-    overridden draw methods.
+    ``layer`` is the caller's family — ``search`` (CSR stochastic queries)
+    or ``generation`` (topology and substrate builds) — and names the
+    ``kernels.<layer>.<tier>`` counter the decision is recorded under.
+    True exactly when the resolved tier is ``jit``, whatever the source:
+    the kernels splice the state of its twister
+    (:func:`~repro.core.rng.raw_stream`), past any overridden draw method.
     """
-    if raw_stream(rng) is None:
-        return False
     ready = resolve_kernels() == "jit"
     telemetry = active_telemetry()
     if telemetry.enabled:

@@ -458,7 +458,8 @@ def nlpa_build(
 @maybe_njit
 def _hapa_accepts(state, degrees, chosen, chosen_count, new_node, candidate,
                   cutoff, total_degree):
-    """``HAPAGenerator._accepts``: draw the coin only when pre-checks pass."""
+    """HAPA's acceptance test (Algorithm 3, lines 4 and 11): draw the coin
+    only when the pre-checks pass."""
     if candidate == new_node or _contains(chosen, chosen_count, candidate):
         return False
     degree = degrees[candidate]

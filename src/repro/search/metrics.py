@@ -201,7 +201,7 @@ def search_curve(
                 ProbabilisticFloodingSearch,
                 RandomWalkSearch,
             )
-            and kernel_ready(query_rng, "search")
+            and kernel_ready("search")
         ):
             # Batched kernel-tier fast path (throughput mode): the whole query
             # batch runs back-to-back inside one compiled call, consuming
@@ -335,11 +335,7 @@ def normalized_walk_curve(
         rw_rng = random_source.spawn("rw")
         if attrs is not None:
             attrs["queries"] = len(sources)
-        if (
-            isinstance(graph, CSRGraph)
-            and kernel_ready(nf_rng, "search")
-            and kernel_ready(rw_rng, "search")
-        ):
+        if isinstance(graph, CSRGraph) and kernel_ready("search"):
             # Batched kernel-tier fast path: all NF budget measurements run in
             # one compiled call on ``nf_rng``, then all (per-query-budgeted)
             # walks in one call on ``rw_rng``.  Each stream is consumed in the

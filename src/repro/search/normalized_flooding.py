@@ -21,8 +21,7 @@ match that choice.
 
 from __future__ import annotations
 
-import random  # repro-lint: disable=RPL103(annotation only: the inlined-draw path draws from raw_stream(rng), the twister inside a plain RandomSource)
-from collections import deque
+import random  # repro-lint: disable=RPL103(annotation only: the loop draws from raw_stream(rng), the twister inside the RandomSource)
 from math import ceil, log
 from typing import List, Optional
 
@@ -82,7 +81,7 @@ class NormalizedFloodingSearch(SearchAlgorithm):
         if branching is None:
             branching = max(1, graph.min_degree())
 
-        if isinstance(graph, CSRGraph) and kernel_ready(random_source, "search"):
+        if isinstance(graph, CSRGraph) and kernel_ready("search"):
             # Kernel tier: same draws, same results, stream spliced back.
             from repro.kernels.search import nf_query
 
@@ -100,10 +99,9 @@ class NormalizedFloodingSearch(SearchAlgorithm):
                 target=target,
                 found_at=found_at,
             )
-        stream = raw_stream(random_source)
-        if stream is not None:
-            return self._run_fast(stream, graph, source, ttl, branching, target)
-        return self._run_reference(graph, source, ttl, random_source, branching, target)
+        return self._run_fast(
+            raw_stream(random_source), graph, source, ttl, branching, target
+        )
 
     def _run_fast(
         self,
@@ -114,16 +112,25 @@ class NormalizedFloodingSearch(SearchAlgorithm):
         branching: int,
         target: Optional[NodeId],
     ) -> QueryResult:
-        """:meth:`_run_reference` with its draws inlined (plain sources only).
+        """NF's hop-by-hop forwarding with its draws inlined.
 
-        Consumes exactly the reference's draws from ``stream``, the Mersenne
-        Twister underneath a plain :class:`~repro.core.rng.RandomSource`:
-        each ``rng.sample(candidates, branching)`` becomes CPython's
+        Each hop, every frontier node forwards to all of its candidates
+        (its neighbors minus the previous hop) when it has at most
+        ``branching`` of them, and to ``branching`` random candidates
+        otherwise; a node joins the next frontier on its first visit only.
+        The candidate order is the defined neighbor order shared by both
+        graph representations, so a seeded query draws identically on a
+        mutable and a frozen graph.
+
+        Draws come from ``stream``, the Mersenne Twister underneath the
+        :class:`~repro.core.rng.RandomSource`: each random pick is CPython's
         ``random.sample`` over a copy of the candidate list (pool swap when
         the population fits ``setsize``, index rejection against a set
         otherwise), with ``_randbelow`` inlined as its ``getrandbits``
-        rejection loop.  The graph is simple, so dropping the previous hop
-        removes exactly one row entry.
+        rejection loop, so the draws are those of the same loop written
+        with ``rng.sample`` (the test oracle ``tests/oracles/nf.py``).  The
+        graph is simple, so dropping the previous hop removes exactly one
+        row entry.
         """
         neighbors_of = graph.iter_neighbors
         getrandbits = stream.getrandbits
@@ -194,8 +201,9 @@ class NormalizedFloodingSearch(SearchAlgorithm):
             messages_per_ttl.append(messages)
             if observe is not None:
                 observe("search.frontier", len(frontier))
-            # The reference records one more (empty) frontier when hop 1
-            # reaches no new peer, so it stops no earlier than hop 2.
+            # An empty frontier ends the query from hop 2 on: when hop 1
+            # reaches no new peer, hop 2 still records its (empty) frontier
+            # in the histogram, as the test oracle does.
             if not frontier and hop > 1:
                 break
         padding = ttl + 1 - len(hits_per_ttl)
@@ -212,130 +220,6 @@ class NormalizedFloodingSearch(SearchAlgorithm):
             target=target,
             found_at=found_at,
         )
-
-    def _run_reference(
-        self,
-        graph: GraphLike,
-        source: NodeId,
-        ttl: int,
-        random_source: RandomSource,
-        branching: int,
-        target: Optional[NodeId],
-    ) -> QueryResult:
-        """The reference loop: every draw goes through ``random_source``.
-
-        Subclassed sources (counting or instrumented) take this path, and
-        the kernel self-check and the fast-loop tests compare against it.
-        """
-        base_hits = 1 if self.count_source_as_hit else 0
-        hits_per_ttl: List[int] = [base_hits]
-        messages_per_ttl: List[int] = [0]
-
-        # A node joins a frontier only on its first visit, so each node
-        # forwards the query at most once.
-        visited = {source}
-        frontier: deque = deque()
-        found_at: Optional[int] = 0 if target == source else None
-
-        cumulative_hits = base_hits
-        cumulative_messages = 0
-        telemetry = active_telemetry()
-
-        # Hop 1: the source sends to `branching` random neighbors (or all of
-        # them when it has fewer than `branching`).
-        if ttl >= 1:
-            recipients = self._select_recipients(
-                graph, source, previous=None, branching=branching, rng=random_source
-            )
-            for neighbor in recipients:
-                cumulative_messages += 1
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    cumulative_hits += 1
-                    if target is not None and neighbor == target and found_at is None:
-                        found_at = 1
-                    frontier.append((neighbor, source))
-            hits_per_ttl.append(cumulative_hits)
-            messages_per_ttl.append(cumulative_messages)
-            if telemetry.enabled:
-                telemetry.observe("search.frontier", len(frontier))
-
-        for hop in range(2, ttl + 1):
-            next_frontier: deque = deque()
-            while frontier:
-                node, previous = frontier.popleft()
-                recipients = self._select_recipients(
-                    graph, node, previous=previous, branching=branching, rng=random_source
-                )
-                for neighbor in recipients:
-                    cumulative_messages += 1
-                    if neighbor in visited:
-                        continue
-                    visited.add(neighbor)
-                    cumulative_hits += 1
-                    if target is not None and neighbor == target and found_at is None:
-                        found_at = hop
-                    next_frontier.append((neighbor, node))
-            frontier = next_frontier
-            hits_per_ttl.append(cumulative_hits)
-            messages_per_ttl.append(cumulative_messages)
-            if telemetry.enabled:
-                telemetry.observe("search.frontier", len(frontier))
-            if not frontier:
-                for _ in range(hop + 1, ttl + 1):
-                    hits_per_ttl.append(cumulative_hits)
-                    messages_per_ttl.append(cumulative_messages)
-                break
-
-        # Pad if ttl == 0 requested larger arrays than hops produced.
-        while len(hits_per_ttl) < ttl + 1:
-            hits_per_ttl.append(cumulative_hits)
-            messages_per_ttl.append(cumulative_messages)
-
-        return QueryResult(
-            algorithm=self.algorithm_name,
-            source=source,
-            ttl=ttl,
-            hits_per_ttl=hits_per_ttl,
-            messages_per_ttl=messages_per_ttl,
-            visited=visited,
-            target=target,
-            found_at=found_at,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Forwarding rule
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _select_recipients(
-        graph: Graph,
-        node: NodeId,
-        previous: Optional[NodeId],
-        branching: int,
-        rng: RandomSource,
-    ) -> List[NodeId]:
-        """Apply the NF forwarding rule at ``node``.
-
-        Degree-``k_min`` nodes (and any node with no more than ``branching``
-        candidates after excluding the previous hop) forward to every
-        candidate; higher-degree nodes forward to ``branching`` random
-        candidates.
-
-        The candidate order is the defined neighbor order shared by both
-        graph representations (:meth:`~repro.core.graph.Graph.iter_neighbors`), so
-        ``rng.sample`` draws identically on a mutable and a frozen graph.
-        The source (``previous is None``) forwards over the shared internal
-        list without copying; every other node must build the
-        previous-excluded candidate list anyway.
-        """
-        neighbors = graph.iter_neighbors(node)
-        if previous is None:
-            candidates = neighbors
-        else:
-            candidates = [neighbor for neighbor in neighbors if neighbor != previous]
-        if len(candidates) <= branching:
-            return candidates
-        return rng.sample(candidates, branching)
 
 
 def normalized_flood(

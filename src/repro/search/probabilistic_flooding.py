@@ -70,7 +70,7 @@ class ProbabilisticFloodingSearch(SearchAlgorithm):
         self._validate(graph, source, ttl)
         random_source = self._resolve_rng(rng)
 
-        if isinstance(graph, CSRGraph) and kernel_ready(random_source, "search"):
+        if isinstance(graph, CSRGraph) and kernel_ready("search"):
             # Kernel tier: same coins in the same neighbor order.
             from repro.kernels.search import pf_query
 
@@ -88,11 +88,7 @@ class ProbabilisticFloodingSearch(SearchAlgorithm):
                 target=target,
                 found_at=found_at,
             )
-        # A plain source's coins come straight from its twister; a subclass
-        # (counting or instrumented) keeps its own ``random``, so it still
-        # sees every coin.
-        stream = raw_stream(random_source)
-        coin = stream.random if stream is not None else random_source.random
+        coin = raw_stream(random_source).random
         neighbors_of = graph.iter_neighbors
         probability = self.forward_probability
         toss = probability < 1.0

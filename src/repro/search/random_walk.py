@@ -27,7 +27,7 @@ many walkers per vectorized step.
 
 from __future__ import annotations
 
-import random  # repro-lint: disable=RPL103(annotation only: the inlined-draw path draws from raw_stream(rng), the twister inside a plain RandomSource)
+import random  # repro-lint: disable=RPL103(annotation only: the single-walker loop draws from raw_stream(rng), the twister inside the RandomSource)
 from typing import List, Optional
 
 from repro.core.csr import CSRGraph, GraphLike
@@ -86,7 +86,7 @@ class RandomWalkSearch(SearchAlgorithm):
         self._validate(graph, source, ttl)
         random_source = self._resolve_rng(rng)
 
-        if isinstance(graph, CSRGraph) and kernel_ready(random_source, "search"):
+        if isinstance(graph, CSRGraph) and kernel_ready("search"):
             # Kernel tier: one _randbelow per step, walker-index order.
             from repro.kernels.search import rw_query
 
@@ -104,10 +104,9 @@ class RandomWalkSearch(SearchAlgorithm):
                 target=target,
                 found_at=found_at,
             )
-        stream = raw_stream(random_source)
-        if stream is not None and self.walkers == 1:
-            return self._run_fast(stream, graph, source, ttl, target)
-        return self._run_reference(graph, source, ttl, random_source, target)
+        if self.walkers == 1:
+            return self._run_fast(raw_stream(random_source), graph, source, ttl, target)
+        return self._run_walkers(graph, source, ttl, random_source, target)
 
     def _run_fast(
         self,
@@ -117,12 +116,13 @@ class RandomWalkSearch(SearchAlgorithm):
         ttl: int,
         target: Optional[NodeId],
     ) -> QueryResult:
-        """:meth:`_run_reference` for one walker, the paper's RW, with its
-        draws inlined (plain sources only).
+        """:meth:`_run_walkers` for one walker, the paper's RW, with its
+        draws inlined.
 
         Each step's ``rng.randint(0, count - 1)`` becomes CPython's
         ``_randbelow(count)`` rejection loop over a bound ``getrandbits``
-        (which draws even for ``count == 1``).  The graph is simple and
+        (which draws even for ``count == 1``) of ``stream``, the Mersenne
+        Twister underneath the source.  The graph is simple and
         symmetric, so the previous hop sits exactly once in the current
         row.  The walk sends one message per hop until it gets stuck.
         """
@@ -177,7 +177,7 @@ class RandomWalkSearch(SearchAlgorithm):
             found_at=found_at,
         )
 
-    def _run_reference(
+    def _run_walkers(
         self,
         graph: GraphLike,
         source: NodeId,
@@ -185,11 +185,11 @@ class RandomWalkSearch(SearchAlgorithm):
         random_source: RandomSource,
         target: Optional[NodeId],
     ) -> QueryResult:
-        """The reference loop: every draw goes through ``random_source``.
+        """Any number of walkers, stepping in walker-index order each hop.
 
-        Subclassed sources (counting or instrumented) and ``walkers > 1``
-        take this path, and the kernel self-check and the fast-loop tests
-        compare against it.
+        Every step draws through ``random_source.randint``.  ``walkers > 1``
+        takes this loop; at one walker it is the test oracle of
+        :meth:`_run_fast`.
         """
         base_hits = 1 if self.count_source_as_hit else 0
         visited = {source}

@@ -29,10 +29,8 @@ event heap: deliveries are processed in send order over the snapshot's CSR
 neighbor tables), and ``first_hit_time`` reports the hop count of the first
 provider delivery rather than a latency timestamp.  The batch is therefore
 *not* draw-for-draw comparable to the event-driven :meth:`~GnutellaProtocol.query`
-(whose every ``send`` draws a latency sample), but it is byte-identical
-between its own two tiers — the pure-Python
-:func:`batch_query_reference` below and the compiled kernel in
-:mod:`repro.kernels.simulation` — and it leaves per-peer counters untouched.
+(whose every ``send`` draws a latency sample), and it leaves per-peer
+counters untouched.
 The overlay must stay static for the duration of the batch.
 """
 
@@ -136,10 +134,9 @@ def batch_query_reference(
 ) -> Tuple[List[int], List[int], List[int], List[int], List[List[int]]]:
     """Pure-Python batched queries over a frozen overlay's CSR rows.
 
-    This is the reference body for the compiled kernel in
-    :mod:`repro.kernels.simulation`: same FIFO delivery order, same draws,
-    same results.  Everything is in *row* space — ``source_rows`` and the
-    returned provider lists index rows of ``frozen``.  Returns
+    Deliveries run in FIFO send order.  Everything is in *row* space —
+    ``source_rows`` and the returned provider lists index rows of
+    ``frozen``.  Returns
     ``(peers_reached, query_messages, hit_messages, first_hit_hop,
     providers)`` per query, with ``first_hit_hop == -1`` when no provider
     answered.
@@ -334,11 +331,8 @@ class GnutellaProtocol:
         the event-driven path).  ``first_hit_time`` on the returned stats is
         the *hop count* of the first provider delivery, not a simulation
         timestamp, and per-peer counters (``messages_forwarded``,
-        ``queries_answered``) are not updated.  When compiled kernels are
-        active the whole batch runs inside
-        :func:`repro.kernels.simulation.gnutella_query_batch` with no
-        Python per-message work; the interpreted tier produces
-        byte-identical results through :func:`batch_query_reference`.
+        ``queries_answered``) are not updated.  The batch runs in
+        :func:`batch_query_reference`.
         """
         if ttl < 1:
             raise SimulationError("ttl must be at least 1")
@@ -354,23 +348,12 @@ class GnutellaProtocol:
         for node, peer in self.network.peers.items():  # repro-lint: disable=RPL102(order-insensitive: fills a boolean mask keyed by CSR row, no draws consumed)
             if peer.has_item(keyword):
                 provider_mask[frozen._row_of(node)] = True
-        branching = self._branching()
-
-        from repro.kernels.dispatch import kernel_ready
-
-        if kernel_ready(self.rng, "simulation"):
-            from repro.kernels.simulation import gnutella_query_batch
-
-            results = gnutella_query_batch(
-                frozen, rows, ttl, active_policy, branching, self.walkers,
+        reached, query_messages, hit_messages, first_hits, providers = (
+            batch_query_reference(
+                frozen, rows, ttl, active_policy, self._branching(), self.walkers,
                 provider_mask, self.rng,
             )
-        else:
-            results = batch_query_reference(
-                frozen, rows, ttl, active_policy, branching, self.walkers,
-                provider_mask, self.rng,
-            )
-        reached, query_messages, hit_messages, first_hits, providers = results
+        )
 
         stats_list: List[QueryStats] = []
         for index, source in enumerate(sources):

@@ -31,8 +31,12 @@ __all__ = [
 
 #: Directories whose modules consume the shared Mersenne-Twister draw
 #: sequence through :class:`repro.core.rng.RandomSource` — the scope of the
-#: RPL1xx draw-order rules.
-RNG_SCOPE_PARTS = frozenset({"generators", "search", "substrate", "simulation"})
+#: RPL1xx draw-order rules.  ``oracles`` holds the test oracles
+#: (``tests/oracles/``), the draw-order reference the shipped loops are
+#: pinned to.
+RNG_SCOPE_PARTS = frozenset(
+    {"generators", "search", "substrate", "simulation", "oracles"}
+)
 
 #: Directories whose classes cross the ``ParallelExecutor`` process-pool
 #: boundary by pickle (``Task`` arguments, ``RealizationSpec``, scenario

@@ -115,7 +115,7 @@ class GeometricRandomNetwork(SubstrateNetwork):
     # Construction
     # ------------------------------------------------------------------ #
     def build(self, rng: RandomSource) -> Graph:
-        if kernel_ready(rng, "generation"):
+        if kernel_ready("generation"):
             from repro.kernels.substrate import grn_build_arrays
 
             graph, positions = grn_build_arrays(self.config, rng)

@@ -89,7 +89,7 @@ class ErdosRenyiNetwork(SubstrateNetwork):
         p = self.effective_probability()
         if p <= 0.0:
             return Graph(n)
-        if kernel_ready(rng, "generation"):
+        if kernel_ready("generation"):
             from repro.kernels.substrate import er_build
 
             return er_build(n, p, rng)

@@ -1,13 +1,14 @@
-"""DAPA's python-tier build with its deque horizon BFS and the dict GRN sweep.
+"""DAPA's python-tier build with its deque horizon BFS, the dict GRN sweep
+and the reference attach step.
 
 This is ``DAPAGenerator``'s python tier as it ran before its two draw-free
-phases were rewritten: the substrate comes from the dict cell sweep
-(:mod:`oracles.grn`), and every joining node discovers its horizon with a
-``deque`` BFS over ``Graph.iter_neighbors``, with peer membership in a set
-and overlay degrees read from the overlay graph.  The draws are untouched:
-the seed sample, the join picks and the attach step (which still forks on
-:func:`~repro.core.rng.raw_stream` between the generator's two attach
-methods) are the generator's own.
+phases were rewritten and its inlined-draw attach step became the only
+one: the substrate comes from the dict cell sweep (:mod:`oracles.grn`),
+every joining node discovers its horizon with a ``deque`` BFS over
+``Graph.iter_neighbors``, with peer membership in a set and overlay
+degrees read from the overlay graph, and :func:`attach_preferentially`
+(``DAPAGenerator._attach_preferentially``) makes every draw through the
+``RandomSource`` methods, so a counting source sees all of them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from oracles.grn import build_grn
 from repro.core.config import GRNConfig, MeshConfig
 from repro.core.errors import ConfigurationError, GenerationError
 from repro.core.graph import Graph
-from repro.core.rng import RandomSource, raw_stream
+from repro.core.rng import RandomSource
+from repro.generators import dapa as dapa_module
 from repro.generators.dapa import DAPAGenerator
 from repro.substrate.grn import GeometricRandomNetwork
 from repro.substrate.mesh import MeshNetwork
@@ -65,7 +67,6 @@ def grow_overlay(
     generator: DAPAGenerator, substrate: Graph, rng: RandomSource
 ) -> Tuple[Graph, Dict[str, Any]]:
     config = generator.config
-    stream = raw_stream(rng)
     cutoff = config.effective_cutoff()
     m = config.stubs
     target_peers = config.overlay_size
@@ -113,13 +114,8 @@ def grow_overlay(
             short_horizons += 1
             for peer in horizon:
                 overlay.add_edge(node, peer)
-        elif stream is None:
-            generator._attach_preferentially(overlay, node, horizon, m, cutoff, rng)
         else:
-            degrees = [overlay.degree(peer) for peer in horizon]
-            generator._attach_preferentially_fast(
-                overlay, node, horizon, degrees, m, cutoff, rng, stream
-            )
+            attach_preferentially(overlay, node, horizon, m, cutoff, rng)
         peers.add(node)
         attempts_without_progress = 0
 
@@ -168,3 +164,54 @@ def discover_horizon(
                 if overlay.degree(neighbor) < cutoff:
                     horizon.append(neighbor)
     return horizon
+
+
+def attach_preferentially(
+    overlay: Graph,
+    node: int,
+    horizon: List[int],
+    stubs: int,
+    cutoff: int,
+    rng: RandomSource,
+) -> None:
+    """Connect ``node`` to ``stubs`` horizon peers with probability ∝ degree.
+
+    Follows the accept/reject loop of Algorithm 4 (lines 18-29): a random
+    horizon peer is accepted with probability ``k_peer / k_horizon``
+    where ``k_horizon`` is the total degree of the peers in the horizon
+    ("their degrees divided by the total degrees of the peers in its
+    horizon").  Degenerate horizons (all degrees zero) fall back to a
+    uniform choice.
+    """
+    chosen: Set[int] = set()
+    attempts = 0
+    horizon_total_degree = sum(overlay.degree(peer) for peer in horizon)
+    # Read at call time, so patching the module constant takes effect.
+    max_attempts = dapa_module._MAX_ATTEMPTS_PER_STUB
+    while len(chosen) < stubs and len(chosen) < len(horizon):
+        if attempts >= max_attempts or horizon_total_degree == 0:
+            # Weighted (or uniform) draw over the remaining eligible peers
+            # to guarantee termination.
+            remaining = [
+                peer
+                for peer in horizon
+                if peer not in chosen and overlay.degree(peer) < cutoff
+            ]
+            if not remaining:
+                break
+            weights = [max(overlay.degree(peer), 1) for peer in remaining]
+            peer = remaining[rng.weighted_index(weights)]
+            overlay.add_edge(node, peer)
+            chosen.add(peer)
+            attempts = 0
+            continue
+        attempts += 1
+        peer = horizon[rng.randint(0, len(horizon) - 1)]
+        if peer in chosen or overlay.has_edge(node, peer):
+            continue
+        degree = overlay.degree(peer)
+        if degree >= cutoff:
+            continue
+        if rng.random() < degree / horizon_total_degree:
+            overlay.add_edge(node, peer)
+            chosen.add(peer)

@@ -18,9 +18,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
+from oracles import nf as nf_oracle
+from oracles import pf as pf_oracle
 from repro.kernels.dispatch import use_kernels
 from repro.core.csr import CSRGraph
 from repro.core.graph import Graph
@@ -217,6 +220,11 @@ class TestDrawCountRegression:
     the test asserts the frozen snapshot draws *exactly* as often, and that
     the totals never drift for either representation.  If an intentional algorithm
     change alters them, update the pinned numbers in the same commit.
+
+    NF's and PF's loops draw from the twister directly, so a counting
+    source counts their oracles; RW's multi-walker loop still draws through
+    ``rng.randint`` and is counted itself.  The shipped loop, on every
+    tier, must then leave a plain source where the counted loop left it.
     """
 
     PINNED = {
@@ -225,23 +233,28 @@ class TestDrawCountRegression:
         "rw": {"randint": 24},
     }
 
+    #: The loop the counting source counts, as ``loop(graph, source, ttl,
+    #: rng, target)``.
+    COUNTED = {
+        "nf": lambda algorithm: partial(nf_oracle.run_nf, algorithm),
+        "pf": lambda algorithm: partial(pf_oracle.run_pf, algorithm),
+        "rw": lambda algorithm: algorithm._run_walkers,
+    }
+
     @pytest.mark.parametrize("kernels", KERNEL_TIERS)
     @pytest.mark.parametrize("algorithm_name", sorted(PINNED))
     def test_exact_draw_counts(self, graphs, algorithm_name, kernels):
-        # A _CountingSource is a RandomSource *subclass*, so the kernel
-        # tier's dispatch must refuse it (the kernels would consume the MT
-        # stream underneath the counting methods) — the pinned counts hold
-        # under every tier because instrumented sources keep the
-        # reference path.
         graph = graphs["pa"]
         frozen = graph.freeze()
         algorithm = ALGORITHMS[algorithm_name]()
-        rng_adj, rng_csr = _CountingSource(7), _CountingSource(7)
-        algorithm.run(graph, 5, 8, rng=rng_adj)
-        with use_kernels(kernels):
-            algorithm.run(frozen, 5, 8, rng=rng_csr)
-        assert dict(rng_adj.calls) == self.PINNED[algorithm_name]
-        assert dict(rng_csr.calls) == self.PINNED[algorithm_name]
+        counted = self.COUNTED[algorithm_name](algorithm)
+        for subject in (graph, frozen):
+            rng_counted, rng = _CountingSource(7), RandomSource(7)
+            counted(subject, 5, 8, rng_counted, None)
+            assert dict(rng_counted.calls) == self.PINNED[algorithm_name]
+            with use_kernels(kernels):
+                algorithm.run(subject, 5, 8, rng=rng)
+            assert rng.random() == rng_counted.random()
 
     def test_plain_source_stream_consumption_matches_counts(self, graphs):
         """Kernel-tier queries advance a plain RandomSource exactly as far

@@ -14,6 +14,8 @@ import pytest
 from repro.core.errors import GraphError, NodeNotFoundError
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
+from repro.generators.cm import ConfigurationModelGenerator
+from repro.generators.pa import PreferentialAttachmentGenerator
 
 
 class TestConstruction:
@@ -425,3 +427,41 @@ class TestFromEdgeArrayLazyViews:
                 _assert_reads_equal(graph, twin)
         finally:
             sys.setswitchinterval(interval)
+
+
+#: Bulk builds whose stats() must come from the snapshot alone.
+BULK_BUILDS = {
+    "pa": lambda: PreferentialAttachmentGenerator(300, stubs=2, hard_cutoff=10, seed=1)
+    .generate()
+    .graph,
+    "cm": lambda: ConfigurationModelGenerator(
+        300, exponent=2.5, min_degree=2, hard_cutoff=20, seed=1
+    )
+    .generate()
+    .graph,
+    "empty": lambda: Graph.from_edge_array(
+        0, np.array([], dtype=np.int64), np.array([], dtype=np.int64)
+    ),
+}
+
+
+class TestStatsReadTheSnapshot:
+    """stats() and the degree summaries of a bulk-built graph read the CSR
+    snapshot: they build no mutable view and equal an add_edge twin's."""
+
+    @pytest.mark.parametrize("build", sorted(BULK_BUILDS))
+    def test_stats_build_no_views(self, build):
+        graph = BULK_BUILDS[build]()
+        assert graph.has_snapshot and not _views_built(graph)
+        frozen = graph.freeze()
+        twin = Graph()
+        for node in frozen.nodes():
+            twin.add_node(node)
+        for u, v in frozen.edges():
+            twin.add_edge(u, v)
+        assert graph.stats() == twin.stats()
+        assert graph.min_degree() == twin.min_degree()
+        assert graph.max_degree() == twin.max_degree()
+        assert graph.mean_degree() == twin.mean_degree()
+        assert graph.number_of_nodes == twin.number_of_nodes
+        assert not _views_built(graph)

@@ -4,10 +4,11 @@ The GRN cell sweep (:func:`repro.substrate.grn.sweep_cells`) and DAPA's
 level-by-level horizon BFS (``DAPAGenerator._discover_horizon``) consume no
 draws, so they are draw-identical to the old loops exactly when they return
 the same ordered lists.  These properties compare them with the oracles in
-``tests/oracles/``: the dict sweep and the deque BFS.  A GRN comparison
-covers the edges, every neighbor list, the positions and the next draw; a
-DAPA comparison covers the overlay's node order, neighbor lists and
-``edges()`` order, the substrate, the metadata and the next draw.
+``tests/oracles/``: the dict sweep and the deque BFS (the DAPA oracle also
+runs the reference attach step).  A GRN comparison covers the edges, every
+neighbor list, the positions and the next draw; a DAPA comparison covers
+the sequence of twister calls, the overlay's node order, neighbor lists
+and ``edges()`` order, the substrate, the metadata and the next draw.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from draw_log import logged_source
 from oracles import dapa as dapa_oracle
 from oracles import grn as grn_oracle
 from repro.core.config import GRNConfig, MeshConfig
@@ -26,10 +28,6 @@ from repro.core.rng import RandomSource
 from repro.generators.dapa import DAPAGenerator
 from repro.kernels.dispatch import use_kernels
 from repro.substrate.grn import GeometricRandomNetwork
-
-
-class _SubclassSource(RandomSource):
-    """Overrides nothing: being a subclass keeps the reference attach step."""
 
 
 def _assert_same_graph(expected: Graph, actual: Graph) -> None:
@@ -151,12 +149,13 @@ def _dapa_generators(draw):
     return generator
 
 
-def _dapa_pair(generator, seed, source_class=RandomSource):
+def _dapa_pair(generator, seed):
     """Generate on the python tier and with the oracle; compare everything."""
-    rng_oracle, rng = source_class(seed), source_class(seed)
+    (rng_oracle, calls_oracle), (rng, calls) = logged_source(seed), logged_source(seed)
     overlay_oracle, metadata_oracle = dapa_oracle.build_dapa(generator, rng_oracle)
     with use_kernels("python"):
         result = generator.generate(rng)
+    assert calls == calls_oracle
     _assert_same_graph(overlay_oracle, result.graph)
     metadata_oracle, metadata = dict(metadata_oracle), dict(result.metadata)
     _assert_same_graph(metadata_oracle.pop("substrate_graph"), metadata.pop("substrate_graph"))
@@ -173,17 +172,15 @@ class TestDAPAHorizon:
     )
     @given(
         generator=_dapa_generators(),
-        source_class=st.sampled_from([RandomSource, _SubclassSource]),
         seed=st.integers(min_value=0, max_value=2**32),
     )
-    def test_property_matches_deque_bfs(self, generator, source_class, seed):
-        _dapa_pair(generator, seed, source_class)
+    def test_property_matches_deque_bfs(self, generator, seed):
+        _dapa_pair(generator, seed)
 
     @pytest.mark.parametrize("local_ttl", [1, 2, 4, 10])
-    @pytest.mark.parametrize("source_class", [RandomSource, _SubclassSource])
-    def test_workload_shape(self, local_ttl, source_class):
+    def test_workload_shape(self, local_ttl):
         generator = DAPAGenerator(overlay_size=420, stubs=2, hard_cutoff=10, local_ttl=local_ttl)
-        result = _dapa_pair(generator, 3, source_class)
+        result = _dapa_pair(generator, 3)
         assert result.metadata["reached_target"]
 
     @pytest.mark.parametrize("cutoff", [None, 2])

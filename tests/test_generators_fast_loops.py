@@ -1,15 +1,16 @@
-"""The python tier's inlined-draw loops against the reference loops.
+"""The python tier's inlined-draw loops against their test oracles.
 
-A plain :class:`RandomSource` builds HAPA with ``HAPAGenerator._build_fast``
+Every :class:`RandomSource` builds HAPA with ``HAPAGenerator._build_fast``
 and runs DAPA's accept/reject attach step through
 ``DAPAGenerator._attach_preferentially_fast``; both inline CPython's
-``_randbelow`` over the raw Mersenne Twister.  The contract is the
-reference's exact draw sequence, so every build here is compared with its
-reference twin: HAPA through ``_build_reference``, DAPA through a trivial
-``RandomSource`` subclass (``raw_stream`` refuses subclasses, so they keep
-the reference attach step).  Each comparison covers node order, the frozen
-CSR arrays, every neighbor list, ``edges()`` order, the metadata, and the
-next ``random()`` draw.
+``_randbelow`` over the source's Mersenne Twister.  The contract is the
+exact draw sequence of the loops written with the ``RandomSource``
+methods, so every build here is compared with its oracle
+(``tests/oracles/hapa.py``, ``tests/oracles/dapa.py``), each side drawing
+from a logged twister.  Each comparison covers the sequence of
+``getrandbits``/``random`` calls, node order, the frozen CSR arrays, every
+neighbor list, ``edges()`` order, the metadata, and the next ``random()``
+draw.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from draw_log import logged_source
+from oracles import dapa as dapa_oracle
+from oracles import hapa as hapa_oracle
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource, raw_stream
 from repro.generators import dapa as dapa_module
@@ -29,17 +33,20 @@ from repro.generators.hapa import HAPAGenerator
 from repro.kernels.dispatch import use_kernels
 
 
-class _SubclassSource(RandomSource):
-    """Overrides nothing but ``weighted_index``, which it counts: being a
-    subclass is enough to keep the reference attach step."""
+class _CountingSource(RandomSource):
+    """Counts the draw-method calls that reach it."""
 
     def __init__(self, seed=None):
         super().__init__(seed)
         self.calls = Counter()
 
-    def weighted_index(self, weights):
-        self.calls["weighted_index"] += 1
-        return super().weighted_index(weights)
+    def random(self):
+        self.calls["random"] += 1
+        return super().random()
+
+    def randint(self, low, high):
+        self.calls["randint"] += 1
+        return super().randint(low, high)
 
 
 def _assert_same_graph(reference: Graph, fast: Graph) -> None:
@@ -54,42 +61,39 @@ def _assert_same_graph(reference: Graph, fast: Graph) -> None:
 
 
 def _hapa_pair(generator: HAPAGenerator, seed: int):
-    """Build with the reference and the fast loop; return both metadata."""
-    rng_reference, rng_fast = RandomSource(seed), RandomSource(seed)
-    graph_reference, meta_reference = generator._build_reference(rng_reference)
-    graph_fast, meta_fast = generator._build_fast(raw_stream(rng_fast), rng_fast)
-    _assert_same_graph(graph_reference, graph_fast)
-    assert meta_fast == meta_reference
-    assert rng_fast.random() == rng_reference.random()
-    return meta_reference
+    """Build with the oracle and the shipped loop; return the metadata."""
+    (rng_oracle, calls_oracle), (rng, calls) = logged_source(seed), logged_source(seed)
+    graph_oracle, meta_oracle = hapa_oracle.build_reference(generator, rng_oracle)
+    graph, meta = generator._build_fast(raw_stream(rng), rng)
+    assert calls == calls_oracle
+    _assert_same_graph(graph_oracle, graph)
+    assert meta == meta_oracle
+    assert rng.random() == rng_oracle.random()
+    return meta_oracle
 
 
 def _dapa_pair(generator: DAPAGenerator, seed: int):
-    """Generate with a subclass (reference attach) and a plain source (fast
-    attach) on the python tier; return the reference result and source."""
-    rng_reference, rng_fast = _SubclassSource(seed), RandomSource(seed)
+    """Build with the oracle and generate on the python tier; return the
+    shipped result."""
+    (rng_oracle, calls_oracle), (rng, calls) = logged_source(seed), logged_source(seed)
+    overlay_oracle, meta_oracle = dapa_oracle.build_dapa(generator, rng_oracle)
     with use_kernels("python"):
-        reference = generator.generate(rng_reference)
-        fast = generator.generate(rng_fast)
-    _assert_same_graph(reference.graph, fast.graph)
-    meta_reference, meta_fast = dict(reference.metadata), dict(fast.metadata)
-    _assert_same_graph(meta_reference.pop("substrate_graph"), meta_fast.pop("substrate_graph"))
-    assert meta_fast == meta_reference
-    assert rng_fast.random() == rng_reference.random()
-    return reference, rng_reference
+        result = generator.generate(rng)
+    assert calls == calls_oracle
+    _assert_same_graph(overlay_oracle, result.graph)
+    meta_oracle, meta = dict(meta_oracle), dict(result.metadata)
+    _assert_same_graph(meta_oracle.pop("substrate_graph"), meta.pop("substrate_graph"))
+    assert meta == meta_oracle
+    assert rng.random() == rng_oracle.random()
+    return result
 
 
 class TestRawStream:
-    def test_plain_source_exposes_its_twister(self):
-        rng = RandomSource(seed=3)
-        stream = raw_stream(rng)
-        assert stream is not None
-        assert stream.random() == RandomSource(seed=3).random()
-
-    def test_subclasses_and_non_sources_get_none(self):
-        assert raw_stream(_SubclassSource(3)) is None
-        assert raw_stream(3) is None
-        assert raw_stream(None) is None
+    def test_every_source_exposes_its_twister(self):
+        for rng in (RandomSource(seed=3), _CountingSource(seed=3)):
+            stream = raw_stream(rng)
+            assert stream is rng._random
+            assert stream.random() == RandomSource(seed=3).random()
 
 
 class TestHAPAFastLoop:
@@ -129,26 +133,15 @@ class TestHAPAFastLoop:
     def test_paper_shape(self):
         _hapa_pair(HAPAGenerator(420, stubs=2, hard_cutoff=40), seed=101)
 
-    def test_plain_source_takes_the_fast_loop(self, monkeypatch):
+    def test_a_subclass_draws_from_its_twister(self):
+        # Subclass or not, the one loop draws past the overridden methods.
         generator = HAPAGenerator(80, stubs=2, hard_cutoff=6)
-        expected = generator._build_reference(RandomSource(seed=9))[0]
-
-        def refuse(self, rng):
-            raise AssertionError("a plain source reached _build_reference")
-
-        monkeypatch.setattr(HAPAGenerator, "_build_reference", refuse)
+        expected = hapa_oracle.build_reference(generator, RandomSource(seed=9))[0]
+        rng = _CountingSource(9)
         with use_kernels("python"):
-            graph = generator.generate(RandomSource(seed=9)).graph
+            graph = generator.generate(rng).graph
         _assert_same_graph(expected, graph)
-
-    def test_subclass_keeps_the_reference_loop(self, monkeypatch):
-        def refuse(self, stream, rng):
-            raise AssertionError("a RandomSource subclass reached _build_fast")
-
-        monkeypatch.setattr(HAPAGenerator, "_build_fast", refuse)
-        with use_kernels("python"):
-            graph = HAPAGenerator(80, stubs=2, hard_cutoff=6).generate(_SubclassSource(9)).graph
-        assert graph.number_of_nodes == 80
+        assert not rng.calls
 
 
 class TestDAPAFastAttach:
@@ -171,9 +164,17 @@ class TestDAPAFastAttach:
         # One attempt per stub: every attach after a rejection falls back
         # to rng.weighted_index over the horizon.
         monkeypatch.setattr(dapa_module, "_MAX_ATTEMPTS_PER_STUB", 1)
+        fallbacks = []
+        weighted_index = RandomSource.weighted_index
+
+        def spy(self, weights):
+            fallbacks.append(len(weights))
+            return weighted_index(self, weights)
+
+        monkeypatch.setattr(RandomSource, "weighted_index", spy)
         generator = DAPAGenerator(overlay_size=120, stubs=2, hard_cutoff=6, local_ttl=3)
-        _, rng_reference = _dapa_pair(generator, seed=5)
-        assert rng_reference.calls["weighted_index"] > 0
+        _dapa_pair(generator, seed=5)
+        assert fallbacks
 
     def test_explicit_substrate_with_sparse_ids(self):
         ids = [7 + 5 * index for index in range(60)]
@@ -186,9 +187,9 @@ class TestDAPAFastAttach:
         generator = DAPAGenerator(
             overlay_size=40, stubs=2, hard_cutoff=5, local_ttl=3, substrate_graph=substrate
         )
-        reference, _ = _dapa_pair(generator, seed=8)
-        assert set(reference.graph.nodes()) <= set(ids)
-        assert reference.metadata["reached_target"]
+        result = _dapa_pair(generator, seed=8)
+        assert set(result.graph.nodes()) <= set(ids)
+        assert result.metadata["reached_target"]
 
     def test_disconnected_substrate_stops_without_progress(self):
         # A 20-node ring plus 30 isolated nodes: at most the ring and the
@@ -200,21 +201,6 @@ class TestDAPAFastAttach:
         generator = DAPAGenerator(
             overlay_size=30, stubs=2, hard_cutoff=6, local_ttl=2, substrate_graph=substrate
         )
-        reference, _ = _dapa_pair(generator, seed=2)
-        assert not reference.metadata["reached_target"]
-        assert reference.metadata["overlay_peers"] < 30
-
-    def test_attach_step_forks_on_the_source(self, monkeypatch):
-        generator = DAPAGenerator(overlay_size=60, stubs=2, hard_cutoff=6, local_ttl=3)
-
-        def refuse(*args):
-            raise AssertionError("the wrong attach step ran")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(DAPAGenerator, "_attach_preferentially", staticmethod(refuse))
-            with use_kernels("python"):
-                generator.generate(RandomSource(seed=3))
-        with monkeypatch.context() as patch:
-            patch.setattr(DAPAGenerator, "_attach_preferentially_fast", staticmethod(refuse))
-            with use_kernels("python"):
-                generator.generate(_SubclassSource(3))
+        result = _dapa_pair(generator, seed=2)
+        assert not result.metadata["reached_target"]
+        assert result.metadata["overlay_peers"] < 30

@@ -1,24 +1,31 @@
-"""The python tier's inlined-draw search loops against the reference loops.
+"""The python tier's inlined-draw search loops against their test oracles.
 
-A plain :class:`RandomSource` draws from the raw Mersenne Twister: NF and
-single-walker RW queries run through ``_run_fast`` (NF replays CPython's
-``random.sample``, pool swap or set rejection; RW inlines ``_randbelow``),
-and PF's one loop takes its coins from the twister's ``random``.  A trivial
-``RandomSource`` subclass keeps ``_run_reference`` and PF's coins through
-its own ``random`` (``raw_stream`` refuses subclasses).  Every comparison
-here runs a batch of queries on one graph with both sources and checks the
-per-TTL curves, the visited set, ``found_at``, the next ``random()`` draw,
-and that no cached neighbor list was reordered.
+Every :class:`RandomSource` draws from its Mersenne Twister directly: NF
+and single-walker RW queries run through ``_run_fast`` (NF replays
+CPython's ``random.sample``, pool swap or set rejection; RW inlines
+``_randbelow``), and PF's one loop takes its coins from the twister's
+``random``.  The oracles draw through the source's methods: NF's reference
+loop (``tests/oracles/nf.py``), PF's loop with ``rng.random()`` coins
+(``tests/oracles/pf.py``) and RW's multi-walker loop, ``_run_walkers``, at
+one walker.  Every comparison here runs a batch of queries on one graph
+with the oracle and the shipped loop, each on a logged twister, and checks
+the sequence of twister calls, the per-TTL curves, the visited set,
+``found_at``, the next ``random()`` draw, and that no cached neighbor list
+was reordered.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from draw_log import logged_source
+from oracles import nf as nf_oracle
+from oracles import pf as pf_oracle
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
 from repro.kernels.dispatch import use_kernels
@@ -29,7 +36,7 @@ from repro.telemetry.collector import TelemetryCollector, use_telemetry
 
 
 class _SubclassSource(RandomSource):
-    """Overrides nothing: being a subclass is enough to keep the reference."""
+    """Overrides nothing: a subclass runs the same loops as a plain source."""
 
 
 def _build_graph(nodes, hub_degree, extra_edges, isolated, sparse_ids, seed):
@@ -71,22 +78,34 @@ def search_graphs(draw):
     return graph, sources, target
 
 
+def _oracle(algorithm):
+    """The loop drawing through the source's methods, called as
+    ``oracle(graph, source, ttl, rng, target)``."""
+    if isinstance(algorithm, NormalizedFloodingSearch):
+        return partial(nf_oracle.run_nf, algorithm)
+    if isinstance(algorithm, ProbabilisticFloodingSearch):
+        return partial(pf_oracle.run_pf, algorithm)
+    return algorithm._run_walkers
+
+
 def _assert_fast_matches_reference(algorithm, graph, sources, ttl, target, seed):
-    """Run ``sources`` on ``graph`` and on its frozen snapshot, with a plain
-    source (fast loop) and a subclass (reference loop)."""
+    """Run ``sources`` on ``graph`` and on its frozen snapshot, with the
+    shipped loop and with its oracle."""
+    oracle = _oracle(algorithm)
     rows = {node: list(graph.iter_neighbors(node)) for node in graph.nodes()}
     for subject in (graph, graph.freeze()):
-        plain, subclass = RandomSource(seed), _SubclassSource(seed)
+        (plain, calls), (reference_rng, reference_calls) = logged_source(seed), logged_source(seed)
         with use_kernels("python"):
             for source in sources:
                 fast = algorithm.run(subject, source, ttl, rng=plain, target=target)
-                reference = algorithm.run(subject, source, ttl, rng=subclass, target=target)
+                reference = oracle(subject, source, ttl, reference_rng, target)
                 assert fast.hits_per_ttl == reference.hits_per_ttl
                 assert fast.messages_per_ttl == reference.messages_per_ttl
                 assert fast.visited == reference.visited
                 assert fast.found_at == reference.found_at
                 assert len(fast.hits_per_ttl) == ttl + 1
-        assert plain.random() == subclass.random()
+        assert calls == reference_calls
+        assert plain.random() == reference_rng.random()
         for node, row in rows.items():
             assert subject.iter_neighbors(node) == row, "a cached row was mutated"
 
@@ -127,12 +146,14 @@ class TestNormalizedFloodingFastLoop:
 
     def test_frontier_histograms_match(self):
         graph = _build_graph(90, 30, 60, 1, False, seed=4).freeze()
+        search = NormalizedFloodingSearch(k_min=2)
         histograms = []
-        for rng in (RandomSource(9), _SubclassSource(9)):
+        for run in (search.run, partial(nf_oracle.run_nf, search)):
             collector = TelemetryCollector()
+            rng = RandomSource(9)
             with use_kernels("python"), use_telemetry(collector):
                 for source in (0, 5, 89, 90):  # 90 is isolated
-                    NormalizedFloodingSearch(k_min=2).run(graph, source, 6, rng=rng)
+                    run(graph, source, 6, rng)
             histograms.append(collector.histograms["search.frontier"])
         assert histograms[0] == histograms[1]
         assert histograms[0]["count"] > 0
@@ -193,26 +214,25 @@ class TestRandomWalkFastLoop:
 
 class TestDispatch:
     @pytest.mark.parametrize(
-        "algorithm, plain_loop",
+        "algorithm, loop",
         [
-            (NormalizedFloodingSearch(k_min=2), "_run_fast"),
             (RandomWalkSearch(), "_run_fast"),
-            (RandomWalkSearch(walkers=2), "_run_reference"),
+            (RandomWalkSearch(walkers=2), "_run_walkers"),
         ],
-        ids=["nf", "rw", "rw-walkers"],
+        ids=["rw", "rw-walkers"],
     )
-    def test_only_a_plain_source_takes_the_fast_loop(self, algorithm, plain_loop, monkeypatch):
+    def test_walkers_alone_pick_the_loop(self, algorithm, loop, monkeypatch):
         graph = _build_graph(40, 6, 20, 0, False, seed=1).freeze()
         taken = []
-        for name in ("_run_fast", "_run_reference"):
-            original = getattr(type(algorithm), name)
+        for name in ("_run_fast", "_run_walkers"):
+            original = getattr(RandomWalkSearch, name)
 
             def spy(self, *args, _name=name, _original=original, **kwargs):
                 taken.append(_name)
                 return _original(self, *args, **kwargs)
 
-            monkeypatch.setattr(type(algorithm), name, spy)
+            monkeypatch.setattr(RandomWalkSearch, name, spy)
         with use_kernels("python"):
             algorithm.run(graph, 0, 4, rng=RandomSource(1))
             algorithm.run(graph, 0, 4, rng=_SubclassSource(1))
-        assert taken == [plain_loop, "_run_reference"]
+        assert taken == [loop, loop]

@@ -165,30 +165,6 @@ class TestBatchQueries:
         for stats in stats_list:
             assert stats.peers_reached == network.peer_count - 1
 
-    def test_batch_cross_tier_identical(self):
-        from repro.kernels.dispatch import use_kernels
-
-        results = {}
-        for tier in ("python", "jit"):
-            network = build_network(peers=40, seed=27)
-            provider = network.online_peers()[7]
-            network.peer(provider).share("rare")
-            protocol = GnutellaProtocol(network, policy="nf", k_min=2, rng=28)
-            sources = network.online_peers()[:6]
-            with use_kernels(tier):
-                stats_list = protocol.query_batch(sources, "rare", ttl=6)
-            results[tier] = [
-                {
-                    key: value
-                    for key, value in stats.as_dict().items()
-                    if key != "query_id"
-                }
-                for stats in stats_list
-            ]
-            # The stream position after the batch must match across tiers.
-            results[tier].append(protocol.rng.random())
-        assert results["python"] == results["jit"]
-
     def test_batch_random_walk_message_budget(self):
         network = build_network(peers=30, seed=29)
         protocol = GnutellaProtocol(network, policy="rw", walkers=3, rng=30)
