@@ -1,4 +1,4 @@
-"""A plain ``RandomSource`` whose twister logs every primitive call.
+"""A ``RandomSource`` whose twister logs every primitive call.
 
 The shipped loops draw from the twister directly, so a ``RandomSource``
 subclass cannot see their draws.  This module logs one level lower: its
@@ -14,7 +14,7 @@ where the stream ends.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple, Union
+from typing import List, Tuple, Type, Union
 
 from repro.core.rng import RandomSource
 
@@ -35,9 +35,12 @@ class _LoggingTwister(random.Random):
         return super().random()
 
 
-def logged_source(seed: int) -> Tuple[RandomSource, List[DrawCall]]:
-    """A plain ``RandomSource(seed)`` and the live log of its draws."""
-    rng = RandomSource(seed)
+def logged_source(
+    seed: int, source_class: Type[RandomSource] = RandomSource
+) -> Tuple[RandomSource, List[DrawCall]]:
+    """A ``source_class(seed)`` (a plain ``RandomSource`` by default) and
+    the live log of its draws."""
+    rng = source_class(seed)
     twister = _LoggingTwister(seed)
     rng._random = twister
     return rng, twister.calls

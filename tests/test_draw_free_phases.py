@@ -30,6 +30,10 @@ from repro.kernels.dispatch import use_kernels
 from repro.substrate.grn import GeometricRandomNetwork
 
 
+class _SubclassSource(RandomSource):
+    """Overrides nothing: a subclass runs the same loops as a plain source."""
+
+
 def _assert_same_graph(expected: Graph, actual: Graph) -> None:
     assert actual.nodes() == expected.nodes()
     for node in expected.nodes():
@@ -149,9 +153,11 @@ def _dapa_generators(draw):
     return generator
 
 
-def _dapa_pair(generator, seed):
-    """Generate on the python tier and with the oracle; compare everything."""
-    (rng_oracle, calls_oracle), (rng, calls) = logged_source(seed), logged_source(seed)
+def _dapa_pair(generator, seed, source_class=RandomSource):
+    """Generate on the python tier with a ``source_class`` source and with
+    the oracle on a plain one; compare everything."""
+    rng_oracle, calls_oracle = logged_source(seed)
+    rng, calls = logged_source(seed, source_class)
     overlay_oracle, metadata_oracle = dapa_oracle.build_dapa(generator, rng_oracle)
     with use_kernels("python"):
         result = generator.generate(rng)
@@ -172,15 +178,17 @@ class TestDAPAHorizon:
     )
     @given(
         generator=_dapa_generators(),
+        source_class=st.sampled_from([RandomSource, _SubclassSource]),
         seed=st.integers(min_value=0, max_value=2**32),
     )
-    def test_property_matches_deque_bfs(self, generator, seed):
-        _dapa_pair(generator, seed)
+    def test_property_matches_deque_bfs(self, generator, source_class, seed):
+        _dapa_pair(generator, seed, source_class)
 
     @pytest.mark.parametrize("local_ttl", [1, 2, 4, 10])
-    def test_workload_shape(self, local_ttl):
+    @pytest.mark.parametrize("source_class", [RandomSource, _SubclassSource])
+    def test_workload_shape(self, local_ttl, source_class):
         generator = DAPAGenerator(overlay_size=420, stubs=2, hard_cutoff=10, local_ttl=local_ttl)
-        result = _dapa_pair(generator, 3)
+        result = _dapa_pair(generator, 3, source_class)
         assert result.metadata["reached_target"]
 
     @pytest.mark.parametrize("cutoff", [None, 2])

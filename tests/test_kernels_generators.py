@@ -144,6 +144,19 @@ def _assert_byte_identical(graph_python: Graph, graph_jit: Graph) -> None:
         assert np.array_equal(frozen_python._ids, frozen_jit._ids)
 
 
+def _assert_instrumented_builds_plain(build) -> None:
+    """A counting subclass and a plain source build the byte-identical
+    graph and end at the same stream position, on every tier: the loops
+    and kernels draw from the twister underneath any overridden method."""
+    for tier in ("python", "jit"):
+        plain, counted = RandomSource(seed=SEED), _CountingSource(SEED)
+        with use_kernels(tier):
+            expected = build(plain)
+            graph = build(counted)
+        _assert_byte_identical(expected, graph)
+        assert counted.getstate() == plain.getstate(), tier
+
+
 class TestCrossTierByteIdentity:
     """python vs jit builds: byte-identical graphs, identical stream use."""
 
@@ -171,6 +184,10 @@ class TestCrossTierByteIdentity:
             with use_kernels(tier):
                 BUILDERS[model](rng)
             assert rng.getstate() == counted.getstate(), tier
+
+    @pytest.mark.parametrize("model", sorted(BUILDERS))
+    def test_instrumented_sources_build_the_plain_graph(self, model):
+        _assert_instrumented_builds_plain(BUILDERS[model])
 
     @pytest.mark.parametrize("model", sorted(BUILDERS))
     def test_metadata_identical(self, model):
@@ -419,6 +436,10 @@ class TestSubstrateCrossTier:
             with use_kernels(tier):
                 SUBSTRATE_BUILDERS[name](rng)
             assert rng.getstate() == counted.getstate(), tier
+
+    @pytest.mark.parametrize("name", sorted(SUBSTRATE_BUILDERS))
+    def test_instrumented_sources_build_the_plain_graph(self, name):
+        _assert_instrumented_builds_plain(SUBSTRATE_BUILDERS[name])
 
     def test_grn_array_path_freeze_equals_dict_path(self):
         # The substrate contract the simulation layer relies on: whichever

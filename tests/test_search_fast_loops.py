@@ -39,6 +39,22 @@ class _SubclassSource(RandomSource):
     """Overrides nothing: a subclass runs the same loops as a plain source."""
 
 
+class _CountingSource(RandomSource):
+    """Counts the ``randint``/``random`` calls that reach it."""
+
+    def __init__(self, seed=None):
+        super().__init__(seed)
+        self.calls = 0
+
+    def randint(self, low, high):
+        self.calls += 1
+        return super().randint(low, high)
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
 def _build_graph(nodes, hub_degree, extra_edges, isolated, sparse_ids, seed):
     """A random tree plus one hub and extra chords, with optional isolated
     nodes and non-contiguous ids (built with ``random.Random(seed)``)."""
@@ -236,3 +252,33 @@ class TestDispatch:
             algorithm.run(graph, 0, 4, rng=RandomSource(1))
             algorithm.run(graph, 0, 4, rng=_SubclassSource(1))
         assert taken == [loop, loop]
+
+    @pytest.mark.parametrize(
+        "algorithm, through_methods",
+        [
+            (NormalizedFloodingSearch(k_min=2), False),
+            (ProbabilisticFloodingSearch(0.5), False),
+            (RandomWalkSearch(), False),
+            (RandomWalkSearch(walkers=2), True),
+        ],
+        ids=["nf", "pf", "rw", "rw-walkers"],
+    )
+    def test_a_subclass_runs_the_plain_loop(self, algorithm, through_methods):
+        # Only RW's multi-walker body draws through the source's methods;
+        # every other python loop, and every kernel, draws from the twister
+        # underneath them.  Either way a counting subclass gets the plain
+        # source's results and ends at its stream position.
+        graph = _build_graph(40, 6, 20, 1, False, seed=1)
+        for tier in ("python", "jit"):
+            for subject in (graph, graph.freeze()):
+                plain, counted = RandomSource(7), _CountingSource(7)
+                with use_kernels(tier):
+                    for source in (0, 3, 40):  # 40 is isolated
+                        expected = algorithm.run(subject, source, 5, rng=plain)
+                        result = algorithm.run(subject, source, 5, rng=counted)
+                        assert result.hits_per_ttl == expected.hits_per_ttl
+                        assert result.messages_per_ttl == expected.messages_per_ttl
+                        assert result.visited == expected.visited
+                assert counted.getstate() == plain.getstate()
+                if tier == "python":
+                    assert bool(counted.calls) == through_methods
