@@ -29,7 +29,7 @@ from oracles import nf as nf_oracle
 from oracles import pa as pa_oracle
 from oracles import pf as pf_oracle
 from repro.core.csr import batch_random_walks
-from repro.core.rng import RandomSource, raw_stream
+from repro.core.rng import RandomSource
 from repro.generators.cm import ConfigurationModelGenerator, generate_cm
 from repro.generators.dapa import DAPAGenerator, generate_dapa
 from repro.generators.hapa import HAPAGenerator, generate_hapa
@@ -185,13 +185,14 @@ class TestBackendBenchmarks:
 class TestPythonTierFastLoopBenchmarks:
     """The python tier's loops against the oracles in ``tests/oracles/``.
 
-    HAPA builds through ``_build_fast``, NF and single-walker RW queries run
-    through ``_run_fast`` and PF takes its coins from the twister's
-    ``random``; each draws from the source's twister directly, where the
-    oracles (HAPA's and NF's reference loops, PF's loop with ``rng.random()``
-    coins, RW's multi-walker loop at one walker) call the RandomSource
-    methods.  DAPA's draw-free phases and attach step and the PA and CM
-    bulk builds are timed against their oracles too.  Each must give the
+    HAPA's ``_build_fast`` and the NF and single-walker RW ``_run_fast``
+    loops are timed through their public entry points (``generate``,
+    ``run``), and PF takes its coins from the twister's ``random``; each
+    draws from the source's twister directly, where the oracles (HAPA's and
+    NF's reference loops, PF's loop with ``rng.random()`` coins, RW's
+    multi-walker loop at one walker) call the RandomSource methods.
+    DAPA's draw-free phases and attach step and the PA and CM bulk builds
+    are timed against their oracles too.  Each must give the
     same results and stay a multiple faster (HAPA 3.7-3.9x measured at
     N = 420, 1500 and 3000; DAPA 2.7-3.2x at the artefact-generation
     shape; PA and CM about 3.5x and 1.8x at the artefact-search shape).
@@ -205,8 +206,9 @@ class TestPythonTierFastLoopBenchmarks:
             return hapa_oracle.build_reference(generator, RandomSource(seed=7))
 
         def fast():
-            rng = RandomSource(seed=7)
-            return generator._build_fast(raw_stream(rng), rng)
+            with use_kernels("python"):
+                result = generator.generate(RandomSource(seed=7))
+            return result.graph, result.metadata
 
         # Identity first: same graph, neighbor order included, same counters.
         graph_reference, meta_reference = reference()

@@ -12,7 +12,7 @@ hard cutoff shape local link redundancy.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.core.errors import AnalysisError
 from repro.core.graph import Graph

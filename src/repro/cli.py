@@ -25,9 +25,6 @@ Subcommands
     Generate a topology and run a search-efficiency measurement on it.
 ``repro churn --peers 200 --duration 100 --cutoff 8``
     Run a join/leave (churn) simulation and print the topology time series.
-``repro bench --quick --json --compare BENCH_prev.json``
-    Run the pinned benchmark suite and write/compare a schema-versioned
-    ``BENCH_<date>_<sha>.json`` performance-trajectory file.
 ``repro cache stats --cache .repro-cache``
     Print result-store entry count, total bytes, the persisted hit/miss
     counters of the last run, and the last ``gc`` summary.
@@ -59,7 +56,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro._version import __version__
-from repro.analysis.degree_distribution import degree_distribution
 from repro.analysis.powerlaw import fit_power_law
 from repro.core.errors import AnalysisError, ReproError
 from repro.engine.executor import executor_from_jobs
@@ -304,32 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     churn.add_argument("--cutoff", type=int, default=None)
     churn.add_argument("--stubs", type=int, default=2)
     churn.add_argument("--seed", type=int, default=None)
-
-    # bench
-    bench = subparsers.add_parser(
-        "bench", help="run the pinned benchmark suite (perf trajectory)"
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="small sizes for CI/tests instead of paper scale")
-    bench.add_argument("--only", nargs="*", default=None, metavar="PREFIX",
-                       help="run only benchmarks whose id starts with one of "
-                            "these prefixes (e.g. generate/pa store)")
-    bench.add_argument("--out", type=Path, default=None,
-                       help="trajectory file to write (default: "
-                            "BENCH_<date>_<sha7>.json in the current "
-                            "directory)")
-    bench.add_argument("--no-write", action="store_true",
-                       help="do not write a trajectory file (print only)")
-    bench.add_argument("--compare", type=Path, default=None, metavar="BASELINE",
-                       help="compare against a previous BENCH_*.json; exits "
-                            "non-zero when any shared benchmark regressed "
-                            "beyond --tolerance")
-    bench.add_argument("--tolerance", type=float, default=0.25,
-                       help="maximum accepted relative slowdown for "
-                            "--compare (default: 0.25 = 25%%)")
-    bench.add_argument("--json", action="store_true",
-                       help="print the full trajectory payload (and the "
-                            "comparison, if any) as JSON on stdout")
 
     # cache
     cache = subparsers.add_parser(
@@ -869,78 +839,6 @@ def _cmd_churn(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.telemetry.bench import (
-        bench_filename,
-        compare_benchmarks,
-        run_benchmarks,
-    )
-
-    def report_progress(bench_id: str, seconds: float) -> None:
-        print(f"  {bench_id:<28} {seconds:9.3f}s", file=sys.stderr)
-
-    payload = run_benchmarks(
-        quick=args.quick, only=args.only, progress=report_progress
-    )
-
-    out_path: Optional[Path] = None
-    if not args.no_write:
-        out_path = args.out if args.out is not None else Path(bench_filename())
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        print(f"wrote {out_path}", file=sys.stderr)
-
-    comparison = None
-    if args.compare is not None:
-        try:
-            baseline = json.loads(args.compare.read_text())
-        except (OSError, ValueError) as error:
-            raise ReproError(
-                f"cannot load bench baseline {str(args.compare)!r}: {error}"
-            ) from None
-        try:
-            comparison = compare_benchmarks(payload, baseline, args.tolerance)
-        except ValueError as error:
-            raise ReproError(str(error)) from None
-
-    if args.json:
-        out = dict(payload)
-        if comparison is not None:
-            out["comparison"] = comparison
-        print(json.dumps(out, indent=2, sort_keys=True))
-    else:
-        width = max((len(entry["id"]) for entry in payload["benchmarks"]), default=5)
-        for entry in payload["benchmarks"]:
-            print(f"{entry['id']:<{width}}  {entry['seconds']:9.3f}s")
-        if comparison is not None:
-            print(f"\ncompared against {args.compare} "
-                  f"(tolerance {comparison['tolerance']:.0%}):")
-            for row in comparison["rows"]:
-                verdict = "REGRESSED" if row["regressed"] else "ok"
-                print(
-                    f"  {row['id']:<{width}}  "
-                    f"{row['baseline_seconds']:9.3f}s -> "
-                    f"{row['current_seconds']:9.3f}s  "
-                    f"x{row['ratio']:.2f}  {verdict}"
-                )
-
-    if comparison is not None and not comparison["ok"]:
-        if comparison["shared"] == 0:
-            print(
-                f"error: no shared benchmarks between this run and "
-                f"{args.compare} (nothing compared fails the gate)",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                f"error: {comparison['regressions']} benchmark(s) regressed "
-                f"beyond tolerance {args.tolerance:.0%} vs {args.compare}",
-                file=sys.stderr,
-            )
-        return 3
-    return 0
-
-
 def _parse_size(text: str) -> int:
     """Parse a byte count: plain digits or a k/m/g(b) suffix (e.g. ``256m``)."""
     raw = text.strip().lower()
@@ -1132,7 +1030,6 @@ _COMMANDS = {
     "generate": _cmd_generate,
     "search": _cmd_search,
     "churn": _cmd_churn,
-    "bench": _cmd_bench,
     "cache": _cmd_cache,
     "lint": _cmd_lint,
     "serve": _cmd_serve,

@@ -14,12 +14,8 @@ simulation layer:
     A frozen compressed-sparse-row snapshot
     (:class:`~repro.core.csr.CSRGraph`) of a finished graph, with
     vectorized search kernels; every experiment's read-only search phase
-    runs on it.
-
-``shm``
-    Shared-memory transport for frozen graphs
-    (:class:`~repro.core.shm.SharedGraphRegistry`): worker processes map
-    ``indptr``/``indices`` zero-copy instead of re-unpickling them per task.
+    runs on it.  It pickles as its ``indptr``/``indices``/``ids`` arrays,
+    which is how it reaches pool workers.
 
 ``rng``
     A seedable random-source façade (:class:`~repro.core.rng.RandomSource`)
@@ -36,12 +32,6 @@ simulation layer:
 """
 
 from repro.core.csr import CSRGraph, GraphLike
-from repro.core.shm import (
-    SharedCSRGraph,
-    SharedGraphRegistry,
-    attach_shared_graph,
-    shm_available,
-)
 from repro.core.errors import (
     ConfigurationError,
     CutoffError,
@@ -69,9 +59,5 @@ __all__ = [
     "RandomSource",
     "ReproError",
     "SearchError",
-    "SharedCSRGraph",
-    "SharedGraphRegistry",
     "SimulationError",
-    "attach_shared_graph",
-    "shm_available",
 ]

@@ -517,16 +517,6 @@ class CSRGraph:
     # ------------------------------------------------------------------ #
     # Pickling (worker processes receive frozen graphs)
     # ------------------------------------------------------------------ #
-    def csr_arrays(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """Return the raw ``(indptr, indices, ids)`` arrays (read-only).
-
-        This is the transport surface of a frozen graph: everything a twin
-        can be rebuilt from.  :mod:`repro.core.shm` copies exactly these
-        arrays into shared-memory segments so worker processes map the
-        topology zero-copy instead of unpickling it per task.
-        """
-        return (self._indptr, self._indices, self._ids)
-
     def __getstate__(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         return (self._indptr, self._indices, self._ids)
 

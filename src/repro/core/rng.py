@@ -46,6 +46,14 @@ class RandomSource:
     change what they draw, and a counting subclass sees only the calls
     made through its methods.
 
+    A subclass may observe draws (count them, log them) but must return
+    the values this class returns.  The kernels splice the twister past
+    every override, while the python tier still calls the methods in
+    multi-walker RW, PA's attempt strategy, nonlinear PA, CM's shuffle,
+    DAPA's join picks and seed sample, the GRN substrate's positions and
+    the ``choice``/``weighted_index`` fallbacks; a subclass that changes
+    values therefore gets different results on different kernel tiers.
+
     Parameters
     ----------
     seed:

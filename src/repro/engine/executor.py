@@ -10,10 +10,9 @@ time but never changes a single output number:
 * :class:`ParallelExecutor` fans tasks out over a
   :class:`concurrent.futures.ProcessPoolExecutor`.  Tasks that cannot be
   pickled (e.g. closures) are detected up front and the batch silently
-  degrades to in-process execution rather than crashing a worker.  Frozen :class:`~repro.core.csr.CSRGraph` arguments
-  are rewritten to shared-memory twins before submission (see
-  :mod:`repro.core.shm`), so shipping one topology to N workers costs a
-  constant-size handle per task instead of re-pickling the arrays.
+  degrades to in-process execution rather than crashing a worker.  Task
+  arguments cross the pool by plain pickling; a frozen
+  :class:`~repro.core.csr.CSRGraph` pickles as its three arrays.
 
 The *active executor* is an ambient context: experiment helpers deep inside
 the figure modules fetch it with :func:`active_executor` so the CLI can turn
@@ -149,22 +148,14 @@ class ParallelExecutor(Executor):
         Worker-process count (default: the machine's CPU count).  The pool is
         created lazily on the first parallel batch and reused across batches
         and experiments, so one suite run shares one pool.
-    share_graphs:
-        When true (the default), frozen :class:`~repro.core.csr.CSRGraph`
-        task arguments are placed in shared-memory segments once and
-        shipped to workers as constant-size handles; identical results,
-        O(E) less transfer per task.  Environments without usable shared
-        memory degrade to plain pickling automatically.
     """
 
-    def __init__(self, jobs: Optional[int] = None, share_graphs: bool = True) -> None:
+    def __init__(self, jobs: Optional[int] = None) -> None:
         resolved = jobs if jobs is not None else (os.cpu_count() or 1)
         if resolved < 1:
             raise ExperimentError("ParallelExecutor needs at least one worker")
         self.jobs = resolved
-        self.share_graphs = share_graphs
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._registry: "Optional[Any]" = None  # SharedGraphRegistry, lazy
         # The scenario compiler may submit batches from several threads
         # sharing this executor; lazy pool creation must happen only once.
         self._pool_lock = threading.Lock()
@@ -185,39 +176,10 @@ class ParallelExecutor(Executor):
                     )
             return self._pool
 
-    def _graph_registry(self) -> "Optional[Any]":
-        """The lazily created shared-graph registry, or ``None`` if disabled.
-
-        The registry probes shared memory itself, on the first graph it is
-        asked to share: the probe starts multiprocessing's resource tracker,
-        a fresh interpreter whose start-up competes for the CPU, so a batch
-        that carries no frozen graph must not trigger it.
-        """
-        if not self.share_graphs:
-            return None
-        from repro.core.shm import SharedGraphRegistry
-
-        with self._pool_lock:
-            if self._registry is None:
-                self._registry = SharedGraphRegistry()
-            return self._registry
-
     def run(self, tasks: Sequence[Task], progress: Any = None) -> List[Any]:
         tasks = list(tasks)
         if self.jobs <= 1 or len(tasks) <= 1:
             return self._run_serially(tasks, progress)
-        registry = self._graph_registry()
-        if registry is not None:
-            # Rewrite graph arguments *before* the picklability probe so a
-            # big frozen topology is never serialised just to be probed.
-            from repro.core.shm import share_graph_arguments
-
-            tasks = [
-                task.map_arguments(
-                    lambda value: share_graph_arguments(value, registry)
-                )
-                for task in tasks
-            ]
         # Probe one representative task (a batch shares its fn/arg shape);
         # stragglers that still fail to pickle degrade individually below.
         if not tasks[0].is_picklable():
@@ -261,13 +223,9 @@ class ParallelExecutor(Executor):
         return results
 
     def close(self) -> None:
-        # Workers drain before the registry unlinks their mapped segments.
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._registry is not None:
-            self._registry.close()
-            self._registry = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ParallelExecutor(jobs={self.jobs})"

@@ -52,24 +52,6 @@ class Task:
         """Execute the task in the current process."""
         return self.fn(*self.args, **dict(self.kwargs))
 
-    def map_arguments(self, transform: Callable[[Any], Any]) -> "Task":
-        """Return a task whose arguments are rewritten by ``transform``.
-
-        ``transform`` is applied to every positional and keyword argument;
-        when it returns each value unchanged (by identity) the original
-        task is returned, so no-op rewrites allocate nothing.  This is the
-        hook the parallel executor uses to swap frozen graphs for their
-        shared-memory twins just before submission.
-        """
-        args = tuple(transform(value) for value in self.args)
-        kwargs = {name: transform(value) for name, value in self.kwargs.items()}
-        unchanged = all(a is b for a, b in zip(args, self.args)) and all(
-            kwargs[name] is self.kwargs[name] for name in kwargs
-        )
-        if unchanged:
-            return self
-        return Task(fn=self.fn, args=args, kwargs=kwargs, key=self.key)
-
     def is_picklable(self) -> bool:
         """True when the task can be shipped to a worker process."""
         try:

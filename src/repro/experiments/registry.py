@@ -37,7 +37,7 @@ ExperimentRunner = Callable[..., ExperimentResult]
 
 def _load_modules():
     # Imported lazily to keep `import repro.experiments` cheap and to avoid
-    # a circular import through figures/_common.
+    # a circular import through the scenario layer the figures are built on.
     from repro.experiments.figures import ALL_FIGURE_MODULES
 
     return ALL_FIGURE_MODULES
@@ -146,7 +146,7 @@ def run_experiment_cached(
     # Imported lazily: repro.engine (and the figures package) pull in this
     # module during their own initialisation.
     from repro.engine.executor import use_executor
-    from repro.experiments.figures._common import resolve_scale
+    from repro.scenarios.measure import resolve_scale
     from repro.kernels.dispatch import use_kernels
 
     resolved = resolve_scale(scale, seed)

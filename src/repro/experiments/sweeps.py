@@ -10,7 +10,7 @@ paper's grid" rather than as nested loops.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.core.errors import ExperimentError
 

@@ -4,7 +4,7 @@ This module owns the "generate R realizations, measure each, average"
 mechanics that every scenario series shares: the picklable
 :class:`RealizationSpec` task unit, the module-level task bodies the
 engine's process pools can import, and the series builders the scenario
-compiler (and the legacy ``figures._common`` shims) call.
+compiler calls.
 
 Determinism contract — identical to the pre-scenario figure harness:
 

@@ -5,12 +5,12 @@
 * :mod:`repro.serve.service` — the transport-free core.
   :class:`ScenarioService` answers warm requests straight from the
   :class:`~repro.engine.store.ResultStore`, schedules cold ones on a
-  shared :class:`~repro.engine.executor.ParallelExecutor` (whose frozen
-  CSR topologies ride in shared memory, see :mod:`repro.core.shm`), and
-  deduplicates identical in-flight specs by canonical hash — the second
-  submitter awaits the first's future and receives a byte-identical
-  response.  :class:`EventLog` buffers serializable progress events for
-  streaming consumers.
+  shared :class:`~repro.engine.executor.Executor` (``repro serve --jobs``
+  sizes it; with the default one job, tasks run in the service's own
+  process), and deduplicates identical in-flight specs by canonical
+  hash — the second submitter awaits the first's future and receives a
+  byte-identical response.  :class:`EventLog` buffers serializable
+  progress events for streaming consumers.
 * :mod:`repro.serve.http` — :class:`ServeHTTP`, a stdlib-only asyncio
   HTTP front end (``POST /scenarios``, NDJSON ``/events`` streams,
   ``/healthz``, ``/metrics``).

@@ -6,9 +6,8 @@ layer (:mod:`repro.serve.http`) calls from worker threads.  One service
 instance owns:
 
 * a shared :class:`~repro.engine.executor.Executor` every scenario's
-  realization tasks fan into (with :class:`ParallelExecutor` the frozen
-  graphs cross the pool boundary through shared memory, see
-  :mod:`repro.core.shm`);
+  realization tasks fan into (each task builds and freezes its graph
+  where it runs, so only specs and results cross a worker pool);
 * an optional :class:`~repro.engine.store.ResultStore` answering *warm*
   requests straight from disk by the spec's canonical hash;
 * an in-flight table keyed by ``(spec hash, scale, seed)`` that

@@ -18,7 +18,7 @@ duplicates, a ``ttl`` that is decremented at every forwarding step, and a
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.core.errors import SimulationError
 from repro.core.types import NodeId

@@ -11,7 +11,7 @@ seen-message cache, and counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.core.errors import SimulationError
 from repro.core.rng import RandomSource

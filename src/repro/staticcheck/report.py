@@ -9,7 +9,7 @@ stay auditable).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, TextIO
+from typing import Any, Dict, TextIO
 
 from repro.staticcheck.registry import all_rules
 from repro.staticcheck.runner import LintReport

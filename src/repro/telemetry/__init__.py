@@ -1,13 +1,12 @@
-"""Telemetry: ambient tracing/counters plus the pinned benchmark suite.
+"""Telemetry: ambient tracing, counters and histograms.
 
-The collector half (:mod:`repro.telemetry.collector`) and the trace-context
-half (:mod:`repro.telemetry.trace`) are imported eagerly — they are the
+The collector (:mod:`repro.telemetry.collector`) and the trace context
+(:mod:`repro.telemetry.trace`) are imported eagerly — they are the
 hot-path dependencies of every execution layer and pull in nothing beyond
 the standard library.  Structured logging (:mod:`repro.telemetry.logs`) and
 Prometheus exposition (:mod:`repro.telemetry.prometheus`) are equally
-stdlib-only.  The benchmark half (:mod:`repro.telemetry.bench`) imports
-generators and search algorithms, so it stays a lazy import behind
-``repro bench``.
+stdlib-only.  Performance is measured from outside the program, by the
+end-to-end benchmark in ``perfbench/``.
 """
 
 from repro.telemetry.collector import (

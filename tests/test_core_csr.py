@@ -187,36 +187,21 @@ SOURCES = {
 }
 
 
-@pytest.fixture(params=["direct", "pickle", "shm"])
+@pytest.fixture(params=["direct", "pickle"])
 def round_trip(request):
-    """How the snapshot reaches the search: as built, unpickled in a worker,
-    or attached from shared memory (the last two rebuild the cache lazily)."""
+    """How the snapshot reaches the search: as built, or unpickled in a
+    worker (which rebuilds the cache lazily)."""
     if request.param == "direct":
-        yield lambda frozen: frozen
-    elif request.param == "pickle":
-        yield lambda frozen: pickle.loads(pickle.dumps(frozen))
-    else:
-        from repro.core.shm import SharedCSRGraph, SharedGraphRegistry, shm_available
-
-        if not shm_available():
-            pytest.skip("multiprocessing.shared_memory is unavailable")
-
-        with SharedGraphRegistry() as registry:
-
-            def attach(frozen):
-                shared = pickle.loads(pickle.dumps(registry.share(frozen)))
-                assert isinstance(shared, SharedCSRGraph)
-                return shared
-
-            yield attach
+        return lambda frozen: frozen
+    return lambda frozen: pickle.loads(pickle.dumps(frozen))
 
 
 class TestNeighborCache:
     """The id -> neighbor-list cache the search loops read.
 
     Built in :meth:`CSRGraph.from_graph`'s single pass or lazily from the
-    arrays (bulk-built, unpickled, shared-memory snapshots); either way it
-    must answer exactly like the source :class:`Graph`.
+    arrays (bulk-built and unpickled snapshots); either way it must answer
+    exactly like the source :class:`Graph`.
     """
 
     @pytest.mark.parametrize("source", sorted(SOURCES))

@@ -18,6 +18,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import main
+from repro.core.csr import CSRGraph
 from repro.core.errors import ExperimentError
 from repro.engine.executor import (
     ParallelExecutor,
@@ -32,6 +33,7 @@ from repro.engine.tasks import Task, run_suite
 from repro.experiments.registry import run_experiment
 from repro.experiments.results import ExperimentResult, Series
 from repro.experiments.runner import ExperimentScale
+from repro.generators.pa import generate_pa
 from repro.scenarios.measure import averaged_search_curve, degree_distribution_series
 from repro.telemetry.collector import TelemetryCollector, use_telemetry
 from repro.telemetry.logs import MemoryHandler, use_log_handler
@@ -40,6 +42,14 @@ from repro.telemetry.logs import MemoryHandler, use_log_handler
 # Module-level task bodies: picklable, so they can cross process boundaries.
 def _square(value: int) -> int:
     return value * value
+
+
+def _degree_sum(graph: CSRGraph) -> int:
+    return sum(graph.degree(node) for node in graph.nodes())
+
+
+def _neighbor_signature(graph: CSRGraph, node: int) -> tuple:
+    return tuple(graph.neighbors(node))
 
 
 def _result_json(result: ExperimentResult) -> str:
@@ -95,6 +105,19 @@ class TestParallelExecutor:
         tasks = [Task(fn=_square, args=(3,)), Task(fn=lambda: 5), Task(fn=_square, args=(4,))]
         with ParallelExecutor(jobs=2) as pool:
             assert pool.run(tasks) == [9, 5, 16]
+
+    def test_parallel_results_identical_to_serial(self):
+        # Frozen graph arguments cross the pool by pickling.
+        frozen = generate_pa(300, stubs=2, hard_cutoff=15, seed=7).freeze()
+        expected = [_degree_sum(frozen)] + [
+            _neighbor_signature(frozen, node) for node in range(10)
+        ]
+        tasks = [Task(fn=_degree_sum, args=(frozen,), key="degsum")] + [
+            Task(fn=_neighbor_signature, args=(frozen, node), key=f"n{node}")
+            for node in range(10)
+        ]
+        with ParallelExecutor(jobs=2) as executor:
+            assert executor.run(tasks) == expected
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ExperimentError):

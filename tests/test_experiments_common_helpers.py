@@ -1,23 +1,22 @@
-"""Unit tests for the shared figure-harness helpers (figures._common)."""
+"""Unit tests for the shared figure-harness helpers (repro.scenarios.measure)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.figures._common import (
+from repro.experiments.runner import ExperimentScale
+from repro.scenarios.measure import (
+    HAPA_NONPAPER_NODE_CAP,
     build_graph,
     cutoff_grid,
     dapa_cutoff_grid,
     dapa_tau_sub_grid,
     degree_distribution_series,
     exponent_vs_cutoff_series,
-    flooding_series,
     messaging_series,
-    normalized_flooding_series,
-    random_walk_series,
     resolve_scale,
+    search_series,
 )
-from repro.experiments.runner import ExperimentScale
 
 
 @pytest.fixture(scope="module")
@@ -77,19 +76,19 @@ class TestSeriesBuilders:
         assert all(1.0 < gamma < 5.0 for gamma in series.y)
 
     def test_flooding_series_monotone(self, scale):
-        series = flooding_series("pa", "fl", scale, stubs=2, hard_cutoff=10)
+        series = search_series("pa", "fl", scale, "fl", stubs=2, hard_cutoff=10)
         assert series.x == scale.flooding_ttl_grid()
         assert all(b >= a for a, b in zip(series.y, series.y[1:]))
         assert series.metadata["algorithm"] == "fl"
 
     def test_normalized_flooding_series(self, scale):
-        series = normalized_flooding_series("pa", "nf", scale, stubs=2, hard_cutoff=10)
+        series = search_series("pa", "nf", scale, "nf", stubs=2, hard_cutoff=10)
         assert series.x == scale.ttl_grid()
         assert series.metadata["algorithm"] == "nf"
         assert len(series.metadata["mean_messages"]) == len(series.x)
 
     def test_random_walk_series(self, scale):
-        series = random_walk_series("pa", "rw", scale, stubs=2, hard_cutoff=10)
+        series = search_series("pa", "rw", scale, "rw", stubs=2, hard_cutoff=10)
         assert series.metadata["algorithm"] == "rw"
         assert all(value >= 0 for value in series.y)
 
@@ -105,8 +104,8 @@ class TestSeriesBuilders:
             messaging_series("pa", "x", scale, algorithm="dht")
 
     def test_series_reproducible(self, scale):
-        a = flooding_series("pa", "same-label", scale, stubs=1, hard_cutoff=10)
-        b = flooding_series("pa", "same-label", scale, stubs=1, hard_cutoff=10)
+        a = search_series("pa", "same-label", scale, "fl", stubs=1, hard_cutoff=10)
+        b = search_series("pa", "same-label", scale, "fl", stubs=1, hard_cutoff=10)
         assert a.y == b.y
 
 
@@ -125,8 +124,6 @@ class TestHapaNonPaperCap:
         )
 
     def test_distribution_build_is_capped_below_paper_scale(self):
-        from repro.scenarios.measure import HAPA_NONPAPER_NODE_CAP
-
         graph = build_graph("hapa", self._scale("custom"), seed=3, stubs=1)
         assert graph.number_of_nodes == HAPA_NONPAPER_NODE_CAP == 2000
 
@@ -139,46 +136,3 @@ class TestHapaNonPaperCap:
     def test_paper_scale_is_never_capped(self):
         graph = build_graph("hapa", self._scale("paper"), seed=3, stubs=1)
         assert graph.number_of_nodes == 2300
-
-
-class TestShimsDelegateToScenarioCompiler:
-    """Pin that the legacy ``*_series`` helpers are compiler shims."""
-
-    @pytest.fixture
-    def captured_plans(self, monkeypatch):
-        import repro.experiments.figures._common as common
-        from repro.experiments.results import Series
-
-        plans = []
-
-        def fake_run_series_plan(plan, scale):
-            plans.append(plan)
-            return [Series(label=plan.label, x=[1], y=[1.0])]
-
-        monkeypatch.setattr(common, "run_series_plan", fake_run_series_plan)
-        return plans
-
-    def test_flooding_series_delegates(self, scale, captured_plans):
-        series = flooding_series("pa", "lbl", scale, stubs=2, hard_cutoff=10)
-        assert series.label == "lbl"
-        (plan,) = captured_plans
-        assert plan.kind == "search-curve"
-        assert plan.algorithm == "fl"
-        assert plan.topology == {"model": "pa", "stubs": 2, "hard_cutoff": 10,
-                                 "exponent": 3.0, "tau_sub": 4}
-
-    def test_every_series_helper_delegates(self, scale, captured_plans):
-        degree_distribution_series("pa", "a", scale)
-        normalized_flooding_series("pa", "b", scale)
-        random_walk_series("pa", "c", scale)
-        messaging_series("pa", "d", scale, algorithm="nf")
-        exponent_vs_cutoff_series("pa", "e", scale, stubs=1, cutoffs=[10])
-        assert [(p.kind, p.algorithm) for p in captured_plans] == [
-            ("degree-distribution", None),
-            ("search-curve", "nf"),
-            ("search-curve", "rw"),
-            ("messaging", "nf"),
-            ("exponent-vs-cutoff", None),
-        ]
-        assert captured_plans[-1].params == {"cutoffs": [10]}
-        assert captured_plans[-1].topology["tau_sub"] == 10  # legacy default

@@ -1,13 +1,13 @@
 """Byte-identity pins: old direct figure code vs. the scenario-spec path.
 
 Every built-in figure/table/ablation used to be a hand-written ``run``
-function looping over its parameter grid through the ``figures._common``
-helpers.  Those modules are now :class:`~repro.scenarios.ScenarioSpec`
-instances compiled by :mod:`repro.scenarios.compile`.  The tests here
-re-implement each original loop verbatim (the "legacy path", using the
-still-supported ``_common`` helpers and public library APIs) and assert the
-spec path reproduces it **byte-for-byte** at smoke scale — labels, values,
-metadata, series order, everything.
+function looping over its parameter grid through shared series helpers.
+Those modules are now :class:`~repro.scenarios.ScenarioSpec` instances
+compiled by :mod:`repro.scenarios.compile`.  The tests here re-implement
+each original loop (the "legacy path", calling the series builders of
+:mod:`repro.scenarios.measure` and public library APIs directly) and
+assert the spec path reproduces it **byte-for-byte** at smoke scale —
+labels, values, metadata, series order, everything.
 
 Cross-engine pins ride along: for every builtin the spec path is also
 byte-identical between serial and ``--jobs 2`` execution.
@@ -28,14 +28,6 @@ from repro.analysis.cutoff import (
 from repro.analysis.paths import expected_diameter_class, path_length_statistics
 from repro.analysis.robustness import attack_robustness, failure_robustness
 from repro.engine.executor import ParallelExecutor
-from repro.experiments.figures._common import (
-    degree_distribution_series,
-    exponent_vs_cutoff_series,
-    flooding_series,
-    messaging_series,
-    normalized_flooding_series,
-    random_walk_series,
-)
 from repro.experiments.registry import run_experiment
 from repro.experiments.results import ExperimentResult, Series
 from repro.experiments.runner import (
@@ -48,6 +40,12 @@ from repro.generators.cm import generate_cm
 from repro.generators.pa import generate_pa
 from repro.generators.registry import GENERATORS
 from repro.scenarios import builtin_scenarios, run_scenario
+from repro.scenarios.measure import (
+    degree_distribution_series,
+    exponent_vs_cutoff_series,
+    messaging_series,
+    search_series,
+)
 
 
 def _payload(result: ExperimentResult) -> str:
@@ -130,9 +128,9 @@ def legacy_fig6(scale):
     for model in ("pa", "hapa"):
         for stubs in [1, 3]:
             for cutoff in [10, None]:
-                result.add(flooding_series(
+                result.add(search_series(
                     model, label=f"{model} {format_label(m=stubs, kc=cutoff)}",
-                    scale=scale, stubs=stubs, hard_cutoff=cutoff))
+                    scale=scale, algorithm="fl", stubs=stubs, hard_cutoff=cutoff))
     return result
 
 
@@ -141,10 +139,10 @@ def legacy_fig7(scale):
     for exponent in (2.2, 3.0):
         for stubs in [1, 2]:
             for cutoff in [10, None]:
-                result.add(flooding_series(
+                result.add(search_series(
                     "cm",
                     label=f"gamma={exponent}, {format_label(m=stubs, kc=cutoff)}",
-                    scale=scale, stubs=stubs, hard_cutoff=cutoff,
+                    scale=scale, algorithm="fl", stubs=stubs, hard_cutoff=cutoff,
                     exponent=exponent))
     return result
 
@@ -154,28 +152,28 @@ def legacy_fig8(scale):
     for stubs in [1]:
         for cutoff in [10, None]:
             for tau_sub in [2, 4]:
-                result.add(flooding_series(
+                result.add(search_series(
                     "dapa",
                     label=f"{format_label(m=stubs, kc=cutoff)}, tau_sub={tau_sub}",
-                    scale=scale, stubs=stubs, hard_cutoff=cutoff,
+                    scale=scale, algorithm="fl", stubs=stubs, hard_cutoff=cutoff,
                     tau_sub=tau_sub))
     return result
 
 
-def _legacy_global_models(result, scale, series_fn):
+def _legacy_global_models(result, scale, algorithm):
     for model in ("pa", "cm", "hapa"):
         for stubs in [1, 2]:
             for cutoff in [10, None]:
-                result.add(series_fn(
+                result.add(search_series(
                     model, label=f"{model} {format_label(m=stubs, kc=cutoff)}",
-                    scale=scale, stubs=stubs, hard_cutoff=cutoff,
+                    scale=scale, algorithm=algorithm, stubs=stubs, hard_cutoff=cutoff,
                     exponent=2.2 if model == "cm" else 3.0))
     return result
 
 
 def legacy_fig9(scale):
     return _legacy_global_models(
-        _result("fig9", "", scale), scale, normalized_flooding_series)
+        _result("fig9", "", scale), scale, "nf")
 
 
 def legacy_fig10(scale):
@@ -183,17 +181,17 @@ def legacy_fig10(scale):
     for stubs in [1]:
         for cutoff in [10, None]:
             for tau_sub in [2, 4]:
-                result.add(normalized_flooding_series(
+                result.add(search_series(
                     "dapa",
                     label=f"{format_label(m=stubs, kc=cutoff)}, tau_sub={tau_sub}",
-                    scale=scale, stubs=stubs, hard_cutoff=cutoff,
+                    scale=scale, algorithm="nf", stubs=stubs, hard_cutoff=cutoff,
                     tau_sub=tau_sub))
     return result
 
 
 def legacy_fig11(scale):
     return _legacy_global_models(
-        _result("fig11", "", scale), scale, random_walk_series)
+        _result("fig11", "", scale), scale, "rw")
 
 
 def legacy_fig12(scale):
@@ -201,10 +199,10 @@ def legacy_fig12(scale):
     for stubs in [1]:
         for cutoff in [10, None]:
             for tau_sub in [2, 4]:
-                result.add(random_walk_series(
+                result.add(search_series(
                     "dapa",
                     label=f"{format_label(m=stubs, kc=cutoff)}, tau_sub={tau_sub}",
-                    scale=scale, stubs=stubs, hard_cutoff=cutoff,
+                    scale=scale, algorithm="rw", stubs=stubs, hard_cutoff=cutoff,
                     tau_sub=tau_sub))
     return result
 
@@ -217,12 +215,12 @@ def legacy_messaging(scale):
             result.add(messaging_series(
                 "pa", label=f"nf messages {label_suffix}", scale=scale,
                 algorithm="nf", stubs=stubs, hard_cutoff=cutoff))
-            result.add(normalized_flooding_series(
+            result.add(search_series(
                 "pa", label=f"nf hits {label_suffix}", scale=scale,
-                stubs=stubs, hard_cutoff=cutoff))
-            result.add(random_walk_series(
+                algorithm="nf", stubs=stubs, hard_cutoff=cutoff))
+            result.add(search_series(
                 "pa", label=f"rw hits {label_suffix}", scale=scale,
-                stubs=stubs, hard_cutoff=cutoff))
+                algorithm="rw", stubs=stubs, hard_cutoff=cutoff))
     return result
 
 
@@ -308,12 +306,12 @@ def legacy_ablation_min_degree(scale):
     reference_ttl = min(6, scale.flooding_max_ttl)
     penalties = []
     for stubs in stubs_values:
-        unbounded = flooding_series(
-            "pa", label=f"m={stubs}, no kc", scale=scale, stubs=stubs,
-            hard_cutoff=None)
-        bounded = flooding_series(
-            "pa", label=f"m={stubs}, kc=10", scale=scale, stubs=stubs,
-            hard_cutoff=10)
+        unbounded = search_series(
+            "pa", label=f"m={stubs}, no kc", scale=scale, algorithm="fl",
+            stubs=stubs, hard_cutoff=None)
+        bounded = search_series(
+            "pa", label=f"m={stubs}, kc=10", scale=scale, algorithm="fl",
+            stubs=stubs, hard_cutoff=10)
         result.add(unbounded)
         result.add(bounded)
         hits_unbounded = unbounded.y_at(reference_ttl)

@@ -1,4 +1,4 @@
-"""Telemetry subsystem: overhead guard, worker merge, schema, bench gate."""
+"""Telemetry subsystem: overhead guard, worker merge, schema."""
 
 from __future__ import annotations
 
@@ -314,74 +314,3 @@ class TestCLITelemetry:
         assert "telemetry" not in summary
         assert "spans:" in captured.err
         assert "generate" in captured.err
-
-
-class TestBenchCompare:
-    def _run_bench(self, tmp_path, capsys, extra=()):
-        out = tmp_path / "bench.json"
-        code = main([
-            "bench", "--quick", "--only", "store", "--json",
-            "--out", str(out), *extra,
-        ])
-        payload = json.loads(capsys.readouterr().out)
-        return code, out, payload
-
-    def test_bench_payload_schema(self, tmp_path, capsys):
-        code, out, payload = self._run_bench(tmp_path, capsys)
-        assert code == 0
-        assert out.exists()
-        assert payload["schema"] == 1
-        assert payload["quick"] is True
-        ids = [entry["id"] for entry in payload["benchmarks"]]
-        assert ids == ["store/roundtrip"]
-        assert all(entry["seconds"] > 0 for entry in payload["benchmarks"])
-
-    def test_compare_ok_and_regression_exit_code(self, tmp_path, capsys):
-        code, out, payload = self._run_bench(tmp_path, capsys)
-        assert code == 0
-        # Same machine, same work, generous tolerance: passes.
-        code = main([
-            "bench", "--quick", "--only", "store", "--no-write",
-            "--compare", str(out), "--tolerance", "25.0",
-        ])
-        capsys.readouterr()
-        assert code == 0
-        # A baseline claiming the work used to be 1000x faster: regression.
-        doctored = dict(payload)
-        doctored["benchmarks"] = [
-            dict(entry, seconds=entry["seconds"] / 1000.0)
-            for entry in payload["benchmarks"]
-        ]
-        baseline_path = tmp_path / "doctored.json"
-        baseline_path.write_text(json.dumps(doctored))
-        code = main([
-            "bench", "--quick", "--only", "store", "--no-write",
-            "--compare", str(baseline_path), "--tolerance", "0.25",
-        ])
-        capsys.readouterr()
-        assert code == 3
-
-    def test_compare_fails_closed_on_disjoint_benchmarks(self, tmp_path, capsys):
-        code, out, payload = self._run_bench(tmp_path, capsys)
-        disjoint = dict(payload)
-        disjoint["benchmarks"] = [
-            {"id": "something/else", "seconds": 1.0, "repeats": 1, "meta": {}}
-        ]
-        baseline_path = tmp_path / "disjoint.json"
-        baseline_path.write_text(json.dumps(disjoint))
-        code = main([
-            "bench", "--quick", "--only", "store", "--no-write",
-            "--compare", str(baseline_path),
-        ])
-        capsys.readouterr()
-        assert code == 3
-
-    def test_compare_rejects_unknown_schema(self, tmp_path, capsys):
-        baseline_path = tmp_path / "badschema.json"
-        baseline_path.write_text(json.dumps({"schema": 999, "benchmarks": []}))
-        code = main([
-            "bench", "--quick", "--only", "store", "--no-write",
-            "--compare", str(baseline_path),
-        ])
-        capsys.readouterr()
-        assert code == 1
