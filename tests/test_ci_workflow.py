@@ -1,0 +1,54 @@
+"""The CI workflow stays in step with the repository it gates.
+
+``ci.yml`` is read as text, since the dev extras carry no YAML parser.
+Every test file a CI step names must exist (pytest errors out on a missing
+path), and the perfbench job must gate every workload ``BENCHMARK.json``
+declares, by running the benchmark's own command.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+def _job(name: str) -> str:
+    """The text of one job: from its key to the next two-space key."""
+    match = re.search(
+        rf"^  {re.escape(name)}:\n(.*?)(?=^  [\w-]+:\n|\Z)", WORKFLOW, re.M | re.S
+    )
+    assert match, f"ci.yml has no {name!r} job"
+    return match.group(1)
+
+
+def test_test_paths_named_in_ci_exist():
+    paths = set(re.findall(r"\b(?:tests|benchmarks)/[\w/.-]+\.py\b", WORKFLOW))
+    assert paths
+    missing = sorted(path for path in paths if not (ROOT / path).is_file())
+    assert not missing, f"ci.yml names missing test files: {missing}"
+
+
+def test_perfbench_job_gates_every_benchmark_workload():
+    job = _job("perfbench")
+    declared = sorted(workload["name"] for workload in BENCHMARK["workloads"])
+    assert sorted(re.findall(r"^\s+- workload: (\S+)$", job, re.M)) == declared
+    bounds = [float(bound) for bound in re.findall(r"max_cold_p50_s: ([\d.]+)$", job, re.M)]
+    assert len(bounds) == len(declared)
+    assert all(bound > 0 for bound in bounds)
+
+
+def test_perfbench_job_runs_the_benchmark_command_and_checks_its_report():
+    job = _job("perfbench")
+    assert " ".join(BENCHMARK["command"]) + ' --workload "$WORKLOAD"' in job
+    for check in (
+        'result["correct"] is True',
+        'result["failed"] == 0',
+        'result["attempted"] > 0',
+        "cold_p50 <= bound",
+    ):
+        assert check in job, check

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -187,21 +188,37 @@ SOURCES = {
 }
 
 
-@pytest.fixture(params=["direct", "pickle"])
+def _echo(value):
+    """Module-level, so a worker process can run it."""
+    return value
+
+
+@pytest.fixture(scope="module")
+def worker_pool():
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        yield pool
+
+
+@pytest.fixture(params=["direct", "pickle", "worker"])
 def round_trip(request):
-    """How the snapshot reaches the search: as built, or unpickled in a
-    worker (which rebuilds the cache lazily)."""
+    """How the snapshot reaches the search: as built, unpickled, or sent to
+    a worker process and back, the way :class:`ParallelExecutor` hands a
+    frozen graph to its pool (the last two rebuild the cache lazily)."""
     if request.param == "direct":
         return lambda frozen: frozen
-    return lambda frozen: pickle.loads(pickle.dumps(frozen))
+    if request.param == "pickle":
+        return lambda frozen: pickle.loads(pickle.dumps(frozen))
+    pool = request.getfixturevalue("worker_pool")
+    return lambda frozen: pool.submit(_echo, frozen).result()
 
 
 class TestNeighborCache:
     """The id -> neighbor-list cache the search loops read.
 
     Built in :meth:`CSRGraph.from_graph`'s single pass or lazily from the
-    arrays (bulk-built and unpickled snapshots); either way it must answer
-    exactly like the source :class:`Graph`.
+    arrays (bulk-built snapshots and those unpickled, in this process or in
+    a worker); either way it must answer exactly like the source
+    :class:`Graph`.
     """
 
     @pytest.mark.parametrize("source", sorted(SOURCES))

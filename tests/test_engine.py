@@ -13,13 +13,16 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import json
+import os
+import pickle
 from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
 from repro.core.csr import CSRGraph
-from repro.core.errors import ExperimentError
+from repro.core.errors import ExperimentError, GraphError
+from repro.core.graph import Graph
 from repro.engine.executor import (
     ParallelExecutor,
     SerialExecutor,
@@ -52,6 +55,25 @@ def _neighbor_signature(graph: CSRGraph, node: int) -> tuple:
     return tuple(graph.neighbors(node))
 
 
+def _pid_and_degree_sum(graph) -> tuple:
+    """The degree sum and the process that computed it."""
+    return os.getpid(), _degree_sum(graph)
+
+
+def _nested_degree_sums(graphs: list, pair: tuple) -> tuple:
+    sums = [_degree_sum(g) if isinstance(g, (Graph, CSRGraph)) else g for g in graphs]
+    return os.getpid(), sums, _degree_sum(pair[1])
+
+
+def _snapshot_is_frozen(graph: CSRGraph) -> tuple:
+    try:
+        graph.add_edge(0, 1)
+        rejected = False
+    except GraphError:
+        rejected = True
+    return type(graph).__name__, rejected, graph.degree_array().flags.writeable
+
+
 def _result_json(result: ExperimentResult) -> str:
     return json.dumps(result.as_dict(), sort_keys=True)
 
@@ -66,6 +88,14 @@ class TestTask:
 
     def test_closure_is_not_picklable(self):
         assert not Task(fn=lambda: 1).is_picklable()
+
+    def test_task_with_frozen_graph_is_picklable(self):
+        # ParallelExecutor probes a batch's first task: a frozen graph
+        # argument must pass, or the batch would run in-process.
+        frozen = generate_pa(100, stubs=2, hard_cutoff=10, seed=3).freeze()
+        task = Task(fn=_degree_sum, args=(frozen,))
+        assert task.is_picklable()
+        assert pickle.loads(pickle.dumps(task)).run() == task.run()
 
 
 class TestSerialExecutor:
@@ -118,6 +148,60 @@ class TestParallelExecutor:
         ]
         with ParallelExecutor(jobs=2) as executor:
             assert executor.run(tasks) == expected
+
+    def test_frozen_graph_arguments_cross_the_pool(self):
+        # Matching results alone would not show that a task left the parent
+        # (a task that fails to pickle reruns in-process); the pid does.
+        frozen = generate_pa(200, stubs=2, hard_cutoff=15, seed=11).freeze()
+        tasks = [Task(fn=_pid_and_degree_sum, args=(frozen,), key=f"t{i}") for i in range(4)]
+        with ParallelExecutor(jobs=2) as executor:
+            results = executor.run(tasks)
+        assert all(pid != os.getpid() for pid, _ in results)
+        assert [total for _, total in results] == [_degree_sum(frozen)] * 4
+
+    def test_mutable_graph_arguments_cross_the_pool(self):
+        graph = generate_pa(150, stubs=2, hard_cutoff=15, seed=12)
+        tasks = [Task(fn=_pid_and_degree_sum, args=(graph,), key=f"t{i}") for i in range(3)]
+        with ParallelExecutor(jobs=2) as executor:
+            results = executor.run(tasks)
+        assert all(pid != os.getpid() for pid, _ in results)
+        assert [total for _, total in results] == [_degree_sum(graph)] * 3
+
+    def test_graphs_nested_in_containers_cross_the_pool(self):
+        frozen = generate_pa(120, stubs=2, hard_cutoff=12, seed=13).freeze()
+        graph = generate_pa(80, stubs=1, hard_cutoff=8, seed=14)
+        task = Task(
+            fn=_nested_degree_sums,
+            kwargs={"graphs": [frozen, 3, graph], "pair": (1, frozen)},
+            key="nested",
+        )
+        with ParallelExecutor(jobs=2) as executor:
+            results = executor.run([task, task])
+        expected = ([_degree_sum(frozen), 3, _degree_sum(graph)], _degree_sum(frozen))
+        for pid, sums, pair_sum in results:
+            assert pid != os.getpid()
+            assert (sums, pair_sum) == expected
+
+    def test_workers_receive_an_immutable_snapshot(self):
+        frozen = generate_pa(100, stubs=2, hard_cutoff=10, seed=15).freeze()
+        tasks = [Task(fn=_snapshot_is_frozen, args=(frozen,), key=f"t{i}") for i in range(2)]
+        with ParallelExecutor(jobs=2) as executor:
+            assert executor.run(tasks) == [("CSRGraph", True, False)] * 2
+
+    def test_pool_reused_until_closed_and_close_is_idempotent(self):
+        tasks = [Task(fn=_square, args=(i,)) for i in range(4)]
+        executor = ParallelExecutor(jobs=2)
+        assert executor.run(tasks) == [0, 1, 4, 9]
+        pool = executor._pool
+        assert pool is not None
+        assert executor.run(tasks) == [0, 1, 4, 9]
+        assert executor._pool is pool
+        executor.close()
+        executor.close()
+        assert executor._pool is None
+        # A closed executor starts a fresh pool for its next batch.
+        assert executor.run(tasks) == [0, 1, 4, 9]
+        executor.close()
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ExperimentError):
