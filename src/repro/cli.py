@@ -989,7 +989,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         kernels=args.kernels,
         workers=args.workers,
-        telemetry=TelemetryCollector(),
     )
     http = ServeHTTP(
         service, host=args.host, port=args.port, access_log=not args.quiet

@@ -49,11 +49,6 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Set, Tuple, TYP
 
 import numpy as np
 
-try:  # SciPy accelerates the batched flood kernel but is not required.
-    from scipy import sparse as _scipy_sparse
-except ImportError:  # pragma: no cover - exercised only on scipy-less installs
-    _scipy_sparse = None
-
 from repro.core.errors import GraphError, NodeNotFoundError
 from repro.core.rng import RandomSource
 from repro.core.types import Edge, GraphStats, NodeId
@@ -357,13 +352,17 @@ class CSRGraph:
 
         The matrix shares this graph's ``indptr``/``indices`` buffers (no
         copy beyond the unit data vector) and drives the batched flood
-        kernel; ``None`` when SciPy is not installed.
+        kernel; ``None`` when SciPy is not installed.  SciPy is imported
+        here, on first use, so a process that never floods a batch (serve,
+        HAPA/DAPA generation, NF/PF/RW search) never loads it.
         """
-        if _scipy_sparse is None:
-            return None
         if self._sparse_matrix is None:
+            try:
+                from scipy import sparse
+            except ImportError:  # pragma: no cover - scipy-less installs
+                return None
             n = len(self._degrees)
-            self._sparse_matrix = _scipy_sparse.csr_matrix(
+            self._sparse_matrix = sparse.csr_matrix(
                 (np.ones(len(self._indices), dtype=np.int32), self._indices, self._indptr),
                 shape=(n, n),
             )

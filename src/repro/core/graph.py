@@ -25,14 +25,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Set
 
-import networkx as nx
 import numpy as np
 
 from repro.core.errors import GraphError, NodeNotFoundError
 from repro.core.rng import RandomSource
 from repro.core.types import Edge, GraphStats, NodeId
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (csr imports us)
+if TYPE_CHECKING:  # pragma: no cover - annotations only; csr imports us
+    import networkx as nx
+
     from repro.core.csr import CSRGraph
 
 __all__ = ["Graph"]
@@ -395,7 +396,13 @@ class Graph:
     # Interoperability
     # ------------------------------------------------------------------ #
     def to_networkx(self) -> nx.Graph:
-        """Convert to a :class:`networkx.Graph` (nodes and edges only)."""
+        """Convert to a :class:`networkx.Graph` (nodes and edges only).
+
+        networkx is imported here, on first use: nothing on the generation,
+        search or serve paths converts, so ``import repro`` does not load it.
+        """
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(self._adjacency.keys())
         g.add_edges_from(self.edges())

@@ -28,7 +28,7 @@ import secrets
 import shutil
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import ExperimentError
 from repro.experiments.results import ExperimentResult
@@ -228,25 +228,25 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def entries(self) -> List[Dict[str, Any]]:
-        """Return the meta records of every completed entry in the store."""
-        records: List[Dict[str, Any]] = []
-        for meta_path in sorted(self.root.glob("*/*/meta.json")):
-            if not (meta_path.parent / "result.json").exists():
-                continue
-            try:
-                records.append(json.loads(meta_path.read_text()))
-            except ValueError:  # pragma: no cover - corrupted meta is skipped
-                continue
-        return records
+    def _markers(self) -> Iterator[Path]:
+        """The ``result.json`` of every completed entry.
+
+        :meth:`put` replaces ``result.json`` last, so its presence marks an
+        entry :meth:`get` can read, whatever state ``meta.json`` is in.
+        """
+        return self.root.glob("*/*/result.json")
 
     def stats(self) -> Dict[str, int]:
-        """Hit/miss counters for this store instance plus the disk entry count."""
+        """Hit/miss counters for this store instance plus the disk entry count.
+
+        Entries are counted by their marker, without reading any file: a
+        live service calls this on every ``/metrics`` scrape.
+        """
         return {
             "hits": self.hits,
             "misses": self.misses,
             "corrupt": self.corrupt,
-            "entries": len(self.entries()),
+            "entries": sum(1 for _ in self._markers()),
             "bytes_read": self.bytes_read,
             "bytes_written": self.bytes_written,
         }
@@ -255,12 +255,9 @@ class ResultStore:
         """Entry count and total on-disk bytes of every completed entry."""
         entries = 0
         total_bytes = 0
-        for meta_path in self.root.glob("*/*/meta.json"):
-            directory = meta_path.parent
-            if not (directory / "result.json").exists():
-                continue
+        for marker in self._markers():
             entries += 1
-            for artifact in directory.iterdir():
+            for artifact in marker.parent.iterdir():
                 if artifact.is_file():
                     total_bytes += artifact.stat().st_size
         return {"entries": entries, "total_bytes": total_bytes}
@@ -295,11 +292,8 @@ class ResultStore:
         if now is None:
             now = time.time()
         entries: List[Tuple[float, int, Path]] = []  # (mtime, bytes, dir)
-        for meta_path in self.root.glob("*/*/meta.json"):
-            directory = meta_path.parent
-            marker = directory / "result.json"
-            if not marker.exists():
-                continue
+        for marker in self._markers():
+            directory = marker.parent
             size = sum(
                 artifact.stat().st_size
                 for artifact in directory.iterdir()

@@ -10,7 +10,10 @@
   process), and deduplicates identical in-flight specs by canonical
   hash — the second submitter awaits the first's future and receives a
   byte-identical response.  :class:`EventLog` buffers serializable
-  progress events for streaming consumers.
+  progress events for streaming consumers.  Its state is bounded: the job
+  table keeps the newest ``MAX_KNOWN_JOBS`` spec hashes, and the service
+  collector keeps counters, histograms and per-name span totals but no
+  span tree, so memory does not grow with the request count.
 * :mod:`repro.serve.http` — :class:`ServeHTTP`, a stdlib-only asyncio
   HTTP front end (``POST /scenarios``, NDJSON ``/events`` streams,
   ``/healthz``, ``/metrics``).

@@ -10,7 +10,9 @@ POST   ``/scenarios``                Submit a :class:`ScenarioSpec` JSON body.
                                      Query: ``wait=0`` (return 202
                                      immediately), ``scale=...``, ``seed=...``.
 GET    ``/scenarios/<hash>``         Status/result of the newest job for a
-                                     canonical spec hash.
+                                     canonical spec hash; 404 once the job
+                                     table has evicted the hash (its result
+                                     stays in the store).
 GET    ``/scenarios/<hash>/events``  NDJSON progress stream (one JSON object
                                      per line, live until the job finishes).
 GET    ``/healthz``                  Liveness + uptime.

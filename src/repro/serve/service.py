@@ -13,9 +13,16 @@ instance owns:
 * an in-flight table keyed by ``(spec hash, scale, seed)`` that
   deduplicates identical *cold* requests — the second identical request
   awaits the first's future instead of recomputing;
-* a :class:`~repro.telemetry.collector.TelemetryCollector` counting
-  requests / warm hits / dedup hits / cold misses / errors and observing
-  request latencies, surfaced by ``GET /metrics``.
+* a job table answering ``GET /scenarios/<hash>``: the newest job of each
+  spec hash, capped at :data:`MAX_KNOWN_JOBS` hashes by admission order.
+  A job still in flight is never evicted; an evicted hash answers 404,
+  while its result stays in the store, if one is attached;
+* an aggregates-only :class:`~repro.telemetry.collector.TelemetryCollector`
+  (``tree=False``) counting requests / warm hits / dedup hits / cold
+  misses / errors, observing request latencies and summing time per span
+  name, surfaced by ``GET /metrics``.  It keeps no span tree and no
+  per-task record, so neither the table nor the collector grows with
+  traffic.
 
 Request lifecycle events (accepted → running → per-task progress →
 completed/failed) are appended to a per-job :class:`EventLog` as plain
@@ -27,6 +34,7 @@ NDJSON.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -49,6 +57,11 @@ from repro.telemetry.trace import new_trace_id, use_trace_id
 __all__ = ["EventLog", "ScenarioJob", "ScenarioService"]
 
 _log = get_logger("repro.serve")
+
+#: Spec hashes the job table remembers.  Each entry holds a result dict and
+#: an event log, so the cap bounds the table's memory; results themselves
+#: persist in the store.
+MAX_KNOWN_JOBS = 256
 
 
 class EventLog:
@@ -166,6 +179,10 @@ class ScenarioJob:
 class ScenarioService:
     """Admission, caching, and dedup for scenario computations.
 
+    A long-lived service holds bounded state: the job table keeps the
+    newest :data:`MAX_KNOWN_JOBS` spec hashes (plus any job still in
+    flight), and the default collector keeps aggregates only.
+
     Parameters
     ----------
     store:
@@ -183,7 +200,9 @@ class ScenarioService:
         How many scenario computations may run concurrently (each fans its
         realization tasks into the shared ``executor``).
     telemetry:
-        Collector for service counters/latencies (default: a fresh one).
+        Collector for service counters/latencies.  The default keeps
+        aggregates only (``TelemetryCollector(tree=False)``); pass a
+        tree-keeping collector to inspect a request's span tree in-process.
     """
 
     def __init__(
@@ -203,14 +222,17 @@ class ScenarioService:
             scale = ExperimentScale.from_name(scale)
         self.default_scale = resolve_scale(scale, seed)
         self.kernels = kernels
-        self.telemetry = telemetry if telemetry is not None else TelemetryCollector()
+        self.telemetry = (
+            telemetry if telemetry is not None else TelemetryCollector(tree=False)
+        )
         self.started_at = telemetry_clock()
         self._lock = threading.Lock()
         # In-flight jobs keyed by (spec hash, scale name, seed) — the dedup
-        # identity; and every job ever admitted keyed by spec hash for
-        # /scenarios/<hash> and /events lookups (latest wins).
+        # identity; and the newest job of each recently admitted spec hash
+        # for /scenarios/<hash> and /events lookups, oldest admission first
+        # (see _remember).
         self._inflight: Dict[str, ScenarioJob] = {}
-        self._jobs: Dict[str, ScenarioJob] = {}
+        self._jobs: "OrderedDict[str, ScenarioJob]" = OrderedDict()
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, workers), thread_name_prefix="repro-serve"
         )
@@ -321,7 +343,7 @@ class ScenarioService:
             else:
                 job = ScenarioJob(spec, resolved, job_key, trace_id)
                 self._inflight[job_key] = job
-                self._jobs[spec_hash] = job
+                self._remember(job)
                 self._pool.submit(self._run_job, job)
         if deduped:
             self.telemetry.count("serve.dedup_hits")
@@ -362,8 +384,33 @@ class ScenarioService:
         job.events.close()
         job.future.set_result(None)
         with self._lock:
-            self._jobs[job.spec_hash] = job
+            self._remember(job)
         return job
+
+    def _remember(self, job: ScenarioJob) -> None:
+        """Make ``job`` its hash's newest entry (``self._lock`` held)."""
+        self._jobs[job.spec_hash] = job
+        self._jobs.move_to_end(job.spec_hash)
+        self._evict_known_jobs()
+
+    def _evict_known_jobs(self) -> None:
+        """Drop the oldest jobs beyond :data:`MAX_KNOWN_JOBS` (lock held).
+
+        Jobs still in flight are skipped, so a client polling a running job
+        always finds it; the table exceeds the cap only while more jobs
+        than that are in flight.
+        """
+        excess = len(self._jobs) - MAX_KNOWN_JOBS
+        if excess <= 0:
+            return
+        evicted: List[str] = []
+        for spec_hash, known in self._jobs.items():
+            if self._inflight.get(known.job_key) is not known:
+                evicted.append(spec_hash)
+                if len(evicted) == excess:
+                    break
+        for spec_hash in evicted:
+            del self._jobs[spec_hash]
 
     def _run_job(self, job: ScenarioJob) -> None:
         job.status = "running"
@@ -442,6 +489,7 @@ class ScenarioService:
         finally:
             with self._lock:
                 self._inflight.pop(job.job_key, None)
+                self._evict_known_jobs()
             job.events.close()
             job.future.set_result(None)
 
@@ -454,7 +502,11 @@ class ScenarioService:
     # Lookups
     # ------------------------------------------------------------------ #
     def job_for(self, spec_hash: str) -> Optional[ScenarioJob]:
-        """The most recent job admitted for ``spec_hash``, or ``None``."""
+        """The most recent job admitted for ``spec_hash``, or ``None``.
+
+        ``None`` also for a hash the job table has evicted (see
+        :data:`MAX_KNOWN_JOBS`); its result is still in the store.
+        """
         with self._lock:
             return self._jobs.get(spec_hash)
 

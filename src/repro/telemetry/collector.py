@@ -12,7 +12,10 @@ Since schema 2, spans are a *tree*: every span records an id, a parent id
 (the innermost open span of the same collector, tracked by the ambient
 stack in :mod:`repro.telemetry.trace`), monotonic start/end timestamps,
 the ambient trace id, and optional attributes — alongside the schema-1
-per-name aggregates, which stay the cheap summary view.
+per-name aggregates, which stay the cheap summary view.  A collector built
+with ``tree=False`` keeps only that summary view (counters, histograms and
+per-name span totals): ``repro serve`` records every request into one such
+collector for its whole life, so its memory does not grow with traffic.
 
 Zero overhead when disabled is the design constraint: the default ambient
 value is the :data:`NULL_TELEMETRY` singleton whose methods are no-ops and
@@ -215,12 +218,24 @@ class TelemetryCollector:
 
     Thread-safe: scenario plan threads (and the executor's merge of worker
     payloads) may record concurrently into one collector.
+
+    Parameters
+    ----------
+    tree:
+        Keep the span tree and the per-task records (the default).  Both
+        grow with every span and every merged task, which suits a one-shot
+        ``--trace``/``--json`` run.  A long-lived collector that nobody
+        exports a tree from — ``repro serve``'s, whose ``/metrics`` reads
+        only the aggregates — passes ``tree=False``: counters, histograms
+        and per-name span totals still update, no tree node or task record
+        is kept, and its memory stays bounded by the number of names.
     """
 
     enabled = True
 
-    def __init__(self) -> None:
+    def __init__(self, tree: bool = True) -> None:
         self._lock = threading.Lock()
+        self.tree = tree
         self.spans: Dict[str, Dict[str, float]] = {}
         self.counters: Dict[str, float] = {}
         self.histograms: Dict[str, Dict[str, Any]] = {}
@@ -261,18 +276,18 @@ class TelemetryCollector:
         attrs: Optional[Dict[str, Any]],
         aggregate: bool,
     ) -> None:
-        node = {
-            "id": span_id,
-            "parent": parent,
-            "name": name,
-            "start": started,
-            "end": ended,
-            "trace_id": trace_id,
-            "tid": threading.get_ident(),
-            "attrs": dict(attrs) if attrs else {},
-        }
         with self._lock:
-            self.span_tree.append(node)
+            if self.tree:
+                self.span_tree.append({
+                    "id": span_id,
+                    "parent": parent,
+                    "name": name,
+                    "start": started,
+                    "end": ended,
+                    "trace_id": trace_id,
+                    "tid": threading.get_ident(),
+                    "attrs": dict(attrs) if attrs else {},
+                })
             if aggregate:
                 entry = self.spans.get(name)
                 if entry is None:
@@ -421,7 +436,8 @@ class TelemetryCollector:
         When ``_clock_anchor`` is given (see :meth:`merge_task`), the
         payload's timestamps are shifted so its latest root ends at the
         anchor: worker ``perf_counter`` clocks are not comparable across
-        processes, and anchoring keeps the merged timeline monotone.
+        processes, and anchoring keeps the merged timeline monotone.  A
+        ``tree=False`` collector merges the aggregates only.
         """
         for name, entry in payload.get("spans", {}).items():
             with self._lock:
@@ -460,6 +476,8 @@ class TelemetryCollector:
                         # the counts lie; drop them and fall back to the
                         # summary statistics.
                         del target["buckets"]
+        if not self.tree:
+            return
         with self._lock:
             self.tasks.extend(dict(task) for task in payload.get("tasks", []))
         nodes = payload.get("span_tree", [])
@@ -501,9 +519,11 @@ class TelemetryCollector:
 
         The per-task records are the trace file's per-realization view:
         every realization task appears with its wall time and the named
-        spans that account for it.
+        spans that account for it.  A ``tree=False`` collector keeps none.
         """
         self.merge(payload, _clock_anchor=telemetry_clock())
+        if not self.tree:
+            return
         with self._lock:
             self.tasks.append(
                 {

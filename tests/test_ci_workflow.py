@@ -2,8 +2,9 @@
 
 ``ci.yml`` is read as text, since the dev extras carry no YAML parser.
 Every test file a CI step names must exist (pytest errors out on a missing
-path), and the perfbench job must gate every workload ``BENCHMARK.json``
-declares, by running the benchmark's own command.
+path), the perfbench job must gate every workload ``BENCHMARK.json``
+declares, by running the benchmark's own command, and the serve job must
+soak its running server and bound the server's RSS growth.
 """
 
 from __future__ import annotations
@@ -52,3 +53,14 @@ def test_perfbench_job_runs_the_benchmark_command_and_checks_its_report():
         "cold_p50 <= bound",
     ):
         assert check in job, check
+
+
+def test_serve_job_soaks_a_running_server_and_bounds_its_rss_growth():
+    job = _job("serve")
+    assert "python -m repro serve --port 8765 --jobs 2" in job
+    assert "for pair in range(1, 5001):" in job
+    assert "if pair in (1000, 5000):" in job
+    assert 'open(f"/proc/{pid}/status")' in job and '"VmRSS:"' in job
+    assert "growth_kb <= 2048" in job
+    # The soak runs before the SIGTERM, against the smoke's server.
+    assert job.index("growth_kb <= 2048") < job.index('kill -TERM "$SERVE_PID"')

@@ -291,6 +291,18 @@ class TestResultStore:
         assert stats["bytes_read"] > 0
         assert stats["bytes_written"] > 0
 
+    def test_stats_counts_entries_by_result_marker(self, tmp_path, smoke_scale):
+        """An unreadable meta.json does not hide an entry get can serve."""
+        store = ResultStore(tmp_path)
+        directory = store.put("fake", smoke_scale, self._result())
+        (directory / "meta.json").write_text("{torn")
+        assert store.get("fake", smoke_scale) is not None
+        # A put that died before its last rename has no result.json.
+        unfinished = store.path_for(store.key_for("fake", smoke_scale.with_seed(9)))
+        unfinished.mkdir(parents=True)
+        (unfinished / "meta.json").write_text("{}")
+        assert store.stats()["entries"] == 1
+
     def test_key_depends_on_scale_seed_and_extra(self, smoke_scale):
         base = ResultStore.key_for("fig9", smoke_scale)
         assert ResultStore.key_for("fig9", smoke_scale) == base

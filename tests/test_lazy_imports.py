@@ -1,0 +1,88 @@
+"""``import repro`` loads neither SciPy nor networkx; only their users do.
+
+``CSRGraph.sparse_adjacency`` (the batched flood kernel's matrix) imports
+``scipy.sparse`` and ``Graph.to_networkx`` imports networkx, each on first
+use, so serve, generation and NF/PF/RW search never pay for either module.
+Each check runs in a fresh interpreter, since this test process has long
+since imported both.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Runs three scenarios at the smoke preset and prints, as one JSON object,
+#: the scipy/networkx modules loaded after each stage.
+_STAGES = r"""
+import json, sys
+
+def loaded():
+    return sorted(
+        name for name in sys.modules
+        if name.split(".")[0] in ("scipy", "networkx")
+    )
+
+stages = {}
+import repro
+stages["import"] = loaded()
+
+from repro.experiments.runner import ExperimentScale
+from repro.scenarios.compile import run_scenario_cached
+from repro.scenarios.spec import ScenarioSpec
+
+def run(model, measurement):
+    spec = ScenarioSpec.from_dict({
+        "id": "lazy-imports", "title": "lazy imports", "label": "x",
+        "topology": {"model": model, "stubs": 2, "hard_cutoff": 10},
+        "measurement": measurement,
+    })
+    run_scenario_cached(spec, scale=ExperimentScale.smoke(), kernels="python")
+    return loaded()
+
+stages["hapa-degree-distribution"] = run("hapa", {"kind": "degree-distribution"})
+stages["nf-search-curve"] = run("pa", {"kind": "search-curve", "algorithm": "nf"})
+stages["fl-search-curve"] = run("pa", {"kind": "search-curve", "algorithm": "fl"})
+print(json.dumps(stages))
+"""
+
+
+@pytest.fixture(scope="module")
+def stages():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _STAGES],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout.strip().splitlines()[-1])
+
+
+def test_import_repro_loads_neither_scipy_nor_networkx(stages):
+    assert stages["import"] == []
+
+
+def test_generation_and_nf_search_load_neither(stages):
+    assert stages["hapa-degree-distribution"] == []
+    assert stages["nf-search-curve"] == []
+
+
+def test_fl_search_curve_loads_scipy_sparse(stages):
+    pytest.importorskip("scipy.sparse")
+    loaded = stages["fl-search-curve"]
+    assert "scipy.sparse" in loaded
+    assert not [name for name in loaded if name.split(".")[0] == "networkx"]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import sys
 import threading
 import time
 
@@ -511,6 +512,100 @@ class TestTraceCorrelation:
             [n["id"] for n in tree if n["name"] == "serve.request"][0]
         ]
         assert request_node["attrs"]["spec_hash"] == cold["spec_hash"]
+
+
+class TestBoundedMemory:
+    def test_default_collector_keeps_aggregates_only(self, tmp_path):
+        service = ScenarioService(scale="smoke", store=ResultStore(tmp_path / "cache"))
+        try:
+            for seed in range(30):
+                assert service.submit(SPEC_JSON, seed=seed)["from_cache"] is False
+                assert service.submit(SPEC_JSON, seed=seed)["from_cache"] is True
+            export = service.telemetry.export()
+        finally:
+            service.close()
+        assert service.telemetry.span_tree == []
+        assert service.telemetry.tasks == []
+        assert export["span_tree"] == [] and export["tasks"] == []
+        assert export["counters"]["serve.requests"] == 60
+        assert export["histograms"]["serve.request_seconds"]["count"] == 60
+        assert export["spans"]["serve.request"]["count"] == 30
+
+    def test_job_table_keeps_the_newest_hashes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.serve.service.MAX_KNOWN_JOBS", 4)
+        release = threading.Event()
+        real = run_scenario_cached
+
+        def gated(spec, **kwargs):
+            if spec.scenario_id == "serve-held":
+                assert release.wait(timeout=30.0), "test deadlock"
+            return real(spec, **kwargs)
+
+        monkeypatch.setattr("repro.serve.service.run_scenario_cached", gated)
+        fixture = _HTTPFixture(_service(tmp_path))
+        try:
+            status, body = fixture.request(
+                "POST", "/scenarios?wait=0", json.dumps(dict(SPEC, id="serve-held"))
+            )
+            assert status == 202
+            held = json.loads(body)["spec_hash"]
+            burst = []
+            for index in range(10):
+                status, body = fixture.request(
+                    "POST", "/scenarios", json.dumps(dict(SPEC, id=f"serve-burst-{index}"))
+                )
+                assert status == 200
+                burst.append(json.loads(body)["spec_hash"])
+            assert len({held, *burst}) == 11
+            assert json.loads(fixture.request("GET", "/metrics")[1])["known_jobs"] == 4
+            assert fixture.request("GET", f"/scenarios/{burst[-1]}")[0] == 200
+            assert fixture.request("GET", f"/scenarios/{burst[0]}")[0] == 404
+            status, body = fixture.request("GET", f"/scenarios/{held}")
+            assert status == 200
+            assert json.loads(body)["status"] in ("queued", "running")
+            release.set()
+            fixture.service.job_for(held).future.result(timeout=30.0)
+            assert fixture.request("GET", f"/scenarios/{held}")[0] == 200
+            # An evicted hash's result is still in the store.
+            status, body = fixture.request(
+                "POST", "/scenarios", json.dumps(dict(SPEC, id="serve-burst-0"))
+            )
+            assert status == 200 and json.loads(body)["from_cache"] is True
+        finally:
+            release.set()
+            fixture.close()
+
+    def test_concurrent_admissions_keep_the_table_at_the_cap(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr("repro.serve.service.MAX_KNOWN_JOBS", 8)
+        service = _service(tmp_path, workers=4)
+        responses = []
+
+        def submit_distinct(worker):
+            for index in range(5):
+                spec = json.dumps(dict(SPEC, id=f"serve-{worker}-{index}"))
+                responses.append(service.submit(spec, timeout=60.0))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=submit_distinct, args=(worker,))
+                for worker in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        assert len(responses) == 40
+        assert all(response["status"] == "done" for response in responses)
+        metrics = service.metrics()
+        assert (metrics["known_jobs"], metrics["inflight"]) == (8, 0)
 
 
 class TestMetricsExposition:

@@ -135,6 +135,18 @@ class TestGC:
         assert persisted == summary
         assert persisted["reclaimed_bytes"] == summary["scanned_bytes"]
 
+    def test_entry_without_meta_is_counted_and_reclaimed(self, tmp_path, smoke_scale):
+        """``get`` serves an entry by its result.json alone, so gc sees it too."""
+        store = ResultStore(tmp_path)
+        _fill(store, 2, smoke_scale)
+        directory = store.put("fake-0", smoke_scale, _result("0"))
+        (directory / "meta.json").unlink()
+        assert store.get("fake-0", smoke_scale) is not None
+        assert store.stats()["entries"] == store.disk_stats()["entries"] == 2
+        summary = store.gc(max_bytes=0)
+        assert summary["removed_entries"] == 2
+        assert not directory.exists()
+
     def test_gc_on_empty_store(self, tmp_path):
         store = ResultStore(tmp_path)
         summary = store.gc(max_bytes=100)

@@ -17,6 +17,7 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import io
+import itertools
 import json
 
 import pytest
@@ -120,6 +121,52 @@ class TestSpanTree:
         with collector.span("b"):
             assert current_span_id() != first
         assert current_span_id() is None
+
+
+class TestAggregatesOnly:
+    """``tree=False`` keeps the aggregates a tree-keeping collector keeps."""
+
+    @staticmethod
+    def _worker_payload():
+        worker = TelemetryCollector()
+        with worker.span("task", attrs={"key": "k"}, aggregate=False):
+            with worker.span("generate", attrs={"model": "pa"}):
+                worker.count("generate.pa")
+            worker.observe("bfs.frontier", 12)
+        return worker.export()
+
+    @staticmethod
+    def _feed(collector, payload, monkeypatch):
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            "repro.telemetry.collector.telemetry_clock", lambda: float(next(ticks))
+        )
+        with use_trace_id("trace-a"):
+            with collector.span("serve.request", attrs={"seed": 1}):
+                with collector.span("store"):
+                    collector.count("store.misses")
+                collector.merge_task("task-0", 0.5, payload)
+            collector.observe("serve.request_seconds", 0.25)
+        collector.merge(payload)
+        return collector.export()
+
+    def test_same_aggregates_without_tree_or_tasks(self, monkeypatch):
+        payload = self._worker_payload()
+        full = self._feed(TelemetryCollector(), payload, monkeypatch)
+        aggregates = self._feed(TelemetryCollector(tree=False), payload, monkeypatch)
+        for part in ("spans", "counters", "histograms"):
+            assert aggregates[part] == full[part], part
+        assert full["spans"]["generate"]["count"] == 2
+        assert full["span_tree"] and full["tasks"]
+        assert aggregates["span_tree"] == []
+        assert aggregates["tasks"] == []
+
+    def test_spans_still_set_the_ambient_span(self):
+        collector = TelemetryCollector(tree=False)
+        with collector.span("outer"):
+            assert current_span_id() is not None
+        assert current_span_id() is None
+        assert collector.span_tree == []
 
 
 class TestGenerateSpanAttributes:
