@@ -28,7 +28,6 @@ from oracles import hapa as hapa_oracle
 from oracles import nf as nf_oracle
 from oracles import pa as pa_oracle
 from oracles import pf as pf_oracle
-from repro.core.csr import batch_random_walks
 from repro.core.rng import RandomSource
 from repro.generators.cm import ConfigurationModelGenerator, generate_cm
 from repro.generators.dapa import DAPAGenerator, generate_dapa
@@ -171,15 +170,6 @@ class TestBackendBenchmarks:
     def test_single_query_flood_csr(self, benchmark, fig9_frozen):
         result = benchmark(flood, fig9_frozen, 0, FIG9_TTL)
         assert result.hits > 0
-
-    def test_batch_random_walks_kernel(self, benchmark, fig9_frozen):
-        rng = np.random.default_rng(11)
-        sources = np.arange(self.QUERIES)
-
-        trajectory = benchmark(
-            batch_random_walks, fig9_frozen, sources, 200, rng
-        )
-        assert trajectory.shape == (201, self.QUERIES)
 
 
 class TestPythonTierFastLoopBenchmarks:

@@ -7,12 +7,15 @@ back to the legacy ``setup.py`` code path, which this file fully supports.
 
 Install targets:
 
-* ``pip install .`` — core library + ``repro`` CLI (numpy + networkx only);
+* ``pip install .`` — core library + ``repro`` CLI (numpy only);
 * ``pip install .[scipy]`` — SciPy-accelerated batched flood kernel;
 * ``pip install .[fast]`` — numba, enabling the compiled ``jit`` kernel
   tier for the stochastic search loops (identical results, much faster);
 * ``pip install .[dev]`` — the test/benchmark/lint toolchain (pytest,
-  hypothesis, ruff, mypy; ``repro lint`` itself is stdlib-only).
+  hypothesis, ruff, mypy; ``repro lint`` itself is stdlib-only) and
+  networkx, the reference the tests check the graph and analysis code
+  against.  The library's ``to_networkx``/``from_networkx`` conversions
+  import networkx on first use and raise ``ModuleNotFoundError`` without it.
 
 Everything optional degrades gracefully: without scipy the CSR flood
 kernel falls back to pure NumPy, without numba the ``jit`` kernel tier
@@ -48,7 +51,6 @@ setup(
     python_requires=">=3.9",
     install_requires=[
         "numpy>=1.22",
-        "networkx>=2.8",
     ],
     extras_require={
         "scipy": ["scipy>=1.8"],
@@ -59,6 +61,7 @@ setup(
             "hypothesis>=6",
             "ruff>=0.4",
             "mypy>=1.8",
+            "networkx>=2.8",
         ],
     },
     entry_points={

@@ -11,15 +11,13 @@ The library is organised in layers:
 * :mod:`repro.core` — graph data structure, seedable randomness, validated
   configuration objects, error hierarchy;
 * :mod:`repro.substrate` — underlay network models (geometric random network,
-  mesh, Erdős–Rényi) used by DAPA and the P2P simulation;
+  mesh, Erdős–Rényi) used by DAPA;
 * :mod:`repro.generators` — the four overlay-construction mechanisms the
   paper studies: PA, CM, HAPA, DAPA, all with hard-cutoff support;
 * :mod:`repro.search` — flooding, normalized flooding, and random-walk search
   with hit/message accounting and the paper's NF↔RW normalization;
 * :mod:`repro.analysis` — degree distributions, power-law fits, natural
   cutoffs, path lengths, components, robustness;
-* :mod:`repro.simulation` — a discrete-event Gnutella-like P2P simulator
-  (peers, neighbor tables with cutoffs, query protocol, churn);
 * :mod:`repro.experiments` — the figure/table reproduction harness behind
   ``benchmarks/`` and the ``repro`` CLI;
 * :mod:`repro.engine` — the parallel execution engine: serial/process-pool

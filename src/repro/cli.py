@@ -23,8 +23,6 @@ Subcommands
     Generate a topology and print (or save) its summary statistics.
 ``repro search nf --model pa --nodes 5000 --stubs 2 --cutoff 10 --ttl 8``
     Generate a topology and run a search-efficiency measurement on it.
-``repro churn --peers 200 --duration 100 --cutoff 8``
-    Run a join/leave (churn) simulation and print the topology time series.
 ``repro cache stats --cache .repro-cache``
     Print result-store entry count, total bytes, the persisted hit/miss
     counters of the last run, and the last ``gc`` summary.
@@ -80,7 +78,6 @@ from repro.scenarios import (
 from repro.search.flooding import FloodingSearch
 from repro.search.metrics import normalized_walk_curve, search_curve
 from repro.search.normalized_flooding import NormalizedFloodingSearch
-from repro.simulation.churn import ChurnConfig, ChurnProcess
 from repro.telemetry.collector import (
     TelemetryCollector,
     active_telemetry,
@@ -289,17 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="execution tier for generation and search loops "
                              "(identical results; 'jit' is faster with numba)")
     _add_telemetry_args(search)
-
-    # churn
-    churn = subparsers.add_parser("churn", help="run a join/leave simulation")
-    churn.add_argument("--peers", type=int, default=200, help="initial peers")
-    churn.add_argument("--duration", type=float, default=100.0)
-    churn.add_argument("--arrival-rate", type=float, default=2.0)
-    churn.add_argument("--session", type=float, default=50.0,
-                       help="mean session length (0 disables departures)")
-    churn.add_argument("--cutoff", type=int, default=None)
-    churn.add_argument("--stubs", type=int, default=2)
-    churn.add_argument("--seed", type=int, default=None)
 
     # cache
     cache = subparsers.add_parser(
@@ -824,21 +810,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_churn(args: argparse.Namespace) -> int:
-    config = ChurnConfig(
-        initial_peers=args.peers,
-        duration=args.duration,
-        arrival_rate=args.arrival_rate,
-        mean_session_length=args.session if args.session > 0 else None,
-        hard_cutoff=args.cutoff,
-        stubs=args.stubs,
-        seed=args.seed,
-    )
-    report = ChurnProcess(config).run()
-    print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    return 0
-
-
 def _parse_size(text: str) -> int:
     """Parse a byte count: plain digits or a k/m/g(b) suffix (e.g. ``256m``)."""
     raw = text.strip().lower()
@@ -1028,7 +999,6 @@ _COMMANDS = {
     "scenarios": _cmd_scenarios,
     "generate": _cmd_generate,
     "search": _cmd_search,
-    "churn": _cmd_churn,
     "cache": _cmd_cache,
     "lint": _cmd_lint,
     "serve": _cmd_serve,

@@ -1,8 +1,7 @@
 """Core primitives shared by every subsystem of :mod:`repro`.
 
 This subpackage provides the foundational building blocks used by the
-topology generators, search algorithms, analysis routines, and the P2P
-simulation layer:
+topology generators, search algorithms, and analysis routines:
 
 ``graph``
     A compact adjacency-list undirected graph implementation
@@ -39,7 +38,6 @@ from repro.core.errors import (
     GraphError,
     ReproError,
     SearchError,
-    SimulationError,
 )
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
@@ -59,5 +57,4 @@ __all__ = [
     "RandomSource",
     "ReproError",
     "SearchError",
-    "SimulationError",
 ]

@@ -28,10 +28,8 @@ On top of the arrays this module provides vectorized kernels:
 * :func:`flood_levels` / :func:`flood_curve` — frontier-based BFS that
   computes the whole hits-vs-τ **and** messages-vs-τ curve of a flooding
   query in a handful of NumPy operations (no Python-level per-edge loop);
-* :func:`batch_random_walks` — many simultaneous random walks advanced one
-  vectorized step at a time (a throughput-mode kernel with its own NumPy
-  RNG stream; it is *distribution*-equivalent, not stream-identical, to
-  :class:`~repro.search.random_walk.RandomWalkSearch`).
+* :func:`batch_flood_curves` — the same curves for a batch of sources in
+  one sparse-matrix BFS (SciPy when installed, NumPy otherwise).
 
 A :class:`CSRGraph` implements the read-only subset of the :class:`Graph`
 API (degrees, neighbors, membership, stats, conversion), so analysis and
@@ -65,7 +63,6 @@ __all__ = [
     "flood_levels",
     "flood_curve",
     "batch_flood_curves",
-    "batch_random_walks",
 ]
 
 
@@ -251,9 +248,6 @@ class CSRGraph:
             return self._rows[node]
         except (KeyError, TypeError):
             raise NodeNotFoundError(node) from None
-
-    def _id_of(self, row: int) -> int:
-        return int(row) if self._ids is None else int(self._ids[row])
 
     # ------------------------------------------------------------------ #
     # Node queries
@@ -688,77 +682,3 @@ def batch_flood_curves(
         hits_t[hop] = hits_t[hop - 1] + fresh.sum(axis=0)
         frontier = fresh.astype(np.int32)
     return hits_t.T.copy(), messages_t.T.copy()
-
-
-def batch_random_walks(
-    csr: CSRGraph,
-    sources: "np.ndarray | List[int]",
-    ttl: int,
-    rng: np.random.Generator,
-    allow_backtracking: bool = False,
-) -> np.ndarray:
-    """Advance many random walks simultaneously; return their trajectories.
-
-    Returns an ``int64[ttl + 1, W]`` array of node *rows*; row ``t`` holds
-    every walker's position after ``t`` hops, with ``-1`` once a walker has
-    died at a dead end (its only neighbor is the node it arrived from).
-
-    This is the throughput-mode kernel: all ``W`` walkers advance per hop
-    with a constant number of NumPy operations.  It draws from a NumPy
-    :class:`~numpy.random.Generator`, so it is distribution-equivalent but
-    **not** stream-identical to
-    :class:`~repro.search.random_walk.RandomWalkSearch`; use the search
-    class when byte-identical curves are required.
-    """
-    if ttl < 0:
-        raise GraphError("ttl must be non-negative")
-    positions = np.asarray(sources, dtype=np.int64).copy()
-    if positions.ndim != 1:
-        raise GraphError("sources must be a one-dimensional sequence of node rows")
-    walkers = len(positions)
-    degrees, indptr, indices = csr._degrees, csr._indptr, csr._indices
-    trajectory = np.full((ttl + 1, walkers), -1, dtype=np.int64)
-    trajectory[0] = positions
-    previous = np.full(walkers, -1, dtype=np.int64)
-    alive = degrees[positions] > 0 if walkers else np.zeros(0, dtype=bool)
-    for hop in range(1, ttl + 1):
-        if not alive.any():
-            break
-        active = np.nonzero(alive)[0]
-        current = positions[active]
-        # Dead-end detection: a degree-1 node whose only neighbor is the
-        # previous hop has no non-backtracking move.
-        if not allow_backtracking:
-            stuck = (degrees[current] == 1) & (
-                indices[indptr[current]] == previous[active]
-            )
-            if stuck.any():
-                alive[active[stuck]] = False
-                active = active[~stuck]
-                current = positions[active]
-        if active.size == 0:
-            continue
-        draws = rng.random(active.size)
-        chosen = indices[
-            indptr[current] + (draws * degrees[current]).astype(np.int64)
-        ]
-        if not allow_backtracking:
-            # Rejection-sample walkers that drew their previous hop; each
-            # round resolves the collisions uniformly over the remainder.
-            colliding = chosen == previous[active]
-            while colliding.any():
-                redo = active[colliding]
-                redraw = rng.random(redo.size)
-                chosen_redo = indices[
-                    indptr[positions[redo]]
-                    + (redraw * degrees[positions[redo]]).astype(np.int64)
-                ]
-                chosen[colliding] = chosen_redo
-                colliding_redo = chosen_redo == previous[redo]
-                new_colliding = np.zeros_like(colliding)
-                new_colliding[np.nonzero(colliding)[0]] = colliding_redo
-                colliding = new_colliding
-        previous[active] = current
-        positions[active] = chosen
-        trajectory[hop, active] = chosen
-    return trajectory

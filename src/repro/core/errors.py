@@ -17,7 +17,6 @@ __all__ = [
     "CutoffError",
     "ConfigurationError",
     "SearchError",
-    "SimulationError",
     "AnalysisError",
     "ExperimentError",
     "ScenarioError",
@@ -67,10 +66,6 @@ class ConfigurationError(ReproError, ValueError):
 
 class SearchError(ReproError):
     """A search algorithm was invoked with invalid parameters or state."""
-
-
-class SimulationError(ReproError):
-    """The P2P simulation layer encountered an invalid operation."""
 
 
 class AnalysisError(ReproError):

@@ -1,8 +1,8 @@
 """Adjacency-list undirected graph.
 
-:class:`Graph` is the data structure every generator, search algorithm, and
-the simulation layer operate on.  It is deliberately small and tuned for the
-access patterns of the paper's algorithms:
+:class:`Graph` is the data structure every generator and search algorithm
+operates on.  It is deliberately small and tuned for the access patterns of
+the paper's algorithms:
 
 * constant-time degree queries (``ktotal`` and per-node degrees drive the
   preferential-attachment acceptance test),
@@ -11,8 +11,8 @@ access patterns of the paper's algorithms:
 * O(1) uniform random neighbor selection (the HAPA hop and the random-walk
   step),
 * incremental growth one node / edge at a time,
-* cheap conversion to :mod:`networkx` for the analysis code that benefits
-  from the mature algorithms there.
+* conversion to and from :mod:`networkx`, which the tests use as a
+  reference (networkx is a development dependency, imported on first use).
 
 Nodes are integers.  Parallel edges are not stored (an ``add_edge`` on an
 existing edge is a no-op returning ``False``) and self-loops are rejected,
@@ -399,7 +399,8 @@ class Graph:
         """Convert to a :class:`networkx.Graph` (nodes and edges only).
 
         networkx is imported here, on first use: nothing on the generation,
-        search or serve paths converts, so ``import repro`` does not load it.
+        search or serve paths converts, so ``import repro`` does not load it
+        and a ``pip install .`` without the ``dev`` extra does not need it.
         """
         import networkx as nx
 

@@ -1,9 +1,9 @@
 """Seedable random-source façade.
 
-Every stochastic component in the library (topology generators, search
-algorithms, the churn simulator, workload generators) draws its randomness
-through a :class:`RandomSource`.  This gives three properties the paper's
-experiments need:
+Every stochastic component in the library (topology generators, substrate
+builders, search algorithms, query workloads) draws its randomness through a
+:class:`RandomSource`.  This gives three properties the paper's experiments
+need:
 
 * **Reproducibility** — a generator seeded with the same value produces the
   same topology, which the test-suite and the benchmark harness rely on.
@@ -102,16 +102,6 @@ class RandomSource:
         if low > high:
             raise ValueError(f"empty integer range [{low}, {high}]")
         return self._random.randint(low, high)
-
-    def uniform(self, low: float, high: float) -> float:
-        """Return a uniform float in ``[low, high]``."""
-        return self._random.uniform(low, high)
-
-    def expovariate(self, rate: float) -> float:
-        """Return an exponentially distributed float with the given rate."""
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        return self._random.expovariate(rate)
 
     # ------------------------------------------------------------------ #
     # Collection draws

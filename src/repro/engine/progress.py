@@ -162,19 +162,6 @@ class ProgressReporter:
         ))
 
     # ------------------------------------------------------------------ #
-    # Aggregates
-    # ------------------------------------------------------------------ #
-    @property
-    def total_tasks(self) -> int:
-        return sum(timing.tasks for timing in self.timings) + sum(
-            timing.tasks for timing in self._open.values()
-        )
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(timing.seconds for timing in self.timings)
-
-    # ------------------------------------------------------------------ #
     def _emit(self, event: ProgressEvent) -> None:
         if event.trace_id is None:
             # Stamp the ambient request trace id (repro serve) so every

@@ -503,14 +503,6 @@ class SweepSpec:
             dict(zip(names, combo)) for combo in zip(*(resolved[name] for name in names))
         ]
 
-    def parameter_axes(self) -> List[str]:
-        """Bare names of the measurement-parameter axes (``params.*``)."""
-        return [
-            name[len(MEASUREMENT_AXIS_PREFIX):]
-            for name, _values in self.axes
-            if name.startswith(MEASUREMENT_AXIS_PREFIX)
-        ]
-
     def parameter_axis_candidates(self) -> Dict[str, List[Any]]:
         """Every value each ``params.*`` axis can take, across all scales.
 

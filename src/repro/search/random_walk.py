@@ -20,9 +20,7 @@ Both graph representations behave identically under a seed: every
 step draws one integer over the same candidate count and maps it onto the
 same (insertion-ordered) neighbor list, whether the graph is a mutable
 :class:`~repro.core.graph.Graph` or a frozen
-:class:`~repro.core.csr.CSRGraph`.  For throughput-mode simulations that do
-not need stream-identity, :func:`repro.core.csr.batch_random_walks` advances
-many walkers per vectorized step.
+:class:`~repro.core.csr.CSRGraph`.
 """
 
 from __future__ import annotations

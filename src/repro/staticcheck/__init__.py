@@ -17,7 +17,7 @@ encoding a lesson this codebase already paid for once:
 
 Suppressions are per-line and *must* carry a justification::
 
-    return list(self.peers.keys())  # repro-lint: disable=RPL102(reason...)
+    for key, members in cell_of.items():  # repro-lint: disable=RPL102(reason...)
 
 Run ``repro lint src/`` (text) or ``repro lint --json`` (CI payload); see
 the README's "Static analysis" section for the full rule catalogue.

@@ -34,9 +34,7 @@ __all__ = [
 #: RPL1xx draw-order rules.  ``oracles`` holds the test oracles
 #: (``tests/oracles/``), the draw-order reference the shipped loops are
 #: pinned to.
-RNG_SCOPE_PARTS = frozenset(
-    {"generators", "search", "substrate", "simulation", "oracles"}
-)
+RNG_SCOPE_PARTS = frozenset({"generators", "search", "substrate", "oracles"})
 
 #: Directories whose classes cross the ``ParallelExecutor`` process-pool
 #: boundary by pickle (``Task`` arguments, ``RealizationSpec``, scenario

@@ -1,23 +1,23 @@
 """RPL1xx — draw-order discipline on RNG-consuming modules.
 
 The whole correctness story of this reproduction is that every execution
-path (adj vs CSR backends, python vs jit kernel tiers, serial vs parallel)
-consumes the exact CPython Mersenne-Twister sequence *in a defined order*.
-Both of the repo's worst historical bugs were silent violations of that
-invariant that no generic linter flags:
+path (mutable ``Graph`` vs frozen ``CSRGraph``, python vs jit kernel tiers,
+serial vs parallel) consumes the exact CPython Mersenne-Twister sequence
+*in a defined order*.  Both of the repo's worst historical bugs were silent
+violations of that invariant that no generic linter flags:
 
-* probabilistic flooding iterated neighbors in ``set`` order, so the CSR
-  backend (edge-insertion order) produced a different draw stream than the
-  adjacency backend — fixed by routing all forwarding through the
+* probabilistic flooding iterated neighbors in ``set`` order, so the frozen
+  CSR snapshot (edge-insertion order) produced a different draw stream than
+  the mutable adjacency graph — fixed by routing all forwarding through the
   defined-order ``iter_neighbors``;
 * DAPA's horizon BFS walked a ``set``-shaped frontier, so the compiled
   kernel could not replay the Python tier's stream — fixed by switching the
   walk to ``iter_neighbors`` (deliberately versioning the DAPA stream).
 
 These rules machine-check the lesson.  They apply only to the RNG-consuming
-modules (``generators/``, ``search/``, ``substrate/``, ``simulation/``);
-the kernel files are exempt (they replay an exported MT19937 state array
-and never touch Python sets).
+modules (``generators/``, ``search/``, ``substrate/`` and the test
+``oracles/``); the kernel files are exempt (they replay an exported MT19937
+state array and never touch Python sets).
 
 ``RPL101``
     No iteration over a ``set``/``frozenset`` (literal, comprehension,
@@ -209,7 +209,8 @@ class UnorderedSetIteration(_DrawOrderRule):
     invariant = (
         "RNG-consuming code never iterates a set: set order is undefined, so "
         "any draw made during (or after a list built by) the iteration "
-        "diverges across backends — use iter_neighbors or sorted(...)"
+        "diverges across graph representations and processes — use "
+        "iter_neighbors or sorted(...)"
     )
 
     def check(self, module: SourceModule) -> Iterator[Finding]:

@@ -23,7 +23,7 @@ This subpackage provides:
 
 from repro.substrate.base import SubstrateNetwork
 from repro.substrate.grn import GeometricRandomNetwork, generate_grn
-from repro.substrate.horizon import bfs_distances, bfs_horizon, nodes_within
+from repro.substrate.horizon import bfs_distances, bfs_horizon
 from repro.substrate.mesh import MeshNetwork, generate_mesh
 from repro.substrate.random_graph import ErdosRenyiNetwork, generate_erdos_renyi
 
@@ -37,5 +37,4 @@ __all__ = [
     "generate_erdos_renyi",
     "generate_grn",
     "generate_mesh",
-    "nodes_within",
 ]

@@ -15,8 +15,8 @@ class SubstrateNetwork(abc.ABC):
     """Abstract base class for substrate (underlay) network builders.
 
     A substrate builder produces the fixed physical-connectivity graph that
-    the DAPA overlay construction and the simulation layer operate on.  It is
-    intentionally simpler than :class:`~repro.generators.base.TopologyGenerator`:
+    the DAPA overlay construction operates on.  It is intentionally simpler
+    than :class:`~repro.generators.base.TopologyGenerator`:
     substrates are inputs to overlay construction, not study objects in
     themselves, so only the graph and the parameters are exposed.
 

@@ -2,20 +2,21 @@
 
 A DAPA joining node runs a breadth-first search on the substrate, limited to
 ``τ_sub`` hops, to discover the peers in its *horizon* (paper Algorithm 4,
-lines 4–10).  These helpers implement that primitive and a couple of closely
-related queries used by the simulation and analysis layers.
+lines 4–10).  These helpers implement that primitive on a :class:`Graph`
+(``DAPAGenerator`` runs its own copy on substrate rows, in discovery order)
+and the hop-distance map it rests on, which the path-length analysis uses.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.core.errors import NodeNotFoundError
 from repro.core.graph import Graph
 from repro.core.types import NodeId
 
-__all__ = ["bfs_distances", "bfs_horizon", "nodes_within"]
+__all__ = ["bfs_distances", "bfs_horizon"]
 
 
 def bfs_distances(
@@ -93,15 +94,3 @@ def bfs_horizon(
         horizon = [node for node in horizon if node in eligible]
     horizon.sort(key=lambda node: (distances[node], node))
     return horizon
-
-
-def nodes_within(graph: Graph, sources: Iterable[NodeId], max_depth: int) -> Set[NodeId]:
-    """Return the union of ``max_depth``-hop neighborhoods of several sources.
-
-    Used by the churn simulator to estimate the region of the overlay a
-    departing peer's neighbors can rewire into.
-    """
-    covered: Set[NodeId] = set()
-    for source in sources:
-        covered.update(bfs_distances(graph, source, max_depth=max_depth))
-    return covered

@@ -64,7 +64,8 @@ class MeshNetwork(SubstrateNetwork):
     def build(self, rng: RandomSource) -> Graph:  # rng unused; mesh is deterministic
         """Vectorized build: per-node (right, down) edge arrays straight into
         CSR arrays — same edges in the same insertion order as the
-        reference loop, with no Python adjacency dict on the way."""
+        ``add_edge`` loop it replaced (``tests/oracles/mesh.py``), with no
+        Python adjacency dict on the way."""
         rows, columns, torus = self.config.rows, self.config.columns, self.config.torus
         n = rows * columns
         nodes = np.arange(n, dtype=np.int64)
@@ -82,7 +83,7 @@ class MeshNetwork(SubstrateNetwork):
         if torus and rows > 2:
             down[~inner_down] = col_of[~inner_down]
 
-        # Interleave so the edge order is the reference's: for each node,
+        # Interleave so the edge order is the pinned one: for each node,
         # its right edge then its down edge.
         targets = np.stack((right, down), axis=1).ravel()
         origins = np.repeat(nodes, 2)
@@ -92,25 +93,6 @@ class MeshNetwork(SubstrateNetwork):
         if edge_u.size == 0:
             return Graph(n)
         return Graph.from_edge_array(n, edge_u, edge_v)
-
-    def _build_reference(self) -> Graph:
-        """The original add_edge loop — kept as the array path's reference."""
-        rows, columns, torus = self.config.rows, self.config.columns, self.config.torus
-        graph = Graph(rows * columns)
-        for row in range(rows):
-            for column in range(columns):
-                node = self.node_id(row, column)
-                right_column = column + 1
-                down_row = row + 1
-                if right_column < columns:
-                    graph.add_edge(node, self.node_id(row, right_column))
-                elif torus and columns > 2:
-                    graph.add_edge(node, self.node_id(row, 0))
-                if down_row < rows:
-                    graph.add_edge(node, self.node_id(down_row, column))
-                elif torus and rows > 2:
-                    graph.add_edge(node, self.node_id(0, column))
-        return graph
 
 
 def generate_mesh(rows: int, columns: int, torus: bool = False) -> Graph:

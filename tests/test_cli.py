@@ -23,7 +23,7 @@ class TestParser:
     def test_parser_knows_all_subcommands(self):
         parser = build_parser()
         text = parser.format_help()
-        for command in ("list", "figure", "generate", "search", "churn"):
+        for command in ("list", "figure", "generate", "search"):
             assert command in text
 
 
@@ -112,15 +112,3 @@ class TestFigureCommand:
 
     def test_unknown_figure_is_an_error(self, capsys):
         assert main(["figure", "fig99", "--scale", "smoke"]) == 1
-
-
-class TestChurnCommand:
-    def test_churn_outputs_report(self, capsys):
-        code = main(
-            ["churn", "--peers", "20", "--duration", "10", "--arrival-rate", "1",
-             "--session", "20", "--cutoff", "6", "--seed", "7"]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["cutoff_violations"] == 0
-        assert payload["joins"] >= 0

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro.core.csr import (
     CSRGraph,
     batch_flood_curves,
-    batch_random_walks,
     flood_curve,
     flood_levels,
 )
@@ -363,7 +362,7 @@ class TestFloodKernels:
         levels, hits, messages = flood_curve(frozen, frozen._row_of(source), ttl)
         assert [0] + hits.tolist() == reference.hits_per_ttl
         assert [0] + messages.tolist() == reference.messages_per_ttl
-        reached = {frozen._id_of(row) for row in np.nonzero(levels >= 0)[0]}
+        reached = {frozen.nodes()[row] for row in np.nonzero(levels >= 0)[0]}
         assert reached == reference.visited
 
     def test_flood_levels_are_bfs_distances(self, pa_graph):
@@ -401,49 +400,3 @@ class TestFloodKernels:
     def test_batch_rejects_negative_ttl(self, pa_graph):
         with pytest.raises(GraphError):
             batch_flood_curves(pa_graph.freeze(), [0], -1)
-
-
-class TestBatchRandomWalks:
-    def test_steps_follow_edges(self, pa_graph):
-        frozen = pa_graph.freeze()
-        trajectory = batch_random_walks(
-            frozen, [0, 1, 2, 3], 20, np.random.default_rng(7)
-        )
-        assert trajectory.shape == (21, 4)
-        for walker in range(4):
-            for hop in range(1, 21):
-                here, prev = trajectory[hop, walker], trajectory[hop - 1, walker]
-                if here < 0:
-                    continue
-                assert frozen.has_edge(int(prev), int(here))
-                if hop >= 2 and trajectory[hop - 2, walker] >= 0:
-                    # Non-backtracking: never return to the hop-2 position.
-                    assert here != trajectory[hop - 2, walker]
-
-    def test_deterministic_given_seed(self, pa_graph):
-        frozen = pa_graph.freeze()
-        first = batch_random_walks(frozen, [0, 5], 15, np.random.default_rng(3))
-        second = batch_random_walks(frozen, [0, 5], 15, np.random.default_rng(3))
-        assert np.array_equal(first, second)
-
-    def test_dead_end_walkers_die(self):
-        graph = Graph.from_edges(3, [(0, 1), (1, 2)])
-        frozen = graph.freeze()
-        trajectory = batch_random_walks(frozen, [0], 5, np.random.default_rng(1))
-        # 0 -> 1 -> 2 then stuck (only neighbor is the previous hop).
-        assert trajectory[1, 0] == 1 and trajectory[2, 0] == 2
-        assert trajectory[3, 0] == -1
-
-    def test_backtracking_allows_return(self):
-        graph = Graph.from_edges(2, [(0, 1)])
-        frozen = graph.freeze()
-        trajectory = batch_random_walks(
-            frozen, [0], 4, np.random.default_rng(1), allow_backtracking=True
-        )
-        assert trajectory[4, 0] >= 0  # bounces forever on the single edge
-
-    def test_isolated_source_never_moves(self):
-        frozen = Graph(2).freeze()
-        trajectory = batch_random_walks(frozen, [0], 3, np.random.default_rng(1))
-        assert trajectory[0, 0] == 0
-        assert (trajectory[1:, 0] == -1).all()

@@ -31,17 +31,6 @@ class TestScalarDraws:
         with pytest.raises(ValueError):
             rng.randint(5, 3)
 
-    def test_uniform_range(self, rng):
-        values = [rng.uniform(-2.0, 2.0) for _ in range(50)]
-        assert all(-2.0 <= value <= 2.0 for value in values)
-
-    def test_expovariate_positive(self, rng):
-        assert rng.expovariate(2.0) > 0
-
-    def test_expovariate_invalid_rate(self, rng):
-        with pytest.raises(ValueError):
-            rng.expovariate(0.0)
-
     def test_seed_property(self):
         assert RandomSource(seed=9).seed == 9
         assert RandomSource().seed is None

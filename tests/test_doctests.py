@@ -19,9 +19,6 @@ MODULE_NAMES = [
     "repro.analysis.cutoff",
     "repro.analysis.degree_distribution",
     "repro.analysis.paths",
-    "repro.simulation.events",
-    "repro.simulation.peer",
-    "repro.simulation.workload",
     "repro.experiments.sweeps",
     "repro.engine.store",
 ]

@@ -14,10 +14,7 @@ EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 EXAMPLE_SCRIPTS = [
     "quickstart.py",
-    "gnutella_file_sharing.py",
     "cutoff_tradeoff_study.py",
-    "churn_maintenance.py",
-    "join_strategy_comparison.py",
     "reproduce_paper.py",
     "custom_scenario.py",
 ]

@@ -25,6 +25,7 @@ import pytest
 
 from oracles import dapa as dapa_oracle
 from oracles import hapa as hapa_oracle
+from oracles import mesh as mesh_oracle
 from oracles import pa as pa_oracle
 from repro.core.errors import ConfigurationError, GenerationError
 from repro.core.graph import Graph
@@ -442,9 +443,9 @@ class TestSubstrateCrossTier:
         _assert_instrumented_builds_plain(SUBSTRATE_BUILDERS[name])
 
     def test_grn_array_path_freeze_equals_dict_path(self):
-        # The substrate contract the simulation layer relies on: whichever
-        # tier built the substrate, freeze() hands DAPA the same CSR arrays
-        # and the same node positions.
+        # The substrate contract DAPA relies on: whichever tier built the
+        # substrate, freeze() hands DAPA the same CSR arrays and the same
+        # node positions.
         builder = GeometricRandomNetwork(200, radius=0.15)
         with use_kernels("python"):
             dict_graph = builder.build(RandomSource(seed=7))
@@ -461,7 +462,7 @@ class TestSubstrateCrossTier:
         ]
         for rows, columns, torus in cases:
             mesh = MeshNetwork(rows, columns, torus=torus)
-            reference = mesh._build_reference()
+            reference = mesh_oracle.build_mesh(mesh)
             vectorized = mesh.build(RandomSource(seed=1))
             _assert_byte_identical(reference, vectorized)
 

@@ -3,8 +3,9 @@
 ``CSRGraph.sparse_adjacency`` (the batched flood kernel's matrix) imports
 ``scipy.sparse`` and ``Graph.to_networkx`` imports networkx, each on first
 use, so serve, generation and NF/PF/RW search never pay for either module.
-Each check runs in a fresh interpreter, since this test process has long
-since imported both.
+``import repro.cli``, which every ``repro`` command pays for, ``repro serve``
+included, adds no ``repro`` module but itself.  Each check runs in a fresh
+interpreter, since this test process has long since imported all of them.
 """
 
 from __future__ import annotations
@@ -53,15 +54,29 @@ stages["fl-search-curve"] = run("pa", {"kind": "search-curve", "algorithm": "fl"
 print(json.dumps(stages))
 """
 
+#: Prints, as a JSON list, the ``repro`` modules ``import repro.cli`` loads
+#: on top of ``import repro``.
+_CLI_IMPORT = r"""
+import json, sys
 
-@pytest.fixture(scope="module")
-def stages():
+def loaded():
+    return {name for name in sys.modules if name.split(".")[0] == "repro"}
+
+import repro
+package = loaded()
+import repro.cli
+print(json.dumps(sorted(loaded() - package)))
+"""
+
+
+def _run_fresh(script: str):
+    """Run ``script`` in a fresh interpreter; parse its last stdout line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     completed = subprocess.run(
-        [sys.executable, "-c", _STAGES],
+        [sys.executable, "-c", script],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -70,6 +85,11 @@ def stages():
     )
     assert completed.returncode == 0, completed.stderr
     return json.loads(completed.stdout.strip().splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def stages():
+    return _run_fresh(_STAGES)
 
 
 def test_import_repro_loads_neither_scipy_nor_networkx(stages):
@@ -86,3 +106,9 @@ def test_fl_search_curve_loads_scipy_sparse(stages):
     loaded = stages["fl-search-curve"]
     assert "scipy.sparse" in loaded
     assert not [name for name in loaded if name.split(".")[0] == "networkx"]
+
+
+def test_import_repro_cli_loads_no_other_repro_module():
+    # A subcommand's dependencies load inside the function that runs it,
+    # so no command pays at start-up for code another command needs.
+    assert _run_fresh(_CLI_IMPORT) == ["repro.cli"]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.errors import NodeNotFoundError
 from repro.core.graph import Graph
-from repro.substrate.horizon import bfs_distances, bfs_horizon, nodes_within
+from repro.substrate.horizon import bfs_distances, bfs_horizon
 from repro.substrate.mesh import MeshNetwork
 
 
@@ -55,12 +55,3 @@ class TestBFSHorizon:
         assert [distances[node] for node in horizon] == sorted(
             distances[node] for node in horizon
         )
-
-
-class TestNodesWithin:
-    def test_union_of_neighborhoods(self, path_graph):
-        covered = nodes_within(path_graph, [0, 4], 1)
-        assert covered == {0, 1, 3, 4}
-
-    def test_full_coverage_at_large_depth(self, path_graph):
-        assert nodes_within(path_graph, [2], 10) == {0, 1, 2, 3, 4}
