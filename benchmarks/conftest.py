@@ -1,7 +1,8 @@
 """Shared plumbing for the figure/table reproduction benchmarks.
 
-Every benchmark module regenerates one paper artefact through
-:mod:`repro.experiments` and
+Every benchmark module regenerates one paper artefact (a built-in
+:class:`~repro.scenarios.ScenarioSpec`, run with
+:func:`repro.scenarios.run_scenario`) and
 
 * times the full experiment once (``benchmark.pedantic`` with a single
   round — these are minutes-long simulations, not microbenchmarks),
@@ -31,10 +32,10 @@ from pathlib import Path
 import pytest
 
 from repro.engine.executor import Executor, executor_from_jobs
-from repro.experiments.registry import run_experiment
 from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import ExperimentScale
 from repro.kernels.dispatch import normalize_kernels
+from repro.scenarios import get_builtin_scenario, run_scenario
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -112,8 +113,8 @@ def run_figure_benchmark(benchmark, experiment_id: str, scale: ExperimentScale) 
     executor = shared_executor()
 
     def _run():
-        result_holder["result"] = run_experiment(
-            experiment_id,
+        result_holder["result"] = run_scenario(
+            get_builtin_scenario(experiment_id),
             scale=scale,
             executor=executor,
             kernels=bench_kernels(),

@@ -3,18 +3,19 @@
 Subcommands
 -----------
 ``repro list``
-    List the reproducible experiments (figures, tables, ablations).
+    List the reproducible experiments (figures, tables, ablations) — the
+    built-in scenarios, as ``repro scenarios list`` does.
 ``repro figure fig9 --scale small --jobs 4 --cache .repro-cache --out results/``
-    Run one experiment — optionally across worker processes and against a
-    persistent result cache — and print its series (optionally saving
-    JSON/CSV).  ``--json`` emits a machine-readable payload instead.
+    Run one built-in scenario — optionally across worker processes and
+    against a persistent result cache — and print its series (optionally
+    saving JSON/CSV).  ``--json`` emits a machine-readable payload instead.
 ``repro suite --scale small --jobs 8 --cache .repro-cache --out results/``
-    Run every registered experiment through one shared worker pool; cached
+    Run every built-in scenario through one shared worker pool; cached
     experiments are skipped, so an interrupted suite resumes where it left
     off.  ``--json`` emits per-experiment results and cache-hit flags.
 ``repro run my_scenario.json --scale small --jobs 4 --cache .repro-cache``
     Run a user-authored declarative scenario spec (see
-    :mod:`repro.scenarios`) with the same engine options as ``figure``;
+    :mod:`repro.scenarios`) or a built-in id exactly as ``figure`` does;
     ``--inline '<json>'`` takes the spec on the command line.
 ``repro scenarios list`` / ``repro scenarios show fig9``
     Introspect the built-in scenarios (every figure/table/ablation is a
@@ -43,6 +44,11 @@ Every run-style subcommand (``figure``/``suite``/``run``/``generate``/
 trace of spans/counters/histograms) and ``--metrics`` (print a telemetry
 summary to stderr); with either flag the ambient telemetry collector is
 enabled for the run, otherwise instrumentation is a no-op.
+
+``figure``, ``run``, ``suite``, and ``serve`` share one run path
+(:func:`repro.scenarios.run_scenario_cached`) and one result-store key (the
+canonical spec hash), so a result any of them stored is a hit for the
+others, and an edited spec is a miss.
 """
 
 from __future__ import annotations
@@ -60,11 +66,7 @@ from repro.engine.executor import executor_from_jobs
 from repro.engine.progress import ProgressReporter
 from repro.engine.store import ResultStore
 from repro.engine.tasks import run_suite
-from repro.experiments.registry import (
-    available_experiments,
-    experiment_titles,
-    run_experiment_cached,
-)
+from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import ExperimentScale
 from repro.kernels.dispatch import use_kernels
 from repro.generators.registry import available_generators, create_generator
@@ -379,10 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
 # Command implementations
 # --------------------------------------------------------------------------- #
 def _cmd_list(_: argparse.Namespace) -> int:
-    titles = experiment_titles()
-    width = max(len(exp_id) for exp_id in titles)
-    for exp_id in available_experiments():
-        print(f"{exp_id:<{width}}  {titles[exp_id]}")
+    """``repro list`` and ``repro scenarios list``: built-in ids and titles."""
+    specs = builtin_scenarios()
+    width = max(len(scenario_id) for scenario_id in specs)
+    for scenario_id, spec in specs.items():
+        print(f"{scenario_id:<{width}}  {spec.title}")
     return 0
 
 
@@ -448,16 +451,23 @@ def _telemetry_report(
     return block
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    scale = ExperimentScale.from_name(args.scale)
+def _run_spec(
+    args: argparse.Namespace, spec: ScenarioSpec
+) -> "tuple[ExperimentResult, bool, dict]":
+    """Run ``spec`` with the flags ``figure`` and ``run`` share.
+
+    Sets up the store, progress, telemetry, and executor, runs
+    :func:`run_scenario_cached`, and returns ``(result, from_cache,
+    telemetry_block)``.
+    """
     store = ResultStore(args.cache) if args.cache is not None else None
     progress = ProgressReporter(stream=sys.stderr if args.progress else None)
     collector = _telemetry_collector(args)
     started = telemetry_clock()
     with use_telemetry(collector), executor_from_jobs(args.jobs) as executor:
-        result, from_cache = run_experiment_cached(
-            args.experiment,
-            scale=scale,
+        result, from_cache = run_scenario_cached(
+            spec,
+            scale=ExperimentScale.from_name(args.scale),
             seed=args.seed,
             executor=executor,
             store=store,
@@ -467,7 +477,21 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     wall_seconds = telemetry_clock() - started
     if store is not None:
         store.save_stats()
-    telemetry_block = _telemetry_report(args, collector, wall_seconds, store)
+    return result, from_cache, _telemetry_report(args, collector, wall_seconds, store)
+
+
+def _finish_run(args: argparse.Namespace, result: ExperimentResult, from_cache: bool) -> None:
+    """Note a cache hit on stderr and write ``--out`` artifacts."""
+    if args.cache is not None and from_cache:
+        print(f"served from cache ({args.cache})", file=sys.stderr)
+    if args.out is not None:
+        _save_result(result, args.out, to_stderr=args.json)
+
+
+def _cmd_figure(args: argparse.Namespace) -> int:
+    result, from_cache, telemetry_block = _run_spec(
+        args, get_builtin_scenario(args.experiment)
+    )
     if args.json:
         print(json.dumps(
             {
@@ -481,10 +505,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         ))
     else:
         print(result.to_table())
-    if store is not None and from_cache:
-        print(f"served from cache ({store.root})", file=sys.stderr)
-    if args.out is not None:
-        _save_result(result, args.out, to_stderr=args.json)
+    _finish_run(args, result, from_cache)
     return 0
 
 
@@ -528,28 +549,25 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_scenario(args: argparse.Namespace) -> "tuple[ScenarioSpec, bool]":
-    """Resolve the scenario for ``repro run``: inline JSON, file, or built-in.
-
-    Returns ``(spec, is_builtin)``; built-ins are flagged so the run can be
-    keyed like ``repro figure`` and share its cache entries.
-    """
+def _load_scenario(args: argparse.Namespace) -> ScenarioSpec:
+    """Resolve the scenario for ``repro run``: inline JSON, file, or built-in."""
     if (args.spec is None) == (args.inline is None):
         raise ReproError(
             "give exactly one scenario source: a spec file/built-in id, "
             "or --inline '<json>'"
         )
     if args.inline is not None:
-        return ScenarioSpec.from_json(args.inline), False
+        return ScenarioSpec.from_json(args.inline)
     path = Path(args.spec)
     if path.exists():
         try:
             text = path.read_text()
         except (OSError, UnicodeDecodeError) as error:
             raise ReproError(f"cannot read scenario file {args.spec!r}: {error}")
-        return ScenarioSpec.from_json(text), False
-    if args.spec in builtin_scenarios():
-        return get_builtin_scenario(args.spec), True
+        return ScenarioSpec.from_json(text)
+    specs = builtin_scenarios()
+    if args.spec in specs:
+        return specs[args.spec]
     raise ReproError(
         f"scenario file {args.spec!r} does not exist and is not a "
         f"built-in scenario id (see 'repro scenarios list')"
@@ -557,41 +575,8 @@ def _load_scenario(args: argparse.Namespace) -> "tuple[ScenarioSpec, bool]":
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec, is_builtin = _load_scenario(args)
-    scale = ExperimentScale.from_name(args.scale)
-    store = ResultStore(args.cache) if args.cache is not None else None
-    progress = ProgressReporter(stream=sys.stderr if args.progress else None)
-    collector = _telemetry_collector(args)
-    started = telemetry_clock()
-    with use_telemetry(collector), executor_from_jobs(args.jobs) as executor:
-        if is_builtin:
-            # Built-in ids go through the experiment registry so the cache
-            # entry is the same one `repro figure <id>` / `repro suite` use
-            # (keyed by id + scale, no spec-hash extra).  Results are
-            # byte-identical either way.
-            result, from_cache = run_experiment_cached(
-                spec.scenario_id,
-                scale=scale,
-                seed=args.seed,
-                executor=executor,
-                store=store,
-                progress=progress,
-                kernels=args.kernels,
-            )
-        else:
-            result, from_cache = run_scenario_cached(
-                spec,
-                scale=scale,
-                seed=args.seed,
-                executor=executor,
-                store=store,
-                progress=progress,
-                kernels=args.kernels,
-            )
-    wall_seconds = telemetry_clock() - started
-    if store is not None:
-        store.save_stats()
-    telemetry_block = _telemetry_report(args, collector, wall_seconds, store)
+    spec = _load_scenario(args)
+    result, from_cache, telemetry_block = _run_spec(args, spec)
     comparison = None
     if args.compare is not None:
         comparison = _compare_against_baseline(result, args.compare, args.tolerance)
@@ -610,10 +595,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(result.to_table())
         if comparison is not None:
             _print_comparison(comparison)
-    if store is not None and from_cache:
-        print(f"served from cache ({store.root})", file=sys.stderr)
-    if args.out is not None:
-        _save_result(result, args.out, to_stderr=args.json)
+    _finish_run(args, result, from_cache)
     if comparison is not None and not comparison["within_tolerance"]:
         if not comparison["labels_match"]:
             summary = comparison["summary"]
@@ -639,7 +621,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _compare_against_baseline(result, baseline_path: Path, tolerance: float) -> dict:
     """Diff ``result`` against a stored baseline via :mod:`experiments.compare`."""
     from repro.experiments.compare import compare_results
-    from repro.experiments.results import ExperimentResult
 
     try:
         baseline = ExperimentResult.load_json(baseline_path)
@@ -697,13 +678,8 @@ def _print_comparison(comparison: dict) -> None:
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
-    command = args.scenarios_command or "list"
-    specs = builtin_scenarios()
-    if command == "list":
-        width = max(len(scenario_id) for scenario_id in specs)
-        for scenario_id, spec in specs.items():
-            print(f"{scenario_id:<{width}}  {spec.title}")
-        return 0
+    if (args.scenarios_command or "list") == "list":
+        return _cmd_list(args)
     # show
     spec = get_builtin_scenario(args.scenario)
     if args.scale is not None:

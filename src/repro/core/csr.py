@@ -437,18 +437,6 @@ class CSRGraph:
             return None
         return neighbors[rng.randint(0, len(neighbors) - 1)]
 
-    def random_node(self, rng: RandomSource) -> NodeId:
-        """Return a uniformly random node id (draw-compatible with :class:`Graph`)."""
-        n = len(self._degrees)
-        if n == 0:
-            raise GraphError("cannot pick a random node from an empty graph")
-        candidate = rng.randint(0, n - 1)
-        if self._ids is None:
-            return candidate
-        if candidate in self._rows:  # type: ignore[operator]
-            return candidate
-        return int(rng.choice(self.nodes()))
-
     # ------------------------------------------------------------------ #
     # Edges and whole-graph utilities
     # ------------------------------------------------------------------ #
@@ -493,9 +481,6 @@ class CSRGraph:
     # Mutation is rejected
     # ------------------------------------------------------------------ #
     def add_node(self, node: Optional[NodeId] = None) -> NodeId:
-        raise GraphError(_FROZEN_MESSAGE)
-
-    def add_nodes(self, count: int) -> List[NodeId]:
         raise GraphError(_FROZEN_MESSAGE)
 
     def add_edge(self, u: NodeId, v: NodeId) -> bool:

@@ -132,10 +132,6 @@ class Graph:
             self._csr_cache = None
         return node
 
-    def add_nodes(self, count: int) -> List[NodeId]:
-        """Add ``count`` fresh nodes and return their ids."""
-        return [self.add_node() for _ in range(count)]
-
     def remove_node(self, node: NodeId) -> None:
         """Remove ``node`` and all its incident edges."""
         if node not in self._adjacency:
@@ -313,18 +309,6 @@ class Graph:
         if not neighbors:
             return None
         return neighbors[rng.randint(0, len(neighbors) - 1)]
-
-    def random_node(self, rng: RandomSource) -> NodeId:
-        """Return a uniformly random node id."""
-        if not self._adjacency:
-            raise GraphError("cannot pick a random node from an empty graph")
-        # Node ids are dense in all generated graphs, but fall back to an
-        # explicit list when they are not (e.g. after removals).
-        n = len(self._adjacency)
-        candidate = rng.randint(0, n - 1)
-        if candidate in self._adjacency:
-            return candidate
-        return rng.choice(list(self._adjacency.keys()))
 
     # ------------------------------------------------------------------ #
     # Whole-graph utilities

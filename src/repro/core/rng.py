@@ -134,14 +134,6 @@ class RandomSource:
         self._random.shuffle(out)
         return out
 
-    def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
-        """Return one element chosen with probability proportional to its weight."""
-        if not items:
-            raise IndexError("cannot choose from an empty sequence")
-        if len(items) != len(weights):
-            raise ValueError("items and weights must have the same length")
-        return self._random.choices(items, weights=weights, k=1)[0]
-
     def weighted_index(self, weights: Sequence[float]) -> int:
         """Return an index chosen with probability proportional to ``weights``."""
         total = float(sum(weights))

@@ -24,9 +24,6 @@ Quick tour::
     print(report.summary())
 """
 
-# Import order matters: executor depends on tasks, and store pulls in the
-# experiments package (which in turn may import repro.engine.executor), so
-# executor must be fully initialised before store.
 from repro.engine.tasks import SuiteEntry, SuiteReport, Task, run_suite
 from repro.engine.executor import (
     Executor,

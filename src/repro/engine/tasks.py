@@ -8,9 +8,11 @@ plain numbers/strings all qualify); the executors transparently fall back to
 in-process execution when a task cannot cross a process boundary.
 
 The module also provides the *suite scheduler*: :func:`run_suite` runs many
-registered experiments through one shared executor (and optionally one shared
-result store), so a full paper reproduction fans all of its realization tasks
-into a single worker pool and resumes from cached results on re-runs.
+built-in scenarios (:func:`repro.scenarios.builtin_scenarios`) through one
+shared executor (and optionally one shared result store, keyed like every
+other scenario run), so a full paper reproduction fans all of its
+realization tasks into a single worker pool and resumes from cached results
+on re-runs.
 """
 
 from __future__ import annotations
@@ -151,9 +153,10 @@ def run_suite(
     Parameters
     ----------
     experiment_ids:
-        Experiments to run, in order (default: every registered experiment).
+        Built-in scenario ids to run, in order (default: every built-in, in
+        paper order).
     scale, seed:
-        Forwarded to :func:`repro.experiments.registry.run_experiment`.
+        Forwarded to :func:`repro.scenarios.run_scenario_cached`.
     executor:
         Shared :class:`~repro.engine.executor.Executor` (default: serial).
     store:
@@ -168,13 +171,12 @@ def run_suite(
         Optional kernel mode (``"auto"``, ``"python"``, or ``"jit"``)
         applied to every experiment; results are identical across modes.
     """
-    # Imported lazily: the registry imports the runner layer, which must be
-    # importable without the engine package being fully initialised.
-    from repro.experiments.registry import available_experiments, run_experiment_cached
+    # Imported lazily: the scenario layer imports this module (for Task).
+    from repro.scenarios.compile import builtin_scenarios, run_scenario_cached
 
-    ids = list(experiment_ids) if experiment_ids else available_experiments()
-    known = set(available_experiments())
-    unknown = [exp_id for exp_id in ids if exp_id not in known]
+    specs = builtin_scenarios()
+    ids = list(experiment_ids) if experiment_ids else list(specs)
+    unknown = [exp_id for exp_id in ids if exp_id not in specs]
     if unknown:
         raise ExperimentError(
             f"unknown experiment ids in suite: {', '.join(unknown)}"
@@ -183,8 +185,8 @@ def run_suite(
     report = SuiteReport()
     for experiment_id in ids:
         started = time.perf_counter()
-        result, from_cache = run_experiment_cached(
-            experiment_id,
+        result, from_cache = run_scenario_cached(
+            specs[experiment_id],
             scale=scale,
             seed=seed,
             executor=executor,

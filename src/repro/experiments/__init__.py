@@ -26,19 +26,15 @@ Experiment id             Paper artefact
 ``ablation_robustness``   hubs vs cutoffs under failures and attacks
 ========================  ================================================
 
-All experiments accept an :class:`~repro.experiments.runner.ExperimentScale`
-so the same code runs as a fast smoke test, as the default benchmark size, or
-at the paper's full network sizes.
+Each artefact is a :class:`~repro.scenarios.ScenarioSpec` (its module's
+``SCENARIO``), looked up with :func:`repro.scenarios.get_builtin_scenario`
+and run with :func:`repro.scenarios.run_scenario` under an
+:class:`~repro.experiments.runner.ExperimentScale`, so the same spec runs as
+a fast smoke test, as the default benchmark size, or at the paper's full
+network sizes.
 """
 
 from repro.experiments.compare import ComparisonReport, compare_results
-from repro.experiments.registry import (
-    available_experiments,
-    get_experiment,
-    run_experiment,
-    run_scenario,
-    run_scenario_cached,
-)
 from repro.experiments.results import ExperimentResult, Series
 from repro.experiments.runner import ExperimentScale, realization_seeds
 from repro.experiments.sweeps import parameter_grid
@@ -48,12 +44,7 @@ __all__ = [
     "ExperimentResult",
     "ExperimentScale",
     "Series",
-    "available_experiments",
     "compare_results",
-    "get_experiment",
     "parameter_grid",
     "realization_seeds",
-    "run_experiment",
-    "run_scenario",
-    "run_scenario_cached",
 ]

@@ -1,15 +1,13 @@
 """One module per paper figure / table.
 
-Every module exposes three things:
-
-* ``EXPERIMENT_ID`` — the id used by the registry and the CLI;
-* ``TITLE`` — a one-line description of the paper artefact;
-* ``run(scale=None, seed=None)`` — regenerate the artefact's data as an
-  :class:`~repro.experiments.results.ExperimentResult`.
-
-The modules are deliberately thin: they wire the generators, search
-algorithms, and analysis routines together with the paper's parameter grids;
-all heavy lifting lives in the library proper.
+Every module defines one thing: ``SCENARIO``, the artefact as a
+:class:`~repro.scenarios.ScenarioSpec` (its id, title, and the paper's
+parameter grids).  :func:`repro.scenarios.builtin_scenarios` reads them
+from :data:`ALL_FIGURE_MODULES`, in paper order, and every entry point —
+``repro figure``/``run``/``suite``, :func:`repro.engine.run_suite`, and
+``repro serve`` — runs them through
+:func:`repro.scenarios.run_scenario_cached` like any user scenario; all
+heavy lifting lives in the library proper.
 """
 
 from repro.experiments.figures import (  # noqa: F401  (re-exported for discovery)

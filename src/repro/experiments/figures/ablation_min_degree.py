@@ -13,7 +13,7 @@ should shrink towards 1 as m grows.
 
 from __future__ import annotations
 
-from repro.scenarios import ScenarioSpec, scenario_runner
+from repro.scenarios import ScenarioSpec
 
 SCENARIO = ScenarioSpec.from_dict({
     "id": "ablation_min_degree",
@@ -34,8 +34,3 @@ SCENARIO = ScenarioSpec.from_dict({
         },
     },
 })
-
-EXPERIMENT_ID = SCENARIO.scenario_id
-TITLE = SCENARIO.title
-
-run = scenario_runner(SCENARIO)

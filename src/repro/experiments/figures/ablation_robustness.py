@@ -12,7 +12,7 @@ without a hard cutoff, and records the giant-component fraction curves.
 
 from __future__ import annotations
 
-from repro.scenarios import ScenarioSpec, scenario_runner
+from repro.scenarios import ScenarioSpec
 
 SCENARIO = ScenarioSpec.from_dict({
     "id": "ablation_robustness",
@@ -35,8 +35,3 @@ SCENARIO = ScenarioSpec.from_dict({
         },
     },
 })
-
-EXPERIMENT_ID = SCENARIO.scenario_id
-TITLE = SCENARIO.title
-
-run = scenario_runner(SCENARIO)

@@ -11,7 +11,7 @@ information is more important when target connectedness is high").
 
 from __future__ import annotations
 
-from repro.scenarios import ScenarioSpec, scenario_runner
+from repro.scenarios import ScenarioSpec
 
 SCENARIO = ScenarioSpec.from_dict({
     "id": "fig10",
@@ -30,8 +30,3 @@ SCENARIO = ScenarioSpec.from_dict({
     "label": "m={m}, {kc}, tau_sub={tau_sub}",
     "measurement": {"kind": "search-curve", "algorithm": "nf"},
 })
-
-EXPERIMENT_ID = SCENARIO.scenario_id
-TITLE = SCENARIO.title
-
-run = scenario_runner(SCENARIO)

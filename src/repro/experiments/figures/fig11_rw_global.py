@@ -12,7 +12,7 @@ effect somewhat more pronounced for RW than for NF.
 from __future__ import annotations
 
 from repro.experiments.figures.fig9_nf_global import global_models_panels
-from repro.scenarios import ScenarioSpec, scenario_runner
+from repro.scenarios import ScenarioSpec
 
 SCENARIO = ScenarioSpec.from_dict({
     "id": "fig11",
@@ -24,8 +24,3 @@ SCENARIO = ScenarioSpec.from_dict({
     ),
     "panels": global_models_panels("rw"),
 })
-
-EXPERIMENT_ID = SCENARIO.scenario_id
-TITLE = SCENARIO.title
-
-run = scenario_runner(SCENARIO)

@@ -10,7 +10,7 @@ magnitude more hits than m = 1.
 
 from __future__ import annotations
 
-from repro.scenarios import ScenarioSpec, scenario_runner
+from repro.scenarios import ScenarioSpec
 
 SCENARIO = ScenarioSpec.from_dict({
     "id": "fig12",
@@ -29,8 +29,3 @@ SCENARIO = ScenarioSpec.from_dict({
     "label": "m={m}, {kc}, tau_sub={tau_sub}",
     "measurement": {"kind": "search-curve", "algorithm": "rw"},
 })
-
-EXPERIMENT_ID = SCENARIO.scenario_id
-TITLE = SCENARIO.title
-
-run = scenario_runner(SCENARIO)

@@ -14,7 +14,7 @@ the γ-vs-kc series are increasing in kc.
 
 from __future__ import annotations
 
-from repro.scenarios import ScenarioSpec, scenario_runner
+from repro.scenarios import ScenarioSpec
 
 _STUBS = {"default": [1, 2, 3], "smoke": [1, 2]}
 
@@ -54,8 +54,3 @@ SCENARIO = ScenarioSpec.from_dict({
         },
     ],
 })
-
-EXPERIMENT_ID = SCENARIO.scenario_id
-TITLE = SCENARIO.title
-
-run = scenario_runner(SCENARIO)

@@ -10,7 +10,7 @@ paper's panels.
 
 from __future__ import annotations
 
-from repro.scenarios import ScenarioSpec, scenario_runner
+from repro.scenarios import ScenarioSpec
 
 SCENARIO = ScenarioSpec.from_dict({
     "id": "fig2",
@@ -30,8 +30,3 @@ SCENARIO = ScenarioSpec.from_dict({
     "label": "gamma={gamma}, m={m}, {kc}",
     "measurement": {"kind": "degree-distribution"},
 })
-
-EXPERIMENT_ID = SCENARIO.scenario_id
-TITLE = SCENARIO.title
-
-run = scenario_runner(SCENARIO)

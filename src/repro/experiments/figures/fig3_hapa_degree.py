@@ -12,7 +12,7 @@ to N; the cutoff series do not exceed kc and decay monotonically.
 
 from __future__ import annotations
 
-from repro.scenarios import ScenarioSpec, scenario_runner
+from repro.scenarios import ScenarioSpec
 
 SCENARIO = ScenarioSpec.from_dict({
     "id": "fig3",
@@ -29,8 +29,3 @@ SCENARIO = ScenarioSpec.from_dict({
     "label": "P(k) m={m}, {kc}",
     "measurement": {"kind": "degree-distribution"},
 })
-
-EXPERIMENT_ID = SCENARIO.scenario_id
-TITLE = SCENARIO.title
-
-run = scenario_runner(SCENARIO)

@@ -16,7 +16,7 @@ checked).
 
 from __future__ import annotations
 
-from repro.scenarios import ScenarioSpec, scenario_runner
+from repro.scenarios import ScenarioSpec
 
 _STUBS = {"default": [1, 3], "smoke": [1]}
 
@@ -53,8 +53,3 @@ SCENARIO = ScenarioSpec.from_dict({
         },
     ],
 })
-
-EXPERIMENT_ID = SCENARIO.scenario_id
-TITLE = SCENARIO.title
-
-run = scenario_runner(SCENARIO)

@@ -12,7 +12,7 @@ hops.
 
 from __future__ import annotations
 
-from repro.scenarios import ScenarioSpec, scenario_runner
+from repro.scenarios import ScenarioSpec
 
 SCENARIO = ScenarioSpec.from_dict({
     "id": "fig6",
@@ -29,8 +29,3 @@ SCENARIO = ScenarioSpec.from_dict({
     "label": "{model} m={m}, {kc}",
     "measurement": {"kind": "search-curve", "algorithm": "fl"},
 })
-
-EXPERIMENT_ID = SCENARIO.scenario_id
-TITLE = SCENARIO.title
-
-run = scenario_runner(SCENARIO)

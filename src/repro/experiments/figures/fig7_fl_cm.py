@@ -10,7 +10,7 @@ the hit count saturates well below the network size for every cutoff.
 
 from __future__ import annotations
 
-from repro.scenarios import ScenarioSpec, scenario_runner
+from repro.scenarios import ScenarioSpec
 
 SCENARIO = ScenarioSpec.from_dict({
     "id": "fig7",
@@ -28,8 +28,3 @@ SCENARIO = ScenarioSpec.from_dict({
     "label": "gamma={gamma}, m={m}, {kc}",
     "measurement": {"kind": "search-curve", "algorithm": "fl"},
 })
-
-EXPERIMENT_ID = SCENARIO.scenario_id
-TITLE = SCENARIO.title
-
-run = scenario_runner(SCENARIO)

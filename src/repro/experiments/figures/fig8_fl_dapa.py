@@ -11,7 +11,7 @@ larger m the effect of the cutoff diminishes.
 
 from __future__ import annotations
 
-from repro.scenarios import ScenarioSpec, scenario_runner
+from repro.scenarios import ScenarioSpec
 
 SCENARIO = ScenarioSpec.from_dict({
     "id": "fig8",
@@ -31,8 +31,3 @@ SCENARIO = ScenarioSpec.from_dict({
     "label": "m={m}, {kc}, tau_sub={tau_sub}",
     "measurement": {"kind": "search-curve", "algorithm": "fl"},
 })
-
-EXPERIMENT_ID = SCENARIO.scenario_id
-TITLE = SCENARIO.title
-
-run = scenario_runner(SCENARIO)

@@ -11,7 +11,7 @@ Raising m from 1 to 2–3 increases the hit count by orders of magnitude.
 
 from __future__ import annotations
 
-from repro.scenarios import ScenarioSpec, scenario_runner
+from repro.scenarios import ScenarioSpec
 
 #: Cutoff sweep per model: the paper sweeps 10..200; CM gets a shorter grid
 #: because the prescribed exponent makes the cutoff indifferent there.
@@ -49,8 +49,3 @@ SCENARIO = ScenarioSpec.from_dict({
     ),
     "panels": global_models_panels("nf"),
 })
-
-EXPERIMENT_ID = SCENARIO.scenario_id
-TITLE = SCENARIO.title
-
-run = scenario_runner(SCENARIO)

@@ -18,7 +18,7 @@ message efficiency that substantiates the "NF better than RW" claim.
 
 from __future__ import annotations
 
-from repro.scenarios import ScenarioSpec, scenario_runner
+from repro.scenarios import ScenarioSpec
 
 SCENARIO = ScenarioSpec.from_dict({
     "id": "messaging",
@@ -50,8 +50,3 @@ SCENARIO = ScenarioSpec.from_dict({
         },
     ],
 })
-
-EXPERIMENT_ID = SCENARIO.scenario_id
-TITLE = SCENARIO.title
-
-run = scenario_runner(SCENARIO)

@@ -11,7 +11,7 @@ compared.
 
 from __future__ import annotations
 
-from repro.scenarios import ScenarioSpec, scenario_runner
+from repro.scenarios import ScenarioSpec
 
 SCENARIO = ScenarioSpec.from_dict({
     "id": "natural_cutoff",
@@ -32,8 +32,3 @@ SCENARIO = ScenarioSpec.from_dict({
         },
     },
 })
-
-EXPERIMENT_ID = SCENARIO.scenario_id
-TITLE = SCENARIO.title
-
-run = scenario_runner(SCENARIO)

@@ -21,7 +21,7 @@ a 10³–10⁴-node network cannot resolve.
 
 from __future__ import annotations
 
-from repro.scenarios import ScenarioSpec, scenario_runner
+from repro.scenarios import ScenarioSpec
 
 SCENARIO = ScenarioSpec.from_dict({
     "id": "table1",
@@ -49,8 +49,3 @@ SCENARIO = ScenarioSpec.from_dict({
         },
     },
 })
-
-EXPERIMENT_ID = SCENARIO.scenario_id
-TITLE = SCENARIO.title
-
-run = scenario_runner(SCENARIO)

@@ -19,7 +19,7 @@ needs nothing outside the joining node's horizon).
 
 from __future__ import annotations
 
-from repro.scenarios import ScenarioSpec, scenario_runner
+from repro.scenarios import ScenarioSpec
 
 SCENARIO = ScenarioSpec.from_dict({
     "id": "table2",
@@ -40,8 +40,3 @@ SCENARIO = ScenarioSpec.from_dict({
                                 "hapa": "partial", "dapa": "no"}},
     },
 })
-
-EXPERIMENT_ID = SCENARIO.scenario_id
-TITLE = SCENARIO.title
-
-run = scenario_runner(SCENARIO)

@@ -45,9 +45,12 @@ __all__ = ["PreferentialAttachmentGenerator", "generate_pa"]
 
 _STRATEGIES = ("roulette", "attempt")
 
-#: Attempts per stub before the generator falls back to an explicit scan of
-#: eligible nodes.  Generous enough that it only triggers in pathological
-#: tiny/saturated networks.
+#: Rejected draws per stub before a strategy stops drawing for it.  The
+#: roulette strategy then scans the eligible nodes and draws one by degree
+#: (it skips the loop entirely when its live-slot audit finds none); the
+#: attempt strategy counts the stub as unfilled after this many draw pairs,
+#: with no eligibility check before them.  Generous enough that it only
+#: binds in tiny or saturated networks.
 _MAX_REJECTIONS_PER_STUB = 100_000
 
 

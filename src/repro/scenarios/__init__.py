@@ -14,12 +14,13 @@ search algorithm × TTL — is exposed here as a serializable grammar:
   extension point that lets plugins join the grammar;
 * :mod:`repro.scenarios.compile` — the compiler
   (:func:`compile_scenario` → :class:`SeriesPlan` list) and the runtime
-  (:func:`run_scenario`, with executor / result-store / kernels parity to
-  the experiment registry).
+  (:func:`run_scenario` / :func:`run_scenario_cached`, with executor,
+  result-store, and kernels options).
 
 Every built-in figure, table, and ablation is itself a
-:class:`ScenarioSpec` (see :func:`builtin_scenarios`), and user-authored
-JSON specs run through the same compiler via ``repro run``.
+:class:`ScenarioSpec` (see :func:`builtin_scenarios`, the one registry of
+built-ins), and built-ins and user-authored JSON specs run through the
+same compiler and the same cache key (:func:`scenario_cache_extra`).
 """
 
 from repro.scenarios.compile import (
@@ -31,7 +32,6 @@ from repro.scenarios.compile import (
     run_scenario_cached,
     run_series_plan,
     scenario_cache_extra,
-    scenario_runner,
 )
 from repro.scenarios.kinds import (
     available_measurement_kinds,
@@ -67,5 +67,4 @@ __all__ = [
     "run_scenario_cached",
     "run_series_plan",
     "scenario_cache_extra",
-    "scenario_runner",
 ]

@@ -3,19 +3,19 @@
 :func:`compile_scenario` lowers a :class:`~repro.scenarios.spec.ScenarioSpec`
 into an ordered list of :class:`SeriesPlan` items — one per measured series,
 with every by-scale value resolved and every label rendered — and
-:func:`run_scenario` executes a compiled plan through the engine's existing
-``Task`` fan-out: the same SHA-256 per-(label, index) seed streams, ambient
+:func:`run_scenario` executes a compiled plan through the engine's
+``Task`` fan-out: SHA-256 per-(label, index) seed streams, ambient
 executor/kernel-mode capture, and content-addressed
-:class:`~repro.engine.store.ResultStore` keys the figure harness has always
-used.  Because specs hash canonically
-(:meth:`~repro.scenarios.spec.ScenarioSpec.spec_hash`), a scenario cached
-once is cached for every equivalent spelling.
+:class:`~repro.engine.store.ResultStore` entries keyed by the canonical
+spec hash (:meth:`~repro.scenarios.spec.ScenarioSpec.spec_hash`), so a
+scenario cached once is cached for every equivalent spelling.  The paper's
+built-in artefacts (:func:`builtin_scenarios`) run exactly this way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import ScenarioError
 from repro.experiments.results import ExperimentResult, Series
@@ -42,7 +42,6 @@ __all__ = [
     "run_scenario",
     "run_scenario_cached",
     "scenario_cache_extra",
-    "scenario_runner",
     "builtin_scenarios",
     "get_builtin_scenario",
 ]
@@ -299,11 +298,13 @@ def run_scenario_cached(
 ) -> "tuple[ExperimentResult, bool]":
     """Run a scenario on the engine; returns ``(result, from_cache)``.
 
-    Mirrors :func:`repro.experiments.registry.run_experiment_cached`: the
-    realization tasks fan out through ``executor`` (results byte-identical
-    to a serial run), the kernel mode is installed ambiently, and with a
-    ``store`` the result is keyed by (scenario id, scale, spec hash) — so a
-    re-run of any equivalent spelling of the spec is a cache hit.
+    The one run path for built-in artefacts and user scenarios alike
+    (``repro figure``/``run``/``suite``, :func:`repro.engine.run_suite`,
+    ``repro serve``): the realization tasks fan out through ``executor``
+    (results byte-identical to a serial run), the kernel mode is installed
+    ambiently, and with a ``store`` the result is keyed by (scenario id,
+    scale, :func:`scenario_cache_extra`) — so a re-run of any equivalent
+    spelling of the spec is a cache hit, and an edited spec is not.
     """
     from repro.engine.executor import use_executor
     from repro.kernels.dispatch import use_kernels
@@ -369,28 +370,6 @@ def run_scenario(
     return result
 
 
-def scenario_runner(spec: ScenarioSpec) -> Callable[..., ExperimentResult]:
-    """Wrap ``spec`` as a registry-compatible ``run(scale=, seed=)`` callable.
-
-    The built-in figure modules are each reduced to a
-    :class:`~repro.scenarios.spec.ScenarioSpec` plus ``run =
-    scenario_runner(SCENARIO)``; the experiment registry (and therefore
-    ``repro figure`` / ``repro suite``) calls the wrapper exactly like the
-    hand-written ``run`` functions it replaces.
-    """
-    spec.validate()
-
-    def run(
-        scale: Optional[ExperimentScale] = None, seed: Optional[int] = None
-    ) -> ExperimentResult:
-        return _compute_scenario(spec, resolve_scale(scale, seed))
-
-    run.__name__ = f"run_{spec.scenario_id}"
-    run.__doc__ = f"Run the {spec.scenario_id!r} scenario: {spec.title}"
-    run.scenario = spec  # type: ignore[attr-defined]
-    return run
-
-
 # --------------------------------------------------------------------------- #
 # Built-in scenarios
 # --------------------------------------------------------------------------- #
@@ -399,12 +378,7 @@ def builtin_scenarios() -> Dict[str, ScenarioSpec]:
     # Imported lazily: the figure modules themselves import this package.
     from repro.experiments.figures import ALL_FIGURE_MODULES
 
-    specs: Dict[str, ScenarioSpec] = {}
-    for module in ALL_FIGURE_MODULES:
-        spec = getattr(module, "SCENARIO", None)
-        if spec is not None:
-            specs[spec.scenario_id] = spec
-    return specs
+    return {module.SCENARIO.scenario_id: module.SCENARIO for module in ALL_FIGURE_MODULES}
 
 
 def get_builtin_scenario(scenario_id: str) -> ScenarioSpec:

@@ -16,14 +16,15 @@ This subpackage provides:
   (optionally a torus);
 * :class:`~repro.substrate.random_graph.ErdosRenyiNetwork` — a G(N, p)
   baseline used in tests and ablations;
-* :func:`~repro.substrate.horizon.bfs_horizon` /
-  :func:`~repro.substrate.horizon.bfs_distances` — the bounded breadth-first
-  searches a joining peer runs to discover its horizon.
+* :func:`~repro.substrate.horizon.bfs_distances` — bounded breadth-first hop
+  distances, used by the path-length analysis (DAPA's join runs its own
+  horizon search on substrate rows, see
+  :class:`~repro.generators.dapa.DAPAGenerator`).
 """
 
 from repro.substrate.base import SubstrateNetwork
 from repro.substrate.grn import GeometricRandomNetwork, generate_grn
-from repro.substrate.horizon import bfs_distances, bfs_horizon
+from repro.substrate.horizon import bfs_distances
 from repro.substrate.mesh import MeshNetwork, generate_mesh
 from repro.substrate.random_graph import ErdosRenyiNetwork, generate_erdos_renyi
 
@@ -33,7 +34,6 @@ __all__ = [
     "MeshNetwork",
     "SubstrateNetwork",
     "bfs_distances",
-    "bfs_horizon",
     "generate_erdos_renyi",
     "generate_grn",
     "generate_mesh",

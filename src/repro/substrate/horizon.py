@@ -1,22 +1,22 @@
-"""Bounded breadth-first searches over the substrate.
+"""Bounded breadth-first hop distances over a :class:`Graph`.
 
-A DAPA joining node runs a breadth-first search on the substrate, limited to
-``τ_sub`` hops, to discover the peers in its *horizon* (paper Algorithm 4,
-lines 4–10).  These helpers implement that primitive on a :class:`Graph`
-(``DAPAGenerator`` runs its own copy on substrate rows, in discovery order)
-and the hop-distance map it rests on, which the path-length analysis uses.
+:func:`bfs_distances` is the hop-distance map the path-length analysis
+uses.  It is not DAPA's horizon search: a joining DAPA node discovers the
+peers within ``τ_sub`` substrate hops (paper Algorithm 4, lines 4–10) with
+``DAPAGenerator._discover_horizon``, a breadth-first search on substrate
+rows whose candidates keep their discovery order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional
 
 from repro.core.errors import NodeNotFoundError
 from repro.core.graph import Graph
 from repro.core.types import NodeId
 
-__all__ = ["bfs_distances", "bfs_horizon"]
+__all__ = ["bfs_distances"]
 
 
 def bfs_distances(
@@ -66,31 +66,3 @@ def bfs_distances(
                 frontier.append(neighbor)
     return distances
 
-
-def bfs_horizon(
-    graph: Graph,
-    source: NodeId,
-    max_depth: int,
-    eligible: Optional[Set[NodeId]] = None,
-) -> List[NodeId]:
-    """Return the nodes within ``max_depth`` hops of ``source`` (excluding it).
-
-    When ``eligible`` is given only nodes from that set are returned (this is
-    the DAPA filter "i ∈ G_O": only nodes that are already overlay peers are
-    attachment candidates), but *all* substrate nodes are still traversed —
-    a non-peer node can lie on the path to a peer.
-
-    Examples
-    --------
-    >>> g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    >>> bfs_horizon(g, 0, 2)
-    [1, 2]
-    >>> bfs_horizon(g, 0, 3, eligible={2, 3, 4})
-    [2, 3]
-    """
-    distances = bfs_distances(graph, source, max_depth=max_depth)
-    horizon = [node for node in distances if node != source]
-    if eligible is not None:
-        horizon = [node for node in horizon if node in eligible]
-    horizon.sort(key=lambda node: (distances[node], node))
-    return horizon

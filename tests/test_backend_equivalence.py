@@ -29,7 +29,7 @@ from repro.core.csr import CSRGraph
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
 from repro.engine.executor import ParallelExecutor
-from repro.experiments.registry import run_experiment
+from repro.scenarios import get_builtin_scenario, run_scenario
 from repro.scenarios.measure import RealizationSpec
 from repro.generators.cm import generate_cm
 from repro.generators.dapa import generate_dapa
@@ -312,14 +312,14 @@ class TestPipelineReference:
 
             with monkeypatch.context() as patch:
                 patch.setattr(RealizationSpec, "build_for_measurement", recording)
-                return _payload(run_experiment(experiment_id, scale=scale)), searched
+                return _payload(run_scenario(get_builtin_scenario(experiment_id), scale=scale)), searched
 
         reference, reference_types = run_serial(RealizationSpec.build)
         serial, serial_types = run_serial(RealizationSpec.build_for_measurement)
         assert reference_types == {Graph} and serial_types == {CSRGraph}
         assert serial == reference
         with ParallelExecutor(jobs=2) as executor:
-            parallel = run_experiment(experiment_id, scale=scale, executor=executor)
+            parallel = run_scenario(get_builtin_scenario(experiment_id), scale=scale, executor=executor)
         assert _payload(parallel) == reference
 
 
@@ -333,8 +333,8 @@ class TestKernelTierExperiments:
     """
 
     def test_fig9_jit_byte_identical(self, smoke_scale):
-        python = run_experiment("fig9", scale=smoke_scale, kernels="python")
-        jit = run_experiment("fig9", scale=smoke_scale, kernels="jit")
+        python = run_scenario(get_builtin_scenario("fig9"), scale=smoke_scale, kernels="python")
+        jit = run_scenario(get_builtin_scenario("fig9"), scale=smoke_scale, kernels="jit")
         assert [series.as_dict() for series in python.series] == [
             series.as_dict() for series in jit.series
         ]
@@ -343,10 +343,10 @@ class TestKernelTierExperiments:
         """``kernels`` must survive the hop into worker processes (pickled
         into each RealizationSpec)."""
         scale = replace(smoke_scale, realizations=2)
-        python = run_experiment("fig9", scale=scale, kernels="python")
+        python = run_scenario(get_builtin_scenario("fig9"), scale=scale, kernels="python")
         with ParallelExecutor(jobs=2) as executor:
-            jit = run_experiment(
-                "fig9", scale=scale, kernels="jit", executor=executor
+            jit = run_scenario(
+                get_builtin_scenario("fig9"), scale=scale, kernels="jit", executor=executor
             )
         assert [series.as_dict() for series in python.series] == [
             series.as_dict() for series in jit.series
@@ -413,8 +413,8 @@ class TestGenerationTierEquivalence:
     def test_fig1_jit_generation_byte_identical(self, smoke_scale):
         """A whole degree-distribution experiment (generation-dominated)
         under kernels='jit' — the generator tier's acceptance bar."""
-        python_result = run_experiment("fig1", scale=smoke_scale, kernels="python")
-        jit_result = run_experiment("fig1", scale=smoke_scale, kernels="jit")
+        python_result = run_scenario(get_builtin_scenario("fig1"), scale=smoke_scale, kernels="python")
+        jit_result = run_scenario(get_builtin_scenario("fig1"), scale=smoke_scale, kernels="jit")
         assert [series.as_dict() for series in python_result.series] == [
             series.as_dict() for series in jit_result.series
         ]
@@ -423,10 +423,10 @@ class TestGenerationTierEquivalence:
         """The kernels choice must reach generation inside worker
         processes (captured into each degree-sequence RealizationSpec)."""
         scale = replace(smoke_scale, realizations=2)
-        python_result = run_experiment("fig1", scale=scale, kernels="python")
+        python_result = run_scenario(get_builtin_scenario("fig1"), scale=scale, kernels="python")
         with ParallelExecutor(jobs=2) as executor:
-            jit_result = run_experiment(
-                "fig1", scale=scale, kernels="jit", executor=executor
+            jit_result = run_scenario(
+                get_builtin_scenario("fig1"), scale=scale, kernels="jit", executor=executor
             )
         assert [series.as_dict() for series in python_result.series] == [
             series.as_dict() for series in jit_result.series

@@ -69,11 +69,6 @@ class TestNodes:
         with pytest.raises(GraphError):
             graph.add_node(-3)
 
-    def test_add_nodes_bulk(self):
-        graph = Graph()
-        ids = graph.add_nodes(4)
-        assert ids == [0, 1, 2, 3]
-
     def test_remove_node_removes_incident_edges(self):
         graph = Graph.from_edges(3, [(0, 1), (1, 2)])
         graph.remove_node(1)
@@ -177,14 +172,6 @@ class TestNeighbors:
     def test_random_neighbor_isolated_returns_none(self, rng):
         graph = Graph(2)
         assert graph.random_neighbor(0, rng) is None
-
-    def test_random_node_in_graph(self, path_graph, rng):
-        for _ in range(20):
-            assert path_graph.random_node(rng) in path_graph
-
-    def test_random_node_empty_graph_raises(self, rng):
-        with pytest.raises(GraphError):
-            Graph().random_node(rng)
 
 
 class TestWholeGraphOps:

@@ -60,14 +60,6 @@ class TestCollectionDraws:
         assert sorted(shuffled) == items
         assert items == list(range(20))  # original untouched
 
-    def test_weighted_choice_respects_zero_weight(self, rng):
-        values = {rng.weighted_choice(["x", "y"], [1.0, 0.0]) for _ in range(50)}
-        assert values == {"x"}
-
-    def test_weighted_choice_length_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            rng.weighted_choice([1, 2], [1.0])
-
     def test_weighted_index_distribution(self, rng):
         counts = [0, 0]
         for _ in range(2000):

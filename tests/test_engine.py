@@ -33,10 +33,10 @@ from repro.engine.executor import (
 from repro.engine.progress import ProgressReporter
 from repro.engine.store import ResultStore
 from repro.engine.tasks import Task, run_suite
-from repro.experiments.registry import run_experiment
 from repro.experiments.results import ExperimentResult, Series
 from repro.experiments.runner import ExperimentScale
 from repro.generators.pa import generate_pa
+from repro.scenarios import get_builtin_scenario, run_scenario
 from repro.scenarios.measure import averaged_search_curve, degree_distribution_series
 from repro.telemetry.collector import TelemetryCollector, use_telemetry
 from repro.telemetry.logs import MemoryHandler, use_log_handler
@@ -384,15 +384,15 @@ class TestEngineDeterminism:
         # Two realizations per curve so the batches genuinely cross process
         # boundaries (at realizations=1 a batch degenerates to in-process).
         scale = replace(smoke_scale, realizations=2)
-        serial = run_experiment("fig9", scale=scale, executor=SerialExecutor())
+        serial = run_scenario(get_builtin_scenario("fig9"), scale=scale, executor=SerialExecutor())
         with ParallelExecutor(jobs=2) as pool:
-            parallel = run_experiment("fig9", scale=scale, executor=pool)
+            parallel = run_scenario(get_builtin_scenario("fig9"), scale=scale, executor=pool)
         assert _result_json(parallel) == _result_json(serial)
 
     def test_progress_counts_realization_tasks(self, smoke_scale):
         """Per-task events reach the reporter through the ambient context."""
         reporter = ProgressReporter()
-        run_experiment("fig9", scale=smoke_scale, progress=reporter)
+        run_scenario(get_builtin_scenario("fig9"), scale=smoke_scale, progress=reporter)
         timing = reporter.timings[-1]
         assert timing.experiment_id == "fig9"
         # fig9 at smoke scale: 3 models x 2 stub values x 2 cutoffs, one
@@ -402,9 +402,9 @@ class TestEngineDeterminism:
 
     def test_cached_rerun_skips_recompute(self, tmp_path, smoke_scale):
         store = ResultStore(tmp_path)
-        first = run_experiment("fig9", scale=smoke_scale, store=store)
+        first = run_scenario(get_builtin_scenario("fig9"), scale=smoke_scale, store=store)
         reporter = ProgressReporter()
-        second = run_experiment("fig9", scale=smoke_scale, store=store, progress=reporter)
+        second = run_scenario(get_builtin_scenario("fig9"), scale=smoke_scale, store=store, progress=reporter)
         assert store.hits == 1
         assert reporter.timings[-1].from_cache is True
         assert reporter.timings[-1].tasks == 0  # nothing was recomputed

@@ -6,8 +6,8 @@ import pytest
 
 from repro.core.errors import ExperimentError
 from repro.experiments.compare import compare_results
-from repro.experiments.registry import run_experiment
 from repro.experiments.results import ExperimentResult, Series
+from repro.scenarios import get_builtin_scenario, run_scenario
 
 
 def make_result(experiment_id="figX", labels=("a", "b"), scale=1.0):
@@ -67,7 +67,7 @@ class TestCompareResults:
     def test_same_seed_experiment_runs_are_identical(self, smoke_scale):
         """End-to-end determinism: two runs of the same experiment at the same
         seed produce byte-identical series."""
-        first = run_experiment("natural_cutoff", scale=smoke_scale)
-        second = run_experiment("natural_cutoff", scale=smoke_scale)
+        first = run_scenario(get_builtin_scenario("natural_cutoff"), scale=smoke_scale)
+        second = run_scenario(get_builtin_scenario("natural_cutoff"), scale=smoke_scale)
         report = compare_results(first, second)
         assert report.all_within(0.0)

@@ -28,7 +28,6 @@ from repro.analysis.cutoff import (
 from repro.analysis.paths import expected_diameter_class, path_length_statistics
 from repro.analysis.robustness import attack_robustness, failure_robustness
 from repro.engine.executor import ParallelExecutor
-from repro.experiments.registry import run_experiment
 from repro.experiments.results import ExperimentResult, Series
 from repro.experiments.runner import (
     ExperimentScale,
@@ -39,7 +38,7 @@ from repro.experiments.sweeps import format_label
 from repro.generators.cm import generate_cm
 from repro.generators.pa import generate_pa
 from repro.generators.registry import GENERATORS
-from repro.scenarios import builtin_scenarios, run_scenario
+from repro.scenarios import builtin_scenarios, get_builtin_scenario, run_scenario
 from repro.scenarios.measure import (
     degree_distribution_series,
     exponent_vs_cutoff_series,
@@ -381,7 +380,7 @@ def test_every_builtin_is_a_scenario_spec():
 @pytest.mark.parametrize("experiment_id", sorted(LEGACY_RUNNERS))
 def test_spec_path_matches_legacy_path_byte_for_byte(experiment_id, smoke_scale):
     legacy = LEGACY_RUNNERS[experiment_id](smoke_scale)
-    via_spec = run_experiment(experiment_id, scale=smoke_scale)
+    via_spec = run_scenario(get_builtin_scenario(experiment_id), scale=smoke_scale)
     # Titles/notes live in the spec now; the numeric payload is the pin.
     legacy.title, legacy.notes = via_spec.title, via_spec.notes
     assert _payload(legacy) == _payload(via_spec)
