@@ -17,11 +17,12 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.components import giant_component
+from repro.core.csr import flood_levels
 from repro.core.errors import AnalysisError
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource, ensure_source
 from repro.core.types import NodeId
-from repro.substrate.horizon import bfs_distances
+from repro.telemetry.collector import active_telemetry
 
 __all__ = [
     "PathLengthStatistics",
@@ -75,6 +76,12 @@ def path_length_statistics(
 ) -> PathLengthStatistics:
     """Compute average shortest-path length and diameter (possibly sampled).
 
+    Each sampled source runs one vectorized breadth-first search
+    (:func:`~repro.core.csr.flood_levels`) on the frozen snapshot of the
+    graph; the distances are integers, so their sums, and the average, do
+    not depend on the order they are added in.  With telemetry on, the
+    work runs in an ``analysis`` span carrying the source and node counts.
+
     Parameters
     ----------
     graph:
@@ -98,43 +105,48 @@ def path_length_statistics(
     """
     if graph.number_of_nodes == 0:
         raise AnalysisError("the graph has no nodes")
+    telemetry = active_telemetry()
+    attrs: Optional[Dict[str, int]] = {} if telemetry.enabled else None
+    with telemetry.span("analysis", attrs):
+        if restrict_to_giant_component:
+            component = giant_component(graph)
+            if len(component) < graph.number_of_nodes:
+                graph = graph.subgraph(component)
+        nodes = graph.nodes()
+        if len(nodes) < 2:
+            return PathLengthStatistics(
+                average=0.0,
+                diameter=0,
+                sources_sampled=len(nodes),
+                nodes_in_component=len(nodes),
+                exact=True,
+            )
 
-    if restrict_to_giant_component:
-        component = giant_component(graph)
-        if len(component) < graph.number_of_nodes:
-            graph = graph.subgraph(component)
-    nodes = graph.nodes()
-    if len(nodes) < 2:
-        return PathLengthStatistics(
-            average=0.0,
-            diameter=0,
-            sources_sampled=len(nodes),
-            nodes_in_component=len(nodes),
-            exact=True,
-        )
+        source = ensure_source(rng)
+        if sample_size is None or sample_size >= len(nodes):
+            sources: Sequence[NodeId] = nodes
+            exact = True
+        else:
+            if sample_size < 1:
+                raise AnalysisError("sample_size must be at least 1")
+            sources = source.sample(nodes, sample_size)
+            exact = False
+        if attrs is not None:
+            attrs["sources"] = len(sources)
+            attrs["nodes"] = len(nodes)
 
-    source = ensure_source(rng)
-    if sample_size is None or sample_size >= len(nodes):
-        sources: Sequence[NodeId] = nodes
-        exact = True
-    else:
-        if sample_size < 1:
-            raise AnalysisError("sample_size must be at least 1")
-        sources = source.sample(nodes, sample_size)
-        exact = False
-
-    total_distance = 0
-    total_pairs = 0
-    observed_diameter = 0
-    for origin in sources:
-        distances = bfs_distances(graph, origin)
-        for destination, distance in distances.items():
-            if destination == origin:
-                continue
-            total_distance += distance
-            total_pairs += 1
-            if distance > observed_diameter:
-                observed_diameter = distance
+        frozen = graph.freeze()
+        total_distance = 0
+        total_pairs = 0
+        observed_diameter = 0
+        for origin in sources:
+            # No shortest path is longer than the node count.
+            levels = flood_levels(frozen, frozen._row_of(origin), len(nodes))
+            reached = levels[levels > 0]
+            if len(reached):
+                total_distance += int(reached.sum())
+                total_pairs += len(reached)
+                observed_diameter = max(observed_diameter, int(reached.max()))
 
     average = total_distance / total_pairs if total_pairs else 0.0
     return PathLengthStatistics(

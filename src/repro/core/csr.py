@@ -402,6 +402,18 @@ class CSRGraph:
         self._build_neighbor_lists()
         return self.iter_neighbors(node)
 
+    def neighbor_lists(self) -> Mapping[NodeId, List[NodeId]]:
+        """Return the cached id -> neighbor-list mapping :meth:`iter_neighbors`
+        reads — do **not** mutate it or its lists.
+
+        A loop that looks up one row per node or step binds this once and
+        indexes it, with no method call per lookup.  The cache is built on
+        first use, like :meth:`iter_neighbors`'s.
+        """
+        if self._neighbor_lists is _UNBUILT:
+            return self._build_neighbor_lists()
+        return self._neighbor_lists
+
     def neighbors(self, node: NodeId) -> List[NodeId]:
         """Return a fresh list of the neighbors of ``node``."""
         return list(self.iter_neighbors(node))

@@ -23,7 +23,7 @@ create them in the first place.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set
 
 import numpy as np
 
@@ -296,6 +296,16 @@ class Graph:
             return self._neighbor_lists[node]
         except KeyError:
             raise NodeNotFoundError(node) from None
+
+    def neighbor_lists(self) -> Mapping[NodeId, List[NodeId]]:
+        """Return the id -> neighbor-list mapping :meth:`iter_neighbors`
+        reads — do **not** mutate it or its lists.
+
+        A loop that looks up one row per node or step binds this once and
+        indexes it, with no method call per lookup.  The mapping is live:
+        it follows later mutations of the graph.
+        """
+        return self._neighbor_lists
 
     def random_neighbor(self, node: NodeId, rng: RandomSource) -> Optional[NodeId]:
         """Return a uniformly random neighbor of ``node`` or ``None`` if isolated.

@@ -49,10 +49,10 @@ class RandomSource:
     A subclass may observe draws (count them, log them) but must return
     the values this class returns.  The kernels splice the twister past
     every override, while the python tier still calls the methods in
-    multi-walker RW, PA's attempt strategy, nonlinear PA, CM's shuffle,
-    DAPA's join picks and seed sample, the GRN substrate's positions and
-    the ``choice``/``weighted_index`` fallbacks; a subclass that changes
-    values therefore gets different results on different kernel tiers.
+    multi-walker RW, PA's attempt strategy, nonlinear PA, DAPA's seed
+    sample and the ``choice``/``weighted_index`` fallbacks; a subclass
+    that changes values therefore gets different results on different
+    kernel tiers.
 
     Parameters
     ----------
@@ -207,9 +207,10 @@ def raw_stream(rng: RandomSource) -> random.Random:
     """Return the Mersenne Twister underneath ``rng``.
 
     The algorithm loops that inline CPython's draws (HAPA, PA's roulette,
-    DAPA's attach step, NF, PF and single-walker RW) call this twister
-    directly, and the kernels splice its state, for every source:
-    overriding a draw method of a subclass does not change what they draw.
+    CM's shuffle, DAPA's join picks and attach step, the GRN substrate's
+    positions, NF, PF and single-walker RW) call this twister directly,
+    and the kernels splice its state, for every source: overriding a draw
+    method of a subclass does not change what they draw.
     """
     return rng._random
 

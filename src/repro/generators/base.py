@@ -25,7 +25,13 @@ _SCALARS = (int, float, str, bool, type(None))
 
 #: Work counters a build's metadata may hold; each one present is copied
 #: onto the ``generate`` span.
-_SPAN_COUNTERS = ("total_hops", "rejected_attempts", "discovery_messages", "unfilled_stubs")
+_SPAN_COUNTERS = (
+    "total_hops",
+    "rejected_attempts",
+    "discovery_messages",
+    "unfilled_stubs",
+    "fallback_attachments",
+)
 
 
 @dataclass
@@ -123,6 +129,7 @@ class TopologyGenerator(abc.ABC):
             for field_name, counter in (
                 ("rejected_attempts", "generate.rejections"),
                 ("unfilled_stubs", "generate.unfilled_stubs"),
+                ("fallback_attachments", "generate.fallback_attachments"),
                 ("removed_self_loops", "generate.removed_self_loops"),
                 ("removed_multi_edges", "generate.removed_multi_edges"),
             ):

@@ -33,7 +33,7 @@ import numpy as np
 from repro.core.config import CMConfig
 from repro.core.errors import ConfigurationError
 from repro.core.graph import Graph
-from repro.core.rng import RandomSource
+from repro.core.rng import RandomSource, raw_stream
 from repro.generators.base import TopologyGenerator
 from repro.generators.degree_sequence import power_law_degree_sequence
 from repro.kernels.dispatch import kernel_ready
@@ -184,14 +184,25 @@ class ConfigurationModelGenerator(TopologyGenerator):
     ) -> Tuple[Graph, int, int]:
         """Standard CM: shuffle the stub list and pair consecutive stubs.
 
-        The shuffle is the one draw; the pairing is numpy.  Self-loops are
+        The shuffle is the one draw: CPython's ``random.shuffle``
+        Fisher–Yates loop with its ``_randbelow`` inlined as the
+        ``getrandbits`` rejection loop of the twister underneath ``rng``,
+        so the draws are those of ``rng.shuffle`` (the test oracle
+        ``tests/oracles/cm.py``).  The pairing is numpy.  Self-loops are
         dropped, and of each repeated pair only the first in stub order is
         kept, the edge an ``add_edge`` per pair would have kept.  The kept
         pairs go, in stub order, to :meth:`Graph.from_edge_array`.
         """
         n = len(sequence)
         stubs: List[int] = np.repeat(np.arange(n, dtype=np.int64), sequence).tolist()
-        rng.shuffle(stubs)
+        getrandbits = raw_stream(rng).getrandbits
+        # Swap each position, last to second, with a uniform one up to it.
+        for last in range(len(stubs) - 1, 0, -1):
+            width = (last + 1).bit_length()
+            pick = getrandbits(width)
+            while pick > last:
+                pick = getrandbits(width)
+            stubs[last], stubs[pick] = stubs[pick], stubs[last]
 
         paired = np.array(stubs, dtype=np.int64)
         end = len(paired) - len(paired) % 2

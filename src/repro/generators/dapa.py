@@ -178,17 +178,23 @@ class DAPAGenerator(TopologyGenerator):
         The horizon BFS runs on substrate *rows* (positions in
         ``substrate.nodes()``): per-row neighbor lists are built once, and
         peer membership and overlay degree live in flat per-row lists, kept
-        in step with the overlay after every join.  The attach step,
-        :meth:`_attach_preferentially_fast`, draws from the twister
-        underneath ``rng``.
+        in step with the overlay after every join.  The join picks and the
+        attach step, :meth:`_attach_preferentially_fast`, draw from the
+        twister underneath ``rng``: each pick of a joining substrate row is
+        CPython's ``_randbelow`` rejection loop over ``getrandbits``, which
+        is what ``rng.randint(0, size - 1)`` draws (the test oracle
+        ``tests/oracles/dapa.py``).  Only the seed peers come from a method,
+        ``rng.sample``.
         """
         config = self.config
         stream = raw_stream(rng)
+        getrandbits = stream.getrandbits
         cutoff = config.effective_cutoff()
         m = config.stubs
         target_peers = config.overlay_size
         substrate_nodes = substrate.nodes()
         size = len(substrate_nodes)
+        width = size.bit_length()
         row_of = {node: row for row, node in enumerate(substrate_nodes)}
         if substrate_nodes == list(range(size)):
             # Dense ids are their own rows: share the substrate's lists.
@@ -230,7 +236,9 @@ class DAPAGenerator(TopologyGenerator):
                 # No remaining substrate node can see a peer within tau_sub
                 # hops (e.g. a disconnected substrate component with no seed).
                 break
-            row = rng.randint(0, size - 1)
+            row = getrandbits(width)
+            while row >= size:
+                row = getrandbits(width)
             if is_peer[row]:
                 attempts_without_progress += 1
                 continue

@@ -176,19 +176,20 @@ class PreferentialAttachmentGenerator(TopologyGenerator):
         node's slots in the stub list) and the stub list itself, which
         holds each node once per unit of degree, so a uniform slot is a
         degree-proportional node.  "Already linked" is a scan of the
-        joining node's at most ``m`` chosen peers.  Every slot draw is the
-        twister's ``_randbelow(size)``, which is what
-        ``rng.randint(0, size - 1)`` calls, so the draws are those of the
-        loop written with ``rng.randint``.  The edges go, in attachment
-        order, to :meth:`Graph.from_edge_array`, which builds only the CSR
-        snapshot the search reads.
+        joining node's at most ``m`` chosen peers.  Every slot draw is
+        CPython's ``_randbelow(size)`` rejection loop over the twister's
+        ``getrandbits``, inlined: ``rng.randint(0, size - 1)`` calls exactly
+        that, so the draws are those of the loop written with
+        ``rng.randint`` (the test oracle ``tests/oracles/pa.py``).  The
+        edges go, in attachment order, to :meth:`Graph.from_edge_array`,
+        which builds only the CSR snapshot the search reads.
         """
         config = self.config
         n, m = config.number_of_nodes, config.stubs
         cutoff = config.effective_cutoff()
         # Read at call time, so patching the module constant takes effect.
         max_rejections = _MAX_REJECTIONS_PER_STUB
-        draw = raw_stream(rng)._randbelow
+        getrandbits = raw_stream(rng).getrandbits
 
         seed_size = min(m + 1, n)
         # Graph.complete's add order, which fixes the seed's neighbor order.
@@ -235,8 +236,12 @@ class PreferentialAttachmentGenerator(TopologyGenerator):
                     continue
                 target = -1
                 rejections = 0
+                width = size.bit_length()
                 while rejections < max_rejections:
-                    candidate = stub_list[draw(size)]
+                    slot = getrandbits(width)
+                    while slot >= size:
+                        slot = getrandbits(width)
+                    candidate = stub_list[slot]
                     if degrees[candidate] < cutoff and candidate not in chosen:
                         target = candidate
                         break

@@ -130,9 +130,10 @@ class NormalizedFloodingSearch(SearchAlgorithm):
         rejection loop, so the draws are those of the same loop written
         with ``rng.sample`` (the test oracle ``tests/oracles/nf.py``).  The
         graph is simple, so dropping the previous hop removes exactly one
-        row entry.
+        row entry.  Rows come from the graph's id -> neighbor-list mapping,
+        bound once per query.
         """
-        neighbors_of = graph.iter_neighbors
+        rows = graph.neighbor_lists()
         getrandbits = stream.getrandbits
         # random.sample's choice between its two algorithms.
         setsize = 21
@@ -156,7 +157,7 @@ class NormalizedFloodingSearch(SearchAlgorithm):
             next_frontier = []
             extend = next_frontier.append
             for node, previous in frontier:
-                row = neighbors_of(node)
+                row = rows[node]
                 size = len(row) if previous is None else len(row) - 1
                 if size <= branching:
                     recipients = row

@@ -10,8 +10,9 @@ cost spectrum.  The implementation mirrors :class:`FloodingSearch`
 the harness and CLI can sweep it alongside the paper's three algorithms.
 
 Forwarding coins are drawn per neighbor in the *defined* neighbor order
-(edge insertion order, via :meth:`~repro.core.graph.Graph.iter_neighbors`)
-rather than set order, so a seeded query is byte-identical on the mutable
+(edge insertion order, the rows of
+:meth:`~repro.core.graph.Graph.neighbor_lists`) rather than set order, so
+a seeded query is byte-identical on the mutable
 :class:`~repro.core.graph.Graph` and its frozen
 :class:`~repro.core.csr.CSRGraph` snapshot.
 """
@@ -89,7 +90,7 @@ class ProbabilisticFloodingSearch(SearchAlgorithm):
                 found_at=found_at,
             )
         coin = raw_stream(random_source).random
-        neighbors_of = graph.iter_neighbors
+        rows = graph.neighbor_lists()
         probability = self.forward_probability
         toss = probability < 1.0
 
@@ -112,7 +113,7 @@ class ProbabilisticFloodingSearch(SearchAlgorithm):
                 # forwarding coin, so the iteration order is part of the
                 # seeded behaviour and must be identical on the mutable
                 # graph and its frozen CSR snapshot.
-                for neighbor in neighbors_of(node):
+                for neighbor in rows[node]:
                     if neighbor == previous or (toss and coin() >= probability):
                         continue
                     messages += 1

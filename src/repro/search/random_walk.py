@@ -122,9 +122,11 @@ class RandomWalkSearch(SearchAlgorithm):
         (which draws even for ``count == 1``) of ``stream``, the Mersenne
         Twister underneath the source.  The graph is simple and
         symmetric, so the previous hop sits exactly once in the current
-        row.  The walk sends one message per hop until it gets stuck.
+        row, read from the graph's id -> neighbor-list mapping (bound once
+        per query).  The walk sends one message per hop until it gets
+        stuck.
         """
-        neighbors_of = graph.iter_neighbors
+        rows = graph.neighbor_lists()
         getrandbits = stream.getrandbits
         exclude_previous = not self.allow_backtracking
 
@@ -138,7 +140,7 @@ class RandomWalkSearch(SearchAlgorithm):
 
         node, before = source, None
         for hop in range(1, ttl + 1):
-            row = neighbors_of(node)
+            row = rows[node]
             size = len(row)
             skip = size
             if exclude_previous and before is not None:

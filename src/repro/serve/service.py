@@ -308,9 +308,10 @@ class ScenarioService:
         # the id returned in the response always matches the event stream.
         trace_id = new_trace_id()
 
-        # Warm path: answer straight from the store, no lock needed.
+        # Warm path: answer straight from the store, no lock needed.  The
+        # store counts its hits and misses into the service collector.
         if self.store is not None:
-            with use_trace_id(trace_id), self.telemetry.span(
+            with use_telemetry(self.telemetry), use_trace_id(trace_id), self.telemetry.span(
                 "serve.lookup",
                 attrs={
                     "spec_hash": spec_hash,
@@ -425,7 +426,10 @@ class ScenarioService:
             # is the request's root span — the top of the
             # serve → scenario → series → task tree.  Executor and
             # kernels are passed explicitly and run_scenario_cached
-            # installs them around the computation.
+            # installs them around the computation.  submit() probed the
+            # store before scheduling this job, so the job computes
+            # without the store and puts the result: one probe per cold
+            # request.
             with use_telemetry(self.telemetry), use_trace_id(job.trace_id):
                 _log.info(
                     "job-running",
@@ -447,10 +451,16 @@ class ScenarioService:
                         job.spec,
                         scale=job.scale,
                         executor=self.executor,
-                        store=self.store,
                         progress=reporter,
                         kernels=self.kernels,
                     )
+                    if self.store is not None:
+                        self.store.put(
+                            job.spec.scenario_id,
+                            job.scale,
+                            result,
+                            extra=scenario_cache_extra(job.spec),
+                        )
             self.telemetry.count("serve.computations")
             job.seconds = telemetry_clock() - started
             job.from_cache = from_cache

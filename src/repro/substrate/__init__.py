@@ -15,16 +15,15 @@ This subpackage provides:
 * :class:`~repro.substrate.mesh.MeshNetwork` — a 2-D regular lattice
   (optionally a torus);
 * :class:`~repro.substrate.random_graph.ErdosRenyiNetwork` — a G(N, p)
-  baseline used in tests and ablations;
-* :func:`~repro.substrate.horizon.bfs_distances` — bounded breadth-first hop
-  distances, used by the path-length analysis (DAPA's join runs its own
-  horizon search on substrate rows, see
-  :class:`~repro.generators.dapa.DAPAGenerator`).
+  baseline used in tests and ablations.
+
+A joining DAPA peer discovers its ``τ_sub``-hop horizon with its own
+breadth-first search on substrate rows (see
+:class:`~repro.generators.dapa.DAPAGenerator`).
 """
 
 from repro.substrate.base import SubstrateNetwork
 from repro.substrate.grn import GeometricRandomNetwork, generate_grn
-from repro.substrate.horizon import bfs_distances
 from repro.substrate.mesh import MeshNetwork, generate_mesh
 from repro.substrate.random_graph import ErdosRenyiNetwork, generate_erdos_renyi
 
@@ -33,7 +32,6 @@ __all__ = [
     "GeometricRandomNetwork",
     "MeshNetwork",
     "SubstrateNetwork",
-    "bfs_distances",
     "generate_erdos_renyi",
     "generate_grn",
     "generate_mesh",

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.config import GRNConfig
 from repro.core.graph import Graph
-from repro.core.rng import RandomSource
+from repro.core.rng import RandomSource, raw_stream
 from repro.kernels.dispatch import kernel_ready
 from repro.substrate.base import SubstrateNetwork
 
@@ -129,8 +129,9 @@ class GeometricRandomNetwork(SubstrateNetwork):
         """The python-tier build (no kernel dispatch: the parity self-check
         replays it against the kernel tier).
 
-        Draws the coordinates row-major, one ``rng.random()`` each, then
-        hands the within-radius pairs from :func:`sweep_cells` straight to
+        Draws the coordinates row-major, one ``random()`` of the twister
+        underneath ``rng`` each (the draws of ``rng.random()``), then hands
+        the within-radius pairs from :func:`sweep_cells` straight to
         :meth:`Graph.from_edge_array`, in the order the edges are defined
         to be added.
         """
@@ -139,7 +140,7 @@ class GeometricRandomNetwork(SubstrateNetwork):
         dimensions = config.dimensions
         radius = config.effective_radius()
 
-        draw = rng.random
+        draw = raw_stream(rng).random
         coordinates = [draw() for _ in range(n * dimensions)]
         self.positions = dict(enumerate(zip(*[iter(coordinates)] * dimensions)))
         positions = np.array(coordinates, dtype=np.float64).reshape(n, dimensions)

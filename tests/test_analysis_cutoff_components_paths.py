@@ -23,8 +23,13 @@ from repro.analysis.paths import (
     expected_diameter_class,
     path_length_statistics,
 )
+from oracles.bfs import bfs_distances
 from repro.core.errors import AnalysisError
 from repro.core.graph import Graph
+from repro.core.rng import RandomSource
+from repro.generators.cm import generate_cm
+from repro.generators.pa import generate_pa
+from repro.telemetry.collector import TelemetryCollector, use_telemetry
 
 
 class TestCutoffEstimators:
@@ -109,6 +114,46 @@ class TestPathStatistics:
     def test_empty_graph_rejected(self):
         with pytest.raises(AnalysisError):
             path_length_statistics(Graph())
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: generate_pa(600, stubs=1, seed=3),
+            lambda: generate_pa(600, stubs=2, seed=3),
+            # m = 1 leaves CM disconnected: the giant component has sparse ids.
+            lambda: generate_cm(600, exponent=2.5, min_degree=1, seed=3),
+        ],
+        ids=["pa-m1", "pa-m2", "cm-m1"],
+    )
+    @pytest.mark.parametrize("sample_size", [None, 40])
+    @pytest.mark.parametrize("restrict", [True, False])
+    def test_matches_the_python_bfs_oracle(self, build, sample_size, restrict):
+        graph = build()
+        stats = path_length_statistics(
+            graph, sample_size=sample_size, rng=5, restrict_to_giant_component=restrict
+        )
+        if restrict:
+            graph = graph.subgraph(giant_component(graph))
+        nodes = graph.nodes()
+        sources = nodes if sample_size is None else RandomSource(5).sample(nodes, sample_size)
+        distances = [
+            distance
+            for origin in sources
+            for node, distance in bfs_distances(graph, origin).items()
+            if node != origin
+        ]
+        assert stats.average == sum(distances) / len(distances)
+        assert stats.diameter == max(distances)
+        assert stats.sources_sampled == len(sources)
+        assert stats.nodes_in_component == len(nodes)
+
+    def test_analysis_span_carries_source_and_node_counts(self, two_component_graph):
+        collector = TelemetryCollector()
+        with use_telemetry(collector):
+            stats = path_length_statistics(two_component_graph, sample_size=2, rng=1)
+        (node,) = [node for node in collector.span_tree if node["name"] == "analysis"]
+        assert node["attrs"] == {"sources": 2, "nodes": 3}
+        assert stats.sources_sampled == 2
 
 
 class TestDiameterClasses:

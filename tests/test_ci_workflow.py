@@ -64,3 +64,23 @@ def test_serve_job_soaks_a_running_server_and_bounds_its_rss_growth():
     assert "growth_kb <= 2048" in job
     # The soak runs before the SIGTERM, against the smoke's server.
     assert job.index("growth_kb <= 2048") < job.index('kill -TERM "$SERVE_PID"')
+
+
+def test_kernel_fallback_step_compares_cm_across_tiers():
+    job = _job("tests")
+    step = job[job.index("Kernel-tier graceful fallback"):]
+    step = step[: step.index("- name:")]
+    for tier, name in (("jit", "cm-jit"), ("python", "cm-py")):
+        assert (
+            f"python -m repro generate cm --nodes 2000 --stubs 2 --cutoff 40 --exponent 2.2 "
+            f"--seed 7 --kernels {tier} > {name}.json"
+        ) in step
+    assert 'for model in ("gen", "nlpa", "dapa", "cm"):' in step
+
+
+def test_serve_smoke_checks_one_store_probe_per_request():
+    job = _job("serve")
+    check = 'store["misses"] == 1 and store["hits"] == 1'
+    assert check in job
+    # Read from the metrics scraped after the first cold+warm pair, before the soak.
+    assert job.index("> metrics.json") < job.index(check) < job.index("for pair in range(1, 5001):")

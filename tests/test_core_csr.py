@@ -218,10 +218,16 @@ class TestNeighborCache:
         graph = SOURCES[source]()
         frozen = round_trip(graph.freeze())
         assert frozen.nodes() == graph.nodes()
+        # The mappings the search loops bind once per query hold the very
+        # rows iter_neighbors returns.
+        rows, frozen_rows = graph.neighbor_lists(), frozen.neighbor_lists()
+        assert list(frozen_rows) == frozen.nodes()
         for node in graph.nodes():
             assert frozen.iter_neighbors(node) == graph.iter_neighbors(node)
             assert frozen.neighbors(node) == graph.neighbors(node)
             assert frozen.neighbor_set(node) == graph.neighbor_set(node)
+            assert frozen_rows[node] is frozen.iter_neighbors(node)
+            assert rows[node] is graph.iter_neighbors(node)
 
     @pytest.mark.parametrize("source", sorted(SOURCES))
     def test_unknown_ids_raise(self, source, round_trip):

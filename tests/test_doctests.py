@@ -12,7 +12,6 @@ MODULE_NAMES = [
     "repro.core.graph",
     "repro.core.rng",
     "repro.generators.degree_sequence",
-    "repro.substrate.horizon",
     "repro.substrate.mesh",
     "repro.analysis.clustering",
     "repro.analysis.components",

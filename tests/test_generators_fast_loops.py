@@ -1,16 +1,20 @@
 """The python tier's inlined-draw loops against their test oracles.
 
-Every :class:`RandomSource` builds HAPA with ``HAPAGenerator._build_fast``
-and runs DAPA's accept/reject attach step through
-``DAPAGenerator._attach_preferentially_fast``; both inline CPython's
-``_randbelow`` over the source's Mersenne Twister.  The contract is the
-exact draw sequence of the loops written with the ``RandomSource``
-methods, so every build here is compared with its oracle
-(``tests/oracles/hapa.py``, ``tests/oracles/dapa.py``), each side drawing
-from a logged twister.  Each comparison covers the sequence of
-``getrandbits``/``random`` calls, node order, the frozen CSR arrays, every
-neighbor list, ``edges()`` order, the metadata, and the next ``random()``
-draw.
+Every :class:`RandomSource` builds HAPA with ``HAPAGenerator._build_fast``,
+and picks DAPA's joining nodes and runs its accept/reject attach step
+through ``DAPAGenerator._grow_overlay`` and
+``_attach_preferentially_fast``; both inline CPython's ``_randbelow`` over
+the source's Mersenne Twister.  The contract is the exact draw sequence of
+the loops written with the ``RandomSource`` methods, so every build here
+is compared with its oracle (``tests/oracles/hapa.py``,
+``tests/oracles/dapa.py``), each side drawing from a logged twister.  Each
+comparison covers the sequence of ``getrandbits``/``random`` calls, node
+order, the frozen CSR arrays, every neighbor list, ``edges()`` order, the
+metadata, and the next ``random()`` draw.  CM's shuffle and the GRN's
+positions also draw from the twister (their oracle comparisons are in
+``tests/test_generators_bulk_builds.py`` and
+``tests/test_draw_free_phases.py``); here, as for HAPA and DAPA, a
+counting subclass checks that no draw reaches its methods.
 """
 
 from __future__ import annotations
@@ -23,14 +27,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from draw_log import logged_source
+from oracles import cm as cm_oracle
 from oracles import dapa as dapa_oracle
+from oracles import grn as grn_oracle
 from oracles import hapa as hapa_oracle
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource, raw_stream
 from repro.generators import dapa as dapa_module
+from repro.generators.cm import ConfigurationModelGenerator
 from repro.generators.dapa import DAPAGenerator
+from repro.generators.degree_sequence import power_law_degree_sequence
 from repro.generators.hapa import HAPAGenerator
 from repro.kernels.dispatch import use_kernels
+from repro.substrate.grn import GeometricRandomNetwork
 
 
 class _CountingSource(RandomSource):
@@ -47,6 +56,26 @@ class _CountingSource(RandomSource):
     def randint(self, low, high):
         self.calls["randint"] += 1
         return super().randint(low, high)
+
+    def choice(self, items):
+        self.calls["choice"] += 1
+        return super().choice(items)
+
+    def sample(self, items, count):
+        self.calls["sample"] += 1
+        return super().sample(items, count)
+
+    def shuffle(self, items):
+        self.calls["shuffle"] += 1
+        return super().shuffle(items)
+
+    def weighted_index(self, weights):
+        self.calls["weighted_index"] += 1
+        return super().weighted_index(weights)
+
+    def spawn(self, label=""):
+        self.calls["spawn"] += 1
+        return super().spawn(label)
 
 
 def _assert_same_graph(reference: Graph, fast: Graph) -> None:
@@ -191,6 +220,20 @@ class TestDAPAFastAttach:
         assert set(result.graph.nodes()) <= set(ids)
         assert result.metadata["reached_target"]
 
+    def test_a_subclass_draws_from_its_twister(self):
+        # The join picks and the attach step draw past the overridden
+        # methods; only the seed peers (sample) and the substrate's child
+        # source (spawn) go through them.
+        generator = DAPAGenerator(overlay_size=150, stubs=2, hard_cutoff=10, local_ttl=4)
+        oracle_rng = RandomSource(seed=9)
+        expected = dapa_oracle.build_dapa(generator, oracle_rng)[0]
+        rng = _CountingSource(9)
+        with use_kernels("python"):
+            graph = generator.generate(rng).graph
+        _assert_same_graph(expected, graph)
+        assert rng.getstate() == oracle_rng.getstate()
+        assert rng.calls == {"spawn": 1, "sample": 1}
+
     def test_disconnected_substrate_stops_without_progress(self):
         # A 20-node ring plus 30 isolated nodes: at most the ring and the
         # seeds can join, so the 30-peer target is out of reach.
@@ -204,3 +247,34 @@ class TestDAPAFastAttach:
         result = _dapa_pair(generator, seed=2)
         assert not result.metadata["reached_target"]
         assert result.metadata["overlay_peers"] < 30
+
+
+class TestCMFastShuffle:
+    def test_a_subclass_draws_from_its_twister(self):
+        # The sequence is sampled up front: its parity fix draws one
+        # randint through the method on every tier, outside the shuffle.
+        sequence = power_law_degree_sequence(300, 2.5, min_degree=2, max_degree=20, rng=3)
+        generator = ConfigurationModelGenerator(300, degree_sequence=sequence)
+        oracle_rng = RandomSource(seed=9)
+        expected = cm_oracle.build_cm(generator, oracle_rng)[0]
+        rng = _CountingSource(9)
+        with use_kernels("python"):
+            graph = generator.generate(rng).graph
+        _assert_same_graph(expected, graph)
+        assert rng.getstate() == oracle_rng.getstate()
+        assert not rng.calls
+
+
+class TestGRNPositions:
+    def test_a_subclass_draws_from_its_twister(self):
+        builder = GeometricRandomNetwork(400, radius=0.1)
+        oracle_rng = RandomSource(seed=9)
+        expected = grn_oracle.build_grn(builder, oracle_rng)
+        expected_positions = dict(builder.positions)
+        rng = _CountingSource(9)
+        with use_kernels("python"):
+            graph = builder.build(rng)
+        _assert_same_graph(expected, graph)
+        assert builder.positions == expected_positions
+        assert rng.getstate() == oracle_rng.getstate()
+        assert not rng.calls

@@ -19,13 +19,13 @@ from functools import lru_cache
 
 import pytest
 
+from oracles.bfs import bfs_distances
 from repro.analysis.components import is_connected
 from repro.core.config import MeshConfig
 from repro.generators.dapa import DAPAGenerator
 from repro.generators.hapa import HAPAGenerator
 from repro.generators.nonlinear_pa import NonlinearPreferentialAttachmentGenerator
 from repro.generators.pa import PreferentialAttachmentGenerator
-from repro.substrate.horizon import bfs_distances
 
 GROWTH_MODELS = {
     "pa": lambda n, m, kc, seed: PreferentialAttachmentGenerator(

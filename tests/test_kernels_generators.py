@@ -23,13 +23,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oracles import cm as cm_oracle
 from oracles import dapa as dapa_oracle
+from oracles import grn as grn_oracle
 from oracles import hapa as hapa_oracle
 from oracles import mesh as mesh_oracle
 from oracles import pa as pa_oracle
 from repro.core.errors import ConfigurationError, GenerationError
 from repro.core.graph import Graph
-from repro.core.rng import RandomSource, raw_stream
+from repro.core.rng import RandomSource
 from repro.generators import pa as pa_module
 from repro.generators.cm import ConfigurationModelGenerator, generate_cm
 from repro.generators.dapa import DAPAGenerator, generate_dapa
@@ -102,12 +104,17 @@ BUILDERS = {
 }
 
 #: The build a counting source counts: the oracle where the shipped loop
-#: draws from the twister directly (PA's roulette, HAPA, DAPA's attach
-#: step), the shipped python-tier build elsewhere.
+#: draws from the twister directly (PA's roulette, CM's shuffle, HAPA,
+#: DAPA's join picks and attach step), the shipped python-tier build
+#: elsewhere.
 COUNTED_BUILDERS = {
     **BUILDERS,
     "pa": lambda rng: pa_oracle.build_pa(
         PreferentialAttachmentGenerator(300, stubs=2, hard_cutoff=10), rng
+    ),
+    "cm": lambda rng: cm_oracle.build_cm(
+        ConfigurationModelGenerator(300, exponent=2.5, min_degree=2, hard_cutoff=20),
+        rng,
     ),
     "hapa": lambda rng: hapa_oracle.build_reference(
         HAPAGenerator(200, stubs=1, hard_cutoff=8), rng
@@ -298,26 +305,23 @@ class TestPASaturationBugfixes:
 
     def test_doomed_pick_consumes_no_draws(self):
         # kc == m + 1: a joining node's second pick is often doomed (its
-        # first peer holds the only live slots).  Every draw of the shipped
-        # loop is a rejection or a placed growth edge; a doomed pick that
-        # drew would burn _MAX_REJECTIONS_PER_STUB rejections on its own.
+        # first peer holds the only live slots).  Every slot draw is a
+        # rejection or a placed growth edge; a doomed pick that drew would
+        # burn _MAX_REJECTIONS_PER_STUB rejections on its own.  The shipped
+        # loop draws from the twister directly, so the oracle's randint
+        # calls count the slot draws, and the shipped build must end at the
+        # oracle's stream position.
         generator = PreferentialAttachmentGenerator(30, stubs=2, hard_cutoff=3)
-        rng = _CountingSource(seed=12)
-        # The loop binds the twister's _randbelow at entry: count its calls.
-        stream = raw_stream(rng)
-        randbelow, draws = stream._randbelow, []
-
-        def counted(size):
-            draws.append(size)
-            return randbelow(size)
-
-        stream._randbelow = counted
+        oracle_rng = _CountingSource(seed=12)
+        pa_oracle.build_roulette(generator, oracle_rng)
+        rng = RandomSource(seed=12)
         graph, metadata = generator._build_roulette(rng)
+        assert rng.getstate() == oracle_rng.getstate()
         assert metadata["unfilled_stubs"] > 0
         growth_edges = graph.number_of_edges - 3
-        assert len(draws) == growth_edges + metadata["rejected_attempts"]
+        assert oracle_rng.calls["randint"] == growth_edges + metadata["rejected_attempts"]
         assert metadata["rejected_attempts"] < pa_module._MAX_REJECTIONS_PER_STUB
-        assert rng.calls["weighted_index"] == 0, "a doomed pick reached the scan"
+        assert oracle_rng.calls["weighted_index"] == 0, "a doomed pick reached the scan"
 
     def test_doomed_build_is_fast_and_degenerates_loudly_in_strict_mode(self):
         # kc == m + 1 with m == 2: after the seed clique every node pair is
@@ -403,6 +407,17 @@ SUBSTRATE_BUILDERS = {
     "er": lambda rng: generate_erdos_renyi(300, edge_probability=0.05, rng=rng),
 }
 
+#: The build a counting source counts: the GRN's oracle (the shipped
+#: build draws its positions from the twister directly), the shipped
+#: python-tier build for ER.
+SUBSTRATE_COUNTED_BUILDERS = {
+    **SUBSTRATE_BUILDERS,
+    "grn": lambda rng: grn_oracle.build_grn(GeometricRandomNetwork(400, radius=0.1), rng),
+    "grn-torus": lambda rng: grn_oracle.build_grn(
+        GeometricRandomNetwork(60, radius=0.6, torus=True), rng
+    ),
+}
+
 SUBSTRATE_PINNED_DRAWS = {
     "grn": {"random": 800},
     "grn-torus": {"random": 120},
@@ -430,7 +445,7 @@ class TestSubstrateCrossTier:
     def test_pinned_draw_counts(self, name):
         counted = _CountingSource(SEED)
         with use_kernels("python"):
-            SUBSTRATE_BUILDERS[name](counted)
+            SUBSTRATE_COUNTED_BUILDERS[name](counted)
         assert dict(counted.calls) == SUBSTRATE_PINNED_DRAWS[name]
         for tier in ("python", "jit"):
             rng = RandomSource(seed=SEED)

@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import pytest
 
+from oracles.bfs import bfs_distances
 from repro.generators.cm import generate_cm
 from repro.generators.dapa import generate_dapa
 from repro.generators.hapa import generate_hapa
@@ -29,7 +30,6 @@ from repro.search.normalized_flooding import normalized_flood
 from repro.search.probabilistic_flooding import probabilistic_flood
 from repro.search.random_walk import random_walk
 from repro.search.registry import create_search_algorithm
-from repro.substrate.horizon import bfs_distances
 
 TTL = 8
 

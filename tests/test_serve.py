@@ -105,6 +105,21 @@ class TestWarmAndCold:
         finally:
             service.close()
 
+    def test_cold_and_warm_probe_the_store_once_each(self, tmp_path):
+        # submit() probes the store; the cold job then computes and puts
+        # without probing it again.
+        service = _service(tmp_path)
+        try:
+            service.submit(SPEC_JSON)
+            service.submit(SPEC_JSON)
+            store = service.metrics()["store"]
+            assert (store["misses"], store["hits"]) == (1, 1)
+            assert _counter(service, "store.misses") == 1
+            assert _counter(service, "store.hits") == 1
+            assert store["entries"] == 1
+        finally:
+            service.close()
+
     def test_restarted_service_serves_from_disk(self, tmp_path):
         first = _service(tmp_path)
         try:

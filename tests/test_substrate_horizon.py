@@ -1,11 +1,11 @@
-"""Unit tests for the bounded-BFS hop-distance helper."""
+"""Unit tests for the exact-BFS oracle the search and join-rule invariants use."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.errors import NodeNotFoundError
-from repro.substrate.horizon import bfs_distances
+from oracles.bfs import bfs_distances
 
 
 class TestBFSDistances:

@@ -193,8 +193,21 @@ class TestGenerateSpanAttributes:
             "max_hops_per_stub": 10_000,
             "total_hops": result.metadata["total_hops"],
             "unfilled_stubs": result.metadata["unfilled_stubs"],
+            "fallback_attachments": result.metadata["fallback_attachments"],
         }
         assert attrs["total_hops"] > 0
+
+    def test_hapa_span_and_counter_carry_the_fallback_count(self):
+        from repro.generators.hapa import HAPAGenerator
+
+        # A five-hop bound makes the fallback fire on this small build.
+        attrs, result, collector = self._traced(
+            HAPAGenerator(120, stubs=2, hard_cutoff=4, max_hops_per_stub=5)
+        )
+        fallbacks = result.metadata["fallback_attachments"]
+        assert fallbacks > 0
+        assert attrs["fallback_attachments"] == fallbacks
+        assert collector.counters["generate.fallback_attachments"] == fallbacks
 
     def test_dapa_span(self):
         from repro.generators.dapa import DAPAGenerator
