@@ -183,8 +183,8 @@ class TestPythonTierFastLoopBenchmarks:
     multi-walker loop at one walker) call the RandomSource methods.
     DAPA's draw-free phases and attach step and the PA and CM bulk builds
     are timed against their oracles too.  Each must give the
-    same results and stay a multiple faster (HAPA 3.7-3.9x measured at
-    N = 420, 1500 and 3000; DAPA 2.7-3.2x at the artefact-generation
+    same results and stay a multiple faster (HAPA 7.2-8.7x measured at
+    N = 420, 800 and 1500; DAPA 2.7-3.2x at the artefact-generation
     shape; PA and CM about 3.5x and 1.8x at the artefact-search shape).
     Needs no numba, so it runs on every host.
     """

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.components import giant_component
-from repro.core.csr import flood_levels
+from repro.core.csr import distance_totals
 from repro.core.errors import AnalysisError
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource, ensure_source
@@ -76,11 +76,12 @@ def path_length_statistics(
 ) -> PathLengthStatistics:
     """Compute average shortest-path length and diameter (possibly sampled).
 
-    Each sampled source runs one vectorized breadth-first search
-    (:func:`~repro.core.csr.flood_levels`) on the frozen snapshot of the
-    graph; the distances are integers, so their sums, and the average, do
-    not depend on the order they are added in.  With telemetry on, the
-    work runs in an ``analysis`` span carrying the source and node counts.
+    The sampled sources run vectorized breadth-first searches on the
+    frozen snapshot of the graph, up to 64 sources per sparse product
+    (:func:`~repro.core.csr.distance_totals`); the distances are integers,
+    so their sums, and the average, do not depend on the order they are
+    added in.  With telemetry on, the work runs in an ``analysis`` span
+    carrying the source and node counts.
 
     Parameters
     ----------
@@ -136,17 +137,9 @@ def path_length_statistics(
             attrs["nodes"] = len(nodes)
 
         frozen = graph.freeze()
-        total_distance = 0
-        total_pairs = 0
-        observed_diameter = 0
-        for origin in sources:
-            # No shortest path is longer than the node count.
-            levels = flood_levels(frozen, frozen._row_of(origin), len(nodes))
-            reached = levels[levels > 0]
-            if len(reached):
-                total_distance += int(reached.sum())
-                total_pairs += len(reached)
-                observed_diameter = max(observed_diameter, int(reached.max()))
+        total_distance, total_pairs, observed_diameter = distance_totals(
+            frozen, [frozen._row_of(origin) for origin in sources]
+        )
 
     average = total_distance / total_pairs if total_pairs else 0.0
     return PathLengthStatistics(

@@ -29,7 +29,9 @@ On top of the arrays this module provides vectorized kernels:
   computes the whole hits-vs-τ **and** messages-vs-τ curve of a flooding
   query in a handful of NumPy operations (no Python-level per-edge loop);
 * :func:`batch_flood_curves` — the same curves for a batch of sources in
-  one sparse-matrix BFS (SciPy when installed, NumPy otherwise).
+  one sparse-matrix BFS (SciPy when installed, NumPy otherwise);
+* :func:`distance_totals` — the shortest-path totals of Table I (distance
+  sum, pairs, largest distance) over many sources, on the same batched BFS.
 
 A :class:`CSRGraph` implements the read-only subset of the :class:`Graph`
 API (degrees, neighbors, membership, stats, conversion), so analysis and
@@ -63,6 +65,7 @@ __all__ = [
     "flood_levels",
     "flood_curve",
     "batch_flood_curves",
+    "distance_totals",
 ]
 
 
@@ -617,6 +620,33 @@ def flood_curve(
     return levels, hits, messages
 
 
+def _batch_bfs(
+    adjacency: Any, source_rows: np.ndarray, max_level: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Breadth-first search from many sources at once, one column each.
+
+    Yields ``(frontier, fresh)`` for hops ``1..max_level``: ``frontier``
+    (``int32[N, S]``) marks the nodes each source reached at the previous
+    hop, ``fresh`` (``bool[N, S]``) those it reaches first at this hop.
+    Each hop is one sparse ``adjacency @ frontier`` product; the search
+    stops after the first hop that reaches no new node.
+    """
+    n, total = adjacency.shape[0], len(source_rows)
+    span = np.arange(total)
+    visited = np.zeros((n, total), dtype=bool)
+    visited[source_rows, span] = True
+    frontier = np.zeros((n, total), dtype=np.int32)
+    frontier[source_rows, span] = 1
+    for _ in range(max_level):
+        fresh = (adjacency @ frontier) > 0
+        fresh &= ~visited
+        yield frontier, fresh
+        if not fresh.any():
+            return
+        visited |= fresh
+        frontier = fresh.astype(np.int32)
+
+
 def batch_flood_curves(
     csr: CSRGraph, source_rows: "np.ndarray | List[int]", ttl: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -650,32 +680,61 @@ def batch_flood_curves(
             messages[index, 1:] = row_messages
         return hits, messages
 
-    n = len(csr._degrees)
     degrees = csr._degrees
     degrees_minus_one = degrees - 1
-    # Column-per-source layout so each hop is one CSR @ dense product.
-    span = np.arange(total)
-    visited = np.zeros((n, total), dtype=bool)
-    visited[rows, span] = True
-    frontier = np.zeros((n, total), dtype=np.int32)
-    frontier[rows, span] = 1
     hits_t = np.zeros((ttl + 1, total), dtype=np.int64)
     messages_t = np.zeros((ttl + 1, total), dtype=np.int64)
-    for hop in range(1, ttl + 1):
+    hop = 0
+    for hop, (frontier, fresh) in enumerate(_batch_bfs(adjacency, rows, ttl), start=1):
         # A node visited at the previous hop forwards to all neighbors but
         # the one it was reached from (the source, hop 1, has no previous).
         weights = degrees if hop == 1 else degrees_minus_one
-        hop_messages = weights @ frontier
-        delivered = adjacency @ frontier
-        fresh = delivered > 0
-        fresh &= ~visited
-        messages_t[hop] = messages_t[hop - 1] + hop_messages
-        if not fresh.any():
-            # Coverage complete: curves stay flat for the remaining TTLs.
-            hits_t[hop:] = hits_t[hop - 1]
-            messages_t[hop + 1 :] = messages_t[hop]
-            break
-        visited |= fresh
+        messages_t[hop] = messages_t[hop - 1] + weights @ frontier
         hits_t[hop] = hits_t[hop - 1] + fresh.sum(axis=0)
-        frontier = fresh.astype(np.int32)
+    # Coverage completed before the largest TTL: the curves stay flat.
+    hits_t[hop + 1 :] = hits_t[hop]
+    messages_t[hop + 1 :] = messages_t[hop]
     return hits_t.T.copy(), messages_t.T.copy()
+
+
+#: Sources one sparse BFS advances together in :func:`distance_totals`.
+_DISTANCE_BLOCK = 64
+
+
+def distance_totals(
+    csr: CSRGraph, source_rows: "np.ndarray | List[int]"
+) -> Tuple[int, int, int]:
+    """Shortest-path totals over ``source_rows``: ``(distance sum, pairs, largest)``.
+
+    ``pairs`` counts the (source, node) pairs with the node reachable from
+    the source and distinct from it, ``distance sum`` adds their hop
+    distances and ``largest`` is the greatest of them (0 without pairs).
+    With SciPy installed, blocks of up to 64 sources advance together, one
+    sparse product per hop (:func:`batch_flood_curves`' step), and each
+    hop adds its level times the nodes it newly reached; otherwise each
+    source runs :func:`flood_levels`.  The totals are integers, so the
+    order they are added in cannot change them.
+    """
+    rows = np.asarray(source_rows, dtype=np.int64)
+    n = len(csr._degrees)
+    distance_sum = pairs = largest = 0
+    adjacency = csr.sparse_adjacency()
+    if adjacency is None:
+        for row in rows:
+            # No shortest path is longer than the node count.
+            levels = flood_levels(csr, int(row), n)
+            reached = levels[levels > 0]
+            if len(reached):
+                distance_sum += int(reached.sum())
+                pairs += len(reached)
+                largest = max(largest, int(reached.max()))
+        return distance_sum, pairs, largest
+    for start in range(0, len(rows), _DISTANCE_BLOCK):
+        block = rows[start : start + _DISTANCE_BLOCK]
+        for level, (_, fresh) in enumerate(_batch_bfs(adjacency, block, n), start=1):
+            reached = int(np.count_nonzero(fresh))
+            if reached:
+                distance_sum += level * reached
+                pairs += reached
+                largest = max(largest, level)
+    return distance_sum, pairs, largest

@@ -455,11 +455,12 @@ class Graph:
         graphs.  Edges must be simple: self-loops and duplicates raise
         :class:`~repro.core.errors.GraphError`.
 
-        This is the ingestion path for every bulk build (PA, CM, the GRN
-        and mesh substrates, and the kernels of :mod:`repro.kernels`): they
-        emit edge arrays, and this constructor checks them and assembles
-        only the frozen :class:`~repro.core.csr.CSRGraph` snapshot, in a
-        handful of vectorized operations.  The measurement phase's
+        This is the ingestion path for every bulk build (PA, CM, HAPA,
+        DAPA, the GRN and mesh substrates, and the kernels of
+        :mod:`repro.kernels`): they emit edge arrays, and this constructor
+        checks them and assembles only the frozen
+        :class:`~repro.core.csr.CSRGraph` snapshot, in a handful of
+        vectorized operations.  The measurement phase's
         ``freeze()`` returns that snapshot for free, and the mutable views
         (neighbor sets and lists) are built from it on first access.
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 import random  # repro-lint: disable=RPL103(annotation only: the attach step draws from raw_stream(rng), the twister inside the RandomSource)
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.config import DAPAConfig, GRNConfig, MeshConfig
 from repro.core.errors import ConfigurationError, GenerationError
 from repro.core.graph import Graph
@@ -177,14 +179,18 @@ class DAPAGenerator(TopologyGenerator):
 
         The horizon BFS runs on substrate *rows* (positions in
         ``substrate.nodes()``): per-row neighbor lists are built once, and
-        peer membership and overlay degree live in flat per-row lists, kept
-        in step with the overlay after every join.  The join picks and the
-        attach step, :meth:`_attach_preferentially_fast`, draw from the
-        twister underneath ``rng``: each pick of a joining substrate row is
-        CPython's ``_randbelow`` rejection loop over ``getrandbits``, which
-        is what ``rng.randint(0, size - 1)`` draws (the test oracle
-        ``tests/oracles/dapa.py``).  Only the seed peers come from a method,
-        ``rng.sample``.
+        peer membership, overlay degree and overlay position live in flat
+        per-row lists, kept in step with the overlay after every join.  The
+        join picks and the attach step, :meth:`_attach_preferentially_fast`,
+        draw from the twister underneath ``rng``: each pick of a joining
+        substrate row is CPython's ``_randbelow`` rejection loop over
+        ``getrandbits``, which is what ``rng.randint(0, size - 1)`` draws
+        (the test oracle ``tests/oracles/dapa.py``).  Only the seed peers
+        come from a method, ``rng.sample``.  The overlay is built once, at
+        the end: the peers' ids in join order and the edges as overlay
+        positions, seed clique first and then each join's links in the
+        order it chose them, go to :meth:`Graph.from_edge_array`, the way
+        the kernel tier's ``dapa_build`` hands them over.
         """
         config = self.config
         stream = raw_stream(rng)
@@ -206,23 +212,26 @@ class DAPAGenerator(TopologyGenerator):
             ]
         is_peer = [False] * size
         overlay_degree = [0] * size
+        position = [0] * size
         # Epoch stamps: row r was seen by the current BFS iff seen[r] == epoch.
         seen = [0] * size
         epoch = 0
 
-        # Overlay graph shares node ids with the substrate; only peers are
-        # added to it.
-        overlay = Graph()
-
-        # Seed the overlay with a small clique of random substrate nodes.
+        # The overlay shares node ids with the substrate: its nodes are the
+        # peers in join order, its edges pairs of overlay positions.
         seeds = rng.sample(substrate_nodes, config.initial_peers)
-        for node in seeds:
-            overlay.add_node(node)
-            is_peer[row_of[node]] = True
-            overlay_degree[row_of[node]] = len(seeds) - 1
-        for index, u in enumerate(seeds):
-            for v in seeds[index + 1 :]:
-                overlay.add_edge(u, v)
+        joined_ids = list(seeds)
+        edge_u: List[int] = []
+        edge_v: List[int] = []
+        # Seed the overlay with a small clique of random substrate nodes.
+        for index, node in enumerate(seeds):
+            row = row_of[node]
+            is_peer[row] = True
+            overlay_degree[row] = len(seeds) - 1
+            position[row] = index
+            for later in range(index + 1, len(seeds)):
+                edge_u.append(index)
+                edge_v.append(later)
         peer_count = len(seeds)
 
         attempts_without_progress = 0
@@ -245,8 +254,7 @@ class DAPAGenerator(TopologyGenerator):
 
             epoch += 1
             horizon, horizon_degrees = self._discover_horizon(
-                rows, substrate_nodes, row, is_peer, overlay_degree,
-                peer_count, cutoff, seen, epoch,
+                rows, row, is_peer, overlay_degree, peer_count, cutoff, seen, epoch,
             )
             discovery_messages += 1
             if not horizon:
@@ -254,24 +262,30 @@ class DAPAGenerator(TopologyGenerator):
                 attempts_without_progress += 1
                 continue
 
-            node = substrate_nodes[row]
-            overlay.add_node(node)
             if len(horizon) <= m:
                 short_horizons += 1
-                for peer in horizon:
-                    overlay.add_edge(node, peer)
+                chosen = horizon
             else:
-                self._attach_preferentially_fast(
-                    overlay, node, horizon, horizon_degrees, m, cutoff, rng, stream
+                chosen = self._attach_preferentially_fast(
+                    horizon, horizon_degrees, m, cutoff, rng, stream
                 )
-            joined = overlay.iter_neighbors(node)
-            for peer in joined:
-                overlay_degree[row_of[peer]] += 1
-            overlay_degree[row] = len(joined)
+            for peer in chosen:
+                overlay_degree[peer] += 1
+                edge_u.append(peer_count)
+                edge_v.append(position[peer])
+            overlay_degree[row] = len(chosen)
+            position[row] = peer_count
             is_peer[row] = True
+            joined_ids.append(substrate_nodes[row])
             peer_count += 1
             attempts_without_progress = 0
 
+        overlay = Graph.from_edge_array(
+            joined_ids,
+            np.array(edge_u, dtype=np.int64),
+            np.array(edge_v, dtype=np.int64),
+            edges_are_rows=True,
+        )
         metadata = {
             "substrate_nodes": substrate.number_of_nodes,
             "substrate_edges": substrate.number_of_edges,
@@ -318,7 +332,6 @@ class DAPAGenerator(TopologyGenerator):
     def _discover_horizon(
         self,
         rows: List[List[int]],
-        ids: List[int],
         root: int,
         is_peer: List[bool],
         overlay_degree: List[int],
@@ -332,7 +345,7 @@ class DAPAGenerator(TopologyGenerator):
         Eligible means: already an overlay peer, within ``τ_sub`` substrate
         hops of ``root``, and with overlay degree strictly below the hard
         cutoff (paper Algorithm 4, lines 6-10).  The horizon lists their
-        ids in discovery order; a second list holds their overlay degrees,
+        rows in discovery order; a second list holds their overlay degrees,
         which the attach step reads instead of asking the overlay.
 
         The search runs on rows, one level at a time: each level's nodes
@@ -361,7 +374,7 @@ class DAPAGenerator(TopologyGenerator):
                     if is_peer[neighbor]:
                         degree = overlay_degree[neighbor]
                         if degree < cutoff:
-                            horizon.append(ids[neighbor])
+                            horizon.append(neighbor)
                             degrees.append(degree)
                         remaining_peers -= 1
                         if not remaining_peers:
@@ -371,24 +384,24 @@ class DAPAGenerator(TopologyGenerator):
 
     @staticmethod
     def _attach_preferentially_fast(
-        overlay: Graph,
-        node: int,
         horizon: List[int],
         degrees: List[int],
         stubs: int,
         cutoff: int,
         rng: RandomSource,
         stream: random.Random,
-    ) -> None:
-        """Connect ``node`` to ``stubs`` horizon peers with probability ∝ degree.
+    ) -> List[int]:
+        """Choose ``stubs`` horizon peers with probability ∝ degree.
 
         Follows the accept/reject loop of Algorithm 4 (lines 18-29): a random
         horizon peer is accepted with probability ``k_peer / k_horizon``
         where ``k_horizon`` is the total degree of the peers in the horizon
         ("their degrees divided by the total degrees of the peers in its
-        horizon").  After ``_MAX_ATTEMPTS_PER_STUB`` attempts, or when every
-        horizon degree is zero, a weighted draw over the remaining eligible
-        peers places the stub.
+        horizon").  A weighted draw over the remaining eligible peers
+        places a stub once ``_MAX_ATTEMPTS_PER_STUB`` attempts have run
+        since the last such draw (the budget carries over from stub to
+        stub), or every stub when all horizon degrees are zero.  Returns
+        the chosen peers in the order they were chosen.
 
         ``stream`` is the Mersenne Twister underneath ``rng`` (see
         :func:`~repro.core.rng.raw_stream`): each pick is CPython's
@@ -405,10 +418,25 @@ class DAPAGenerator(TopologyGenerator):
         horizon_total_degree = sum(degrees)
         size = len(horizon)
         width = size.bit_length()
+        # Read at call time, so patching the module constant takes effect.
+        # With every degree zero no attempt can accept: skip straight to
+        # the weighted draw.
+        max_attempts = _MAX_ATTEMPTS_PER_STUB if horizon_total_degree else 0
         chosen: List[int] = []
         attempts = 0
-        while len(chosen) < stubs and len(chosen) < size:
-            if attempts >= _MAX_ATTEMPTS_PER_STUB or horizon_total_degree == 0:
+        for _ in range(min(stubs, size)):
+            for attempts in range(attempts + 1, max_attempts + 1):
+                pick = getrandbits(width)
+                while pick >= size:
+                    pick = getrandbits(width)
+                peer = horizon[pick]
+                if peer in chosen:
+                    continue
+                degree = degrees[pick]
+                if degree < cutoff and random_float() < degree / horizon_total_degree:
+                    chosen.append(peer)
+                    break
+            else:
                 remaining = [
                     index
                     for index, peer in enumerate(horizon)
@@ -417,24 +445,9 @@ class DAPAGenerator(TopologyGenerator):
                 if not remaining:
                     break
                 weights = [max(degrees[index], 1) for index in remaining]
-                peer = horizon[remaining[rng.weighted_index(weights)]]
-                overlay.add_edge(node, peer)
-                chosen.append(peer)
+                chosen.append(horizon[remaining[rng.weighted_index(weights)]])
                 attempts = 0
-                continue
-            attempts += 1
-            pick = getrandbits(width)
-            while pick >= size:
-                pick = getrandbits(width)
-            peer = horizon[pick]
-            if peer in chosen:
-                continue
-            degree = degrees[pick]
-            if degree >= cutoff:
-                continue
-            if random_float() < degree / horizon_total_degree:
-                overlay.add_edge(node, peer)
-                chosen.append(peer)
+        return chosen
 
 
 def generate_dapa(

@@ -23,6 +23,8 @@ from __future__ import annotations
 import random  # repro-lint: disable=RPL103(annotation only: the loop draws from raw_stream(rng), the twister inside the RandomSource)
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.config import HAPAConfig
 from repro.core.errors import ConfigurationError
 from repro.core.graph import Graph
@@ -124,11 +126,12 @@ class HAPAGenerator(TopologyGenerator):
     ) -> Tuple[Graph, Dict[str, Any]]:
         """Algorithm 3 with its draws inlined.
 
-        Step 1 attempts one uniformly random existing node; step 2 hops to
-        a random neighbor and attempts it, until all ``m`` stubs are filled
-        (or ``max_hops_per_stub`` hops without an attachment force a
-        uniform pick among the eligible nodes).  An attempt accepts a node
-        below the cutoff with probability ``degree / k_total``.
+        Step 1 attempts one uniformly random existing node; step 2 walks
+        each remaining stub along existing links, attempting every node it
+        lands on, for at most ``max_hops_per_stub`` hops; a walk that runs
+        out places its stub on a uniform pick among the eligible nodes.  An
+        attempt accepts a node below the cutoff with probability
+        ``degree / k_total``.
 
         Draws come from ``stream``, the Mersenne Twister underneath
         ``rng``, in the order the same loop written with ``rng.randint``
@@ -137,11 +140,15 @@ class HAPAGenerator(TopologyGenerator):
         ``_randbelow`` rejection loop over ``getrandbits`` (which draws
         even for ``n == 1``), each ``random()`` a bound call.
 
-        Adjacency rows are local lists, so a degree is ``len(row)``, and
-        "already linked" is a scan of the joining node's at most ``m``
-        chosen peers.  The graph is replayed edge by edge in attachment
-        order, so node order, neighbor order and set iteration order are
-        those of growing it with ``Graph.add_edge``.
+        Adjacency rows are local lists.  The length of the row a hop lands
+        on is read once: it is both the acceptance test's degree and the
+        next hop's pick bound, whose ``getrandbits`` width comes from a
+        table.  ``linked[x] == new_node`` marks the joining node and the
+        peers it has chosen.  The edges go, seed clique first in
+        :meth:`Graph.complete`'s order and then in attachment order, to
+        :meth:`Graph.from_edge_array`, so node and neighbor order are those
+        of growing the graph with ``Graph.add_edge``, and the freeze that
+        precedes a search returns the bulk build's snapshot.
         """
         config = self.config
         n, m = config.number_of_nodes, config.stubs
@@ -154,7 +161,12 @@ class HAPAGenerator(TopologyGenerator):
         # Graph.complete's neighbor order: lower ids first, then higher.
         rows = [[v for v in range(seed_size) if v != u] for u in range(seed_size)]
         total_degree = seed_size * (seed_size - 1)
-        chosen_counts = []
+        # Graph.complete's add order, which fixes the seed's neighbor order.
+        edge_u = [u for u in range(seed_size) for _ in range(u + 1, seed_size)]
+        edge_v = [v for u in range(seed_size) for v in range(u + 1, seed_size)]
+        # A node accepts only below the cutoff, so no row outgrows it.
+        widths = [size.bit_length() for size in range(min(cutoff, n - 1) + 1)]
+        linked = [-1] * n
         total_hops = 0
         fallback_attachments = 0
         unfilled_stubs = 0
@@ -162,71 +174,73 @@ class HAPAGenerator(TopologyGenerator):
         for new_node in range(seed_size, n):
             chosen: List[int] = []
             rows.append(chosen)
-            filled = 0
+            linked[new_node] = new_node
             bits = new_node.bit_length()
 
             # Step 1: one attempt at a uniformly random existing node.
             current = getrandbits(bits)
             while current >= new_node:
                 current = getrandbits(bits)
-            neighbors = rows[current]
-            degree = len(neighbors)
-            if 0 < degree < cutoff and random_float() < degree / total_degree:
+            row = rows[current]
+            size = len(row)
+            if 0 < size < cutoff and random_float() < size / total_degree:
                 chosen.append(current)
-                neighbors.append(new_node)
+                row.append(new_node)
+                linked[current] = new_node
                 total_degree += 2
-                filled = 1
+                size += 1
 
-            # Step 2: hop along existing links until all stubs are filled.
-            hops = 0
-            give_up_at = max_hops
-            while filled < m:
-                size = len(neighbors)
-                if size:
-                    width = size.bit_length()
-                    pick = getrandbits(width)
-                    while pick >= size:
+            # Step 2: each remaining stub walks along existing links.
+            for stub in range(len(chosen), m):
+                for hop in range(max_hops):
+                    if size:
+                        width = widths[size]
                         pick = getrandbits(width)
-                    current = neighbors[pick]
-                else:
-                    current = getrandbits(bits)
-                    while current >= new_node:
+                        while pick >= size:
+                            pick = getrandbits(width)
+                        current = row[pick]
+                    else:
                         current = getrandbits(bits)
-                neighbors = rows[current]
-                hops += 1
-                if current != new_node and current not in chosen:
-                    degree = len(neighbors)
-                    if 0 < degree < cutoff and random_float() < degree / total_degree:
+                        while current >= new_node:
+                            current = getrandbits(bits)
+                    row = rows[current]
+                    size = len(row)
+                    if (
+                        linked[current] != new_node
+                        and 0 < size < cutoff
+                        and random_float() < size / total_degree
+                    ):
                         chosen.append(current)
-                        neighbors.append(new_node)
+                        row.append(new_node)
+                        linked[current] = new_node
                         total_degree += 2
-                        filled += 1
-                        give_up_at = hops + max_hops
-                        continue
-                if hops >= give_up_at:
+                        size += 1
+                        total_hops += hop + 1
+                        break
+                else:
+                    total_hops += max_hops
                     eligible = [
                         node
                         for node in range(new_node)
-                        if node not in chosen and len(rows[node]) < cutoff
+                        if linked[node] != new_node and len(rows[node]) < cutoff
                     ]
                     if not eligible:
-                        unfilled_stubs += m - filled
+                        unfilled_stubs += m - stub
                         break
                     peer = rng.choice(eligible)
                     chosen.append(peer)
                     rows[peer].append(new_node)
+                    linked[peer] = new_node
                     total_degree += 2
-                    filled += 1
                     fallback_attachments += 1
-                    give_up_at = hops + max_hops
-            total_hops += hops
-            chosen_counts.append(filled)
+                    # The peer may be the node the walk stands on.
+                    size = len(row)
+            edge_u += [new_node] * len(chosen)
+            edge_v += chosen
 
-        graph = Graph.complete(seed_size)
-        for new_node, count in enumerate(chosen_counts, start=seed_size):
-            graph.add_node(new_node)
-            for peer in rows[new_node][:count]:
-                graph.add_edge(new_node, peer)
+        graph = Graph.from_edge_array(
+            n, np.array(edge_u, dtype=np.int64), np.array(edge_v, dtype=np.int64)
+        )
         metadata = {
             "total_hops": total_hops,
             "fallback_attachments": fallback_attachments,

@@ -243,11 +243,12 @@ class RealizationSpec:
     def build_for_measurement(self) -> CSRGraph:
         """Build the topology and freeze it: generate mutable, search frozen.
 
-        Bulk-built graphs (PA, CM, every kernel build) carry their CSR
-        arrays already, so their freeze is free; an ``add_edge``-built
-        graph is snapshotted in one pass.  The ``freeze`` span's attributes
-        say which: ``nodes``, ``edges`` and ``cached``, true when the bulk
-        build's snapshot came back.
+        Every model here is bulk-built on both tiers (PA, CM, HAPA and
+        DAPA hand ordered edge arrays to ``Graph.from_edge_array``), so the
+        graph carries its CSR arrays already and its freeze is free; an
+        ``add_edge``-built graph would be snapshotted in one pass.  The
+        ``freeze`` span's attributes say which: ``nodes``, ``edges`` and
+        ``cached``, true when the bulk build's snapshot came back.
         """
         graph = self.build()
         telemetry = active_telemetry()

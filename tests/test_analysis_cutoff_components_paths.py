@@ -24,6 +24,7 @@ from repro.analysis.paths import (
     path_length_statistics,
 )
 from oracles.bfs import bfs_distances
+from repro.core.csr import CSRGraph
 from repro.core.errors import AnalysisError
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
@@ -125,9 +126,16 @@ class TestPathStatistics:
         ],
         ids=["pa-m1", "pa-m2", "cm-m1"],
     )
-    @pytest.mark.parametrize("sample_size", [None, 40])
+    # 150 sampled or all 600 sources span several blocks of the batched
+    # BFS; without SciPy every source runs flood_levels.
+    @pytest.mark.parametrize("sample_size", [None, 40, 150])
     @pytest.mark.parametrize("restrict", [True, False])
-    def test_matches_the_python_bfs_oracle(self, build, sample_size, restrict):
+    @pytest.mark.parametrize("batched", [True, False], ids=["sparse-blocks", "per-source"])
+    def test_matches_the_python_bfs_oracle(
+        self, build, sample_size, restrict, batched, monkeypatch
+    ):
+        if not batched:
+            monkeypatch.setattr(CSRGraph, "sparse_adjacency", lambda self: None)
         graph = build()
         stats = path_length_statistics(
             graph, sample_size=sample_size, rng=5, restrict_to_giant_component=restrict

@@ -13,6 +13,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -66,16 +68,23 @@ def test_serve_job_soaks_a_running_server_and_bounds_its_rss_growth():
     assert job.index("growth_kb <= 2048") < job.index('kill -TERM "$SERVE_PID"')
 
 
-def test_kernel_fallback_step_compares_cm_across_tiers():
+@pytest.mark.parametrize(
+    "model, arguments",
+    [
+        ("cm", "--nodes 2000 --stubs 2 --cutoff 40 --exponent 2.2"),
+        ("hapa", "--nodes 300 --stubs 2 --cutoff 10"),
+    ],
+)
+def test_kernel_fallback_step_compares_generation_across_tiers(model, arguments):
     job = _job("tests")
     step = job[job.index("Kernel-tier graceful fallback"):]
     step = step[: step.index("- name:")]
-    for tier, name in (("jit", "cm-jit"), ("python", "cm-py")):
+    for tier, name in (("jit", f"{model}-jit"), ("python", f"{model}-py")):
         assert (
-            f"python -m repro generate cm --nodes 2000 --stubs 2 --cutoff 40 --exponent 2.2 "
+            f"python -m repro generate {model} {arguments} "
             f"--seed 7 --kernels {tier} > {name}.json"
         ) in step
-    assert 'for model in ("gen", "nlpa", "dapa", "cm"):' in step
+    assert 'for model in ("gen", "nlpa", "dapa", "cm", "hapa"):' in step
 
 
 def test_serve_smoke_checks_one_store_probe_per_request():

@@ -189,10 +189,12 @@ class TestDAPAFastAttach:
         )
         _dapa_pair(generator, seed)
 
-    def test_weighted_fallback(self, monkeypatch):
-        # One attempt per stub: every attach after a rejection falls back
-        # to rng.weighted_index over the horizon.
-        monkeypatch.setattr(dapa_module, "_MAX_ATTEMPTS_PER_STUB", 1)
+    @pytest.mark.parametrize("max_attempts", [1, 2, 3, 7])
+    def test_weighted_fallback(self, monkeypatch, max_attempts):
+        # A few attempts per stub: attaches fall back to rng.weighted_index
+        # over the horizon.  The attempt budget carries over from stub to
+        # stub and resets only at a fallback, as in the oracle.
+        monkeypatch.setattr(dapa_module, "_MAX_ATTEMPTS_PER_STUB", max_attempts)
         fallbacks = []
         weighted_index = RandomSource.weighted_index
 

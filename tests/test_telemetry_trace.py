@@ -302,7 +302,9 @@ class TestFreezeSpanAttributes:
         (node,) = [node for node in collector.span_tree if node["name"] == "freeze"]
         return node["attrs"], frozen
 
-    @pytest.mark.parametrize("model, cached", [("pa", True), ("cm", True), ("hapa", False)])
+    @pytest.mark.parametrize(
+        "model, cached", [("pa", True), ("cm", True), ("hapa", True), ("dapa", True)]
+    )
     def test_freeze_span(self, model, cached):
         attrs, frozen = self._traced(model)
         assert attrs == {
@@ -311,6 +313,20 @@ class TestFreezeSpanAttributes:
             "cached": cached,
         }
         assert attrs["edges"] > 0
+
+    def test_freeze_span_of_an_add_edge_graph(self, monkeypatch):
+        # Every search model is bulk-built; a graph grown edge by edge is
+        # snapshotted by the freeze, which the span reports as not cached.
+        from repro.core.graph import Graph
+        from repro.scenarios.measure import RealizationSpec
+
+        grown = Graph(80)
+        for node in range(1, 80):
+            grown.add_edge(node - 1, node)
+        monkeypatch.setattr(RealizationSpec, "build", lambda self: grown)
+        attrs, frozen = self._traced("pa")
+        assert attrs == {"nodes": 80, "edges": 79, "cached": False}
+        assert frozen.neighbors(5) == [4, 6]
 
     def test_untraced_freeze_builds_no_attributes(self, monkeypatch):
         from repro.experiments.runner import ExperimentScale
