@@ -13,12 +13,12 @@ Every benchmark module regenerates one paper artefact (a built-in
 * asserts the qualitative trend the paper reports for that artefact.
 
 The scale is selected with the ``REPRO_BENCH_SCALE`` environment variable
-(``smoke``, ``small`` — default, or ``paper``), the worker-process count
+(``smoke``, ``small`` — default, or ``paper``) and the worker-process count
 for realization tasks with ``REPRO_JOBS`` (default 1 = serial; parallel runs
-produce numerically identical results, see :mod:`repro.engine`), and the
-kernel tier for the stochastic search loops with ``REPRO_KERNELS``
-(``auto`` — default, or ``python`` / ``jit``; ``jit`` compiles the NF/PF/RW
-loops with numba, results are byte-identical across tiers).
+produce numerically identical results, see :mod:`repro.engine`).  The
+kernel tier is the platform's (:func:`repro.kernels.kernel_tier`: ``jit``
+with numba, ``python`` without; results are byte-identical across tiers)
+and is recorded with each result.
 
 Every test collected from this directory is marked ``bench`` (registered in
 ``pytest.ini``), so ``pytest -m "not bench"`` skips the benchmark tier.
@@ -34,7 +34,7 @@ import pytest
 from repro.engine.executor import Executor, executor_from_jobs
 from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import ExperimentScale
-from repro.kernels.dispatch import normalize_kernels
+from repro.kernels import kernel_tier
 from repro.scenarios import get_builtin_scenario, run_scenario
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -64,11 +64,6 @@ def bench_jobs() -> int:
         return max(1, int(os.environ.get("REPRO_JOBS", "1")))
     except ValueError:
         return 1
-
-
-def bench_kernels() -> str:
-    """Return the kernel mode selected via REPRO_KERNELS."""
-    return normalize_kernels(os.environ.get("REPRO_KERNELS"))
 
 
 _SHARED_EXECUTOR: "Executor | None" = None
@@ -117,7 +112,6 @@ def run_figure_benchmark(benchmark, experiment_id: str, scale: ExperimentScale) 
             get_builtin_scenario(experiment_id),
             scale=scale,
             executor=executor,
-            kernels=bench_kernels(),
         )
         return result_holder["result"]
 
@@ -131,7 +125,7 @@ def run_figure_benchmark(benchmark, experiment_id: str, scale: ExperimentScale) 
     benchmark.extra_info["experiment"] = experiment_id
     benchmark.extra_info["scale"] = scale.name
     benchmark.extra_info["jobs"] = executor.jobs
-    benchmark.extra_info["kernels"] = bench_kernels()
+    benchmark.extra_info["kernels"] = kernel_tier()
     benchmark.extra_info["series"] = {
         series.label: round(float(series.final()), 4) for series in result.series
     }

@@ -33,12 +33,12 @@ from repro.generators.cm import ConfigurationModelGenerator, generate_cm
 from repro.generators.dapa import DAPAGenerator, generate_dapa
 from repro.generators.hapa import HAPAGenerator, generate_hapa
 from repro.generators.pa import PreferentialAttachmentGenerator, generate_pa
-from repro.kernels.dispatch import use_kernels
 from repro.search.flooding import FloodingSearch, flood
 from repro.search.metrics import search_curve, select_sources
 from repro.search.normalized_flooding import NormalizedFloodingSearch, normalized_flood
 from repro.search.probabilistic_flooding import ProbabilisticFloodingSearch
 from repro.search.random_walk import RandomWalkSearch, random_walk
+from tiers import pin_tier
 
 NODES = 2000
 
@@ -196,7 +196,7 @@ class TestPythonTierFastLoopBenchmarks:
             return hapa_oracle.build_reference(generator, RandomSource(seed=7))
 
         def fast():
-            with use_kernels("python"):
+            with pin_tier("python"):
                 result = generator.generate(RandomSource(seed=7))
             return result.graph, result.metadata
 
@@ -237,7 +237,7 @@ class TestPythonTierFastLoopBenchmarks:
             run_nf, run_pf, run_rw = loops
             nf_rng, pf_rng, budget_rng, rw_rng = (RandomSource(seed) for seed in range(4))
             curves = []
-            with use_kernels("python"):
+            with pin_tier("python"):
                 for source in sources:
                     for result in (
                         run_nf(graph, source, 10, nf_rng, None),
@@ -276,7 +276,7 @@ class TestPythonTierFastLoopBenchmarks:
 
         def build(builder):
             rng = RandomSource(seed=7)
-            with use_kernels("python"):
+            with pin_tier("python"):
                 overlay, metadata = builder(rng)
             return overlay, metadata, rng.random()
 
@@ -318,7 +318,7 @@ class TestPythonTierFastLoopBenchmarks:
 
         def build(builder):
             rng = RandomSource(seed=7)
-            with use_kernels("python"):
+            with pin_tier("python"):
                 graph, metadata = builder(rng)
                 frozen = graph.freeze()
                 frozen.iter_neighbors(0)
@@ -383,8 +383,8 @@ class TestKernelTierBenchmarks:
     loops the CSR backend could not vectorize (RNG-stream parity pins them
     to sequential draws); these tests assert its >= 3x floor so a kernel
     or dispatch regression fails the suite instead of passing silently.
-    Skipped (not failed) when numba is absent: the interpreted fallback is
-    correctness-equivalent but intentionally unoptimized.
+    Skipped (not failed) when numba is absent: the interpreted kernels a
+    test can pin are correctness-equivalent but intentionally unoptimized.
     """
 
     QUERIES = 60
@@ -398,12 +398,11 @@ class TestKernelTierBenchmarks:
         if kernel_tier() != "jit":
             pytest.skip("numba not installed: jit kernel tier unavailable")
 
-    def _nf_curve(self, graph, mode):
-        from repro.kernels import use_kernels
+    def _nf_curve(self, graph, tier):
         from repro.search.metrics import search_curve
         from repro.search.normalized_flooding import NormalizedFloodingSearch
 
-        with use_kernels(mode):
+        with pin_tier(tier):
             return search_curve(
                 graph,
                 NormalizedFloodingSearch(k_min=2),
@@ -412,11 +411,10 @@ class TestKernelTierBenchmarks:
                 rng=5,
             )
 
-    def _rw_curve(self, graph, mode):
-        from repro.kernels import use_kernels
+    def _rw_curve(self, graph, tier):
         from repro.search.metrics import normalized_walk_curve
 
-        with use_kernels(mode):
+        with pin_tier(tier):
             return normalized_walk_curve(
                 graph, self.RW_TTLS, k_min=2, queries=self.QUERIES, rng=7
             )
@@ -458,8 +456,8 @@ class TestGeneratorKernelBenchmarks:
     the bar is >= 3x on the PA roulette build (the paper's Fig. 1
     workhorse), asserted so a kernel or dispatch regression fails the
     suite instead of passing silently.  Skipped without numba: the
-    interpreted fallback is correctness-equivalent but intentionally
-    unoptimized.
+    interpreted kernels a test can pin are correctness-equivalent but
+    intentionally unoptimized.
     """
 
     # Fig. 1 builds 10^5-node PA topologies; 2 * 10^4 keeps the python
@@ -475,10 +473,9 @@ class TestGeneratorKernelBenchmarks:
         if kernel_tier() != "jit":
             pytest.skip("numba not installed: jit kernel tier unavailable")
 
-    def _build(self, mode, seed=7):
-        from repro.kernels import use_kernels
+    def _build(self, tier, seed=7):
 
-        with use_kernels(mode):
+        with pin_tier(tier):
             return generate_pa(
                 self.FIG1_NODES, stubs=self.STUBS, hard_cutoff=self.CUTOFF,
                 seed=seed,
@@ -504,10 +501,9 @@ class TestGeneratorKernelBenchmarks:
         # per attempt), which makes its Python loop the slowest build per
         # node of all the families — and the kernel win correspondingly
         # large.  Same >= 3x bar as the roulette build.
-        from repro.kernels import use_kernels
 
-        def build(mode):
-            with use_kernels(mode):
+        def build(tier):
+            with pin_tier(tier):
                 return generate_pa(
                     4_000, stubs=self.STUBS, hard_cutoff=self.CUTOFF,
                     seed=7, strategy="attempt",
@@ -530,11 +526,10 @@ class TestGeneratorKernelBenchmarks:
         # The substrate build a jit DAPA realization runs before its
         # overlay can grow: the array path must beat the dict-based cell
         # sweep by the same >= 3x the other kernels deliver.
-        from repro.kernels import use_kernels
         from repro.substrate.grn import generate_grn
 
-        def build(mode, seed=7):
-            with use_kernels(mode):
+        def build(tier, seed=7):
+            with pin_tier(tier):
                 return generate_grn(
                     20_000, target_mean_degree=10.0, torus=True, seed=seed
                 )
@@ -553,10 +548,9 @@ class TestGeneratorKernelBenchmarks:
         )
 
     def test_cm_generation_jit_matches_and_does_not_regress(self):
-        from repro.kernels import use_kernels
 
-        def build(mode):
-            with use_kernels(mode):
+        def build(tier):
+            with pin_tier(tier):
                 return generate_cm(
                     self.FIG1_NODES, exponent=2.5, min_degree=2,
                     hard_cutoff=100, seed=7,

@@ -63,7 +63,6 @@ from repro.core.config import (
     HAPAConfig,
     MeshConfig,
     PAConfig,
-    SearchConfig,
 )
 from repro.generators import (
     ConfigurationModelGenerator,
@@ -116,7 +115,6 @@ __all__ = [
     "DAPAConfig",
     "GRNConfig",
     "MeshConfig",
-    "SearchConfig",
     # generators
     "ConfigurationModelGenerator",
     "DAPAGenerator",

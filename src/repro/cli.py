@@ -68,7 +68,6 @@ from repro.engine.store import ResultStore
 from repro.engine.tasks import run_suite
 from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import ExperimentScale
-from repro.kernels.dispatch import use_kernels
 from repro.generators.registry import available_generators, create_generator
 from repro.scenarios import (
     ScenarioSpec,
@@ -143,14 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--cache", type=Path, default=None,
                         help="result-store directory; identical re-runs are "
                              "served from cache")
-    figure.add_argument("--kernels", default="auto",
-                        choices=["auto", "python", "jit"],
-                        help="execution tier for topology generation "
-                             "(substrate builds included) and the stochastic "
-                             "search loops: "
-                             "'jit' compiles them with numba (identical "
-                             "results), 'auto' picks jit when numba is "
-                             "installed, 'python' forces the python loops")
     figure.add_argument("--progress", action="store_true",
                         help="stream per-task progress to stderr")
     figure.add_argument("--json", action="store_true",
@@ -170,10 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--seed", type=int, default=None, help="base RNG seed")
     suite.add_argument("--jobs", type=int, default=1,
                        help="worker processes shared by all experiments")
-    suite.add_argument("--kernels", default="auto",
-                       choices=["auto", "python", "jit"],
-                       help="execution tier for generation and search loops "
-                            "(identical results; 'jit' is faster with numba)")
     suite.add_argument("--cache", type=Path, default=None,
                        help="result-store directory; completed experiments are "
                             "skipped on re-runs, making the suite resumable")
@@ -206,11 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--seed", type=int, default=None, help="base RNG seed")
     run_cmd.add_argument("--jobs", type=int, default=1,
                          help="worker processes for realization tasks (default: 1)")
-    run_cmd.add_argument("--kernels", default="auto",
-                         choices=["auto", "python", "jit"],
-                         help="execution tier for generation and search "
-                              "loops (identical results; 'jit' is faster "
-                              "with numba)")
     run_cmd.add_argument("--compare", type=Path, default=None, metavar="BASELINE",
                          help="compare the result against a stored baseline "
                               "JSON (a previous --out / save_json file); "
@@ -260,11 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--tau-sub", type=int, default=4,
                           help="locality horizon (DAPA only)")
     generate.add_argument("--seed", type=int, default=None)
-    generate.add_argument("--kernels", default="auto",
-                          choices=["auto", "python", "jit"],
-                          help="execution tier for the construction loop "
-                               "(identical topologies; 'jit' is faster "
-                               "with numba)")
     generate.add_argument("--fit", action="store_true",
                           help="also fit a power-law exponent to the result")
     generate.add_argument("--out", type=Path, default=None,
@@ -283,10 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--ttl", type=int, default=8, help="maximum TTL")
     search.add_argument("--queries", type=int, default=100)
     search.add_argument("--seed", type=int, default=None)
-    search.add_argument("--kernels", default="auto",
-                        choices=["auto", "python", "jit"],
-                        help="execution tier for generation and search loops "
-                             "(identical results; 'jit' is faster with numba)")
     _add_telemetry_args(search)
 
     # cache
@@ -363,10 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scale preset requests run at (default: small)",
     )
     serve.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    serve.add_argument("--kernels", default="auto",
-                       choices=["auto", "python", "jit"],
-                       help="execution tier for generation and search loops "
-                            "(identical results; 'jit' is faster with numba)")
     serve.add_argument("--cache", type=Path, default=None,
                        help="result-store directory; warm requests are "
                             "answered straight from disk")
@@ -425,10 +394,7 @@ def _telemetry_report(
     block: dict = {
         "enabled": collector is not None,
         "wall_seconds": wall_seconds,
-        "kernels": {
-            "requested": getattr(args, "kernels", None),
-            "probe": probe_status(),
-        },
+        "kernels": {"probe": probe_status()},
         "cache": store.stats() if store is not None else None,
     }
     if collector is None:
@@ -472,7 +438,6 @@ def _run_spec(
             executor=executor,
             store=store,
             progress=progress,
-            kernels=args.kernels,
         )
     wall_seconds = telemetry_clock() - started
     if store is not None:
@@ -532,7 +497,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             store=store,
             progress=progress,
             on_result=save_entry,
-            kernels=args.kernels,
         )
     wall_seconds = telemetry_clock() - started
     if store is not None:
@@ -728,10 +692,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     generator = _build_generator(args)
     collector = _telemetry_collector(args)
     started = telemetry_clock()
-    with use_telemetry(collector), use_kernels(args.kernels):
+    with use_telemetry(collector):
         result = generator.generate()
-    # The stdout payload stays exactly as before (CI diffs it byte-wise
-    # across kernel tiers); the trace file and stderr carry the telemetry.
+    # The stdout payload is the bare summary; the trace file and stderr
+    # carry the telemetry.
     _telemetry_report(args, collector, telemetry_clock() - started)
     summary = result.summary()
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -757,7 +721,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     ttl_values = list(range(1, args.ttl + 1))
     collector = _telemetry_collector(args)
     started = telemetry_clock()
-    with use_telemetry(collector), use_kernels(args.kernels):
+    with use_telemetry(collector):
         mutable = generator.generate_graph()
         with active_telemetry().span("freeze"):
             graph = mutable.freeze()
@@ -779,8 +743,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 graph, ttl_values, k_min=args.stubs, queries=args.queries,
                 rng=args.seed,
             )
-    # Stdout stays the bare curve payload (CI diffs it across kernel tiers);
-    # the trace file and stderr carry the telemetry.
+    # Stdout stays the bare curve payload; the trace file and stderr carry
+    # the telemetry.
     _telemetry_report(args, collector, telemetry_clock() - started)
     print(json.dumps(curve.as_dict(), indent=2, sort_keys=True))
     return 0
@@ -934,7 +898,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         executor=executor,
         scale=args.scale,
         seed=args.seed,
-        kernels=args.kernels,
         workers=args.workers,
     )
     http = ServeHTTP(

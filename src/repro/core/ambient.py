@@ -2,9 +2,9 @@
 
 The harness threads its ambient choices through every experiment without
 touching call signatures: the executor/progress pair
-(:mod:`repro.engine.executor`), the kernel mode
-(:mod:`repro.kernels.dispatch`), and the telemetry collector
-(:mod:`repro.telemetry.collector`).  Each used to be a module-level list used
+(:mod:`repro.engine.executor`), the telemetry collector
+(:mod:`repro.telemetry.collector`), and the open span context
+(:mod:`repro.telemetry.trace`).  Each used to be a module-level list used
 as a stack — correct under the engine's process-pool parallelism (workers
 re-install their own contexts from the pickled task), but unsafe once the
 scenario compiler started distributing a scenario's panels across *threads*

@@ -1,4 +1,4 @@
-"""Validated configuration objects for generators, searches, and experiments.
+"""Validated configuration objects for the generators and substrates.
 
 The paper's parameter space is small but easy to misuse (e.g. requesting more
 stubs than the hard cutoff allows, or a cutoff below the minimum degree).
@@ -25,7 +25,6 @@ __all__ = [
     "DAPAConfig",
     "GRNConfig",
     "MeshConfig",
-    "SearchConfig",
 ]
 
 #: Sentinel meaning "no hard cutoff" (the natural cutoff applies instead).
@@ -314,31 +313,3 @@ class DAPAConfig:
             dimensions=2,
             seed=self.seed,
         )
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Parameters shared by the search-algorithm simulations.
-
-    Attributes
-    ----------
-    ttl:
-        Time-to-live ``τ`` of a query.
-    queries:
-        Number of independent queries (source nodes) to average over.
-    seed:
-        Optional RNG seed for source selection and probabilistic forwarding.
-    count_source_as_hit:
-        Whether the source node itself counts as a "hit" (a discovered node).
-        The paper counts nodes reached by the query; we exclude the source by
-        default and expose the flag for sensitivity analysis.
-    """
-
-    ttl: int = 5
-    queries: int = 100
-    seed: Optional[int] = None
-    count_source_as_hit: bool = False
-
-    def __post_init__(self) -> None:
-        _require(self.ttl >= 0, "ttl must be non-negative")
-        _require(self.queries >= 1, "queries must be at least 1")

@@ -140,7 +140,6 @@ def run_suite(
     store: Any = None,
     progress: Any = None,
     on_result: Optional[Callable[[SuiteEntry], None]] = None,
-    kernels: Optional[str] = None,
 ) -> SuiteReport:
     """Run many experiments through one shared executor and result store.
 
@@ -148,7 +147,8 @@ def run_suite(
     experiment's realization tasks fan out across the shared ``executor``;
     with a :class:`~repro.engine.store.ResultStore` attached, previously
     completed experiments are served from cache, which makes an interrupted
-    suite resumable.
+    suite resumable.  The kernel tier is the platform's
+    (:func:`repro.kernels.kernel_tier`); results are identical on either.
 
     Parameters
     ----------
@@ -167,9 +167,6 @@ def run_suite(
         Optional callback invoked with each :class:`SuiteEntry` as soon as
         its experiment finishes — the hook for incremental persistence, so
         an interrupted suite keeps everything completed so far.
-    kernels:
-        Optional kernel mode (``"auto"``, ``"python"``, or ``"jit"``)
-        applied to every experiment; results are identical across modes.
     """
     # Imported lazily: the scenario layer imports this module (for Task).
     from repro.scenarios.compile import builtin_scenarios, run_scenario_cached
@@ -192,7 +189,6 @@ def run_suite(
             executor=executor,
             store=store,
             progress=progress,
-            kernels=kernels,
         )
         entry = SuiteEntry(
             experiment_id=experiment_id,

@@ -10,37 +10,26 @@ sweep and ER skip loop — all while consuming the *exact* CPython
 Mersenne-Twister draw sequence (:mod:`repro.kernels.mt19937`), so results
 — graphs, curves, and RNG stream positions — are bit-for-bit identical to
 the Python implementations.  :mod:`repro.kernels.dispatch` owns tier
-selection: capability probing (numba + a parity self-check covering every
-kernel family) and the ambient ``--kernels {auto,python,jit}`` mode.
+selection: the platform picks the tier, ``jit`` when numba imports and a
+parity self-check covering every kernel family passes, ``python``
+otherwise.
 
 This package import is deliberately light: numba (when installed) is only
 imported on the first kernel-eligible query, never at import time.
 """
 
 from repro.kernels.dispatch import (
-    DEFAULT_KERNELS,
-    KERNEL_MODES,
-    active_kernels,
     kernel_ready,
     kernel_self_check,
     kernel_tier,
     kernels_runtime,
-    normalize_kernels,
     numba_available,
-    resolve_kernels,
-    use_kernels,
 )
 
 __all__ = [
-    "DEFAULT_KERNELS",
-    "KERNEL_MODES",
-    "active_kernels",
     "kernel_ready",
     "kernel_self_check",
     "kernel_tier",
     "kernels_runtime",
-    "normalize_kernels",
     "numba_available",
-    "resolve_kernels",
-    "use_kernels",
 ]

@@ -1,31 +1,27 @@
-"""Kernel-tier selection: capability probing and the ambient ``--kernels`` mode.
+"""Kernel-tier selection: the platform picks the tier.
 
-Three modes:
+Two tiers, one result:
 
+``jit``
+    The compiled kernels of :mod:`repro.kernels.search`,
+    :mod:`repro.kernels.generators` and :mod:`repro.kernels.substrate`.
+    Chosen when numba imports *and* :func:`kernel_self_check` has
+    verified, in-process, that the kernel stack reproduces CPython's RNG
+    stream and the reference algorithms' exact results on probe graphs.
 ``python``
     The algorithms' own Python loops, one per algorithm — always
-    available.
-``jit``
-    The compiled kernel tier of :mod:`repro.kernels.search`.  With numba
-    installed the kernels run JIT-compiled; without it they run
-    *interpreted* (same code, same results, no speedup) — so an explicit
-    ``--kernels jit`` degrades gracefully instead of failing.  Either way
-    the tier only activates after :func:`kernel_self_check` has verified,
-    in-process, that the kernel stack reproduces CPython's RNG stream and
-    the reference algorithms' exact results on a probe graph.
-``auto`` (default)
-    :func:`kernel_tier`: ``jit`` when numba imports *and* the parity
-    self-check passes, ``python`` otherwise — the same
-    gate-on-import-else-fall-back policy as the SciPy path in
-    :mod:`repro.core.csr`.
+    available, and chosen whenever numba is missing or the self-check
+    fails, with a once-per-process :class:`RuntimeWarning` saying why.
 
-The probes are lazy (first kernel-eligible query, not package import) and
-cached for the process, so ``repro --help`` never pays for a numba import.
-The ambient mode is installed with :func:`use_kernels` — the CLI's
-``--kernels`` flag and the engine's per-task capture both go through it —
-and consulted through one gate, :func:`kernel_ready`, by the search
-classes (``layer="search"``) and the topology generators and substrate
-builders (``"generation"``).
+:func:`kernel_tier` applies that rule — the same
+gate-on-import-else-fall-back policy as the SciPy path in
+:mod:`repro.core.csr` — and :func:`kernel_ready` is the one gate the
+search classes (``layer="search"``) and the topology generators and
+substrate builders (``"generation"``) consult.  Every process, engine
+workers included, resolves the same tier from the same platform, so
+nothing about the tier travels with a task.  The probes are lazy (first
+kernel-eligible query, not package import) and cached for the process, so
+``repro --help`` never pays for a numba import.
 """
 
 from __future__ import annotations
@@ -33,11 +29,8 @@ from __future__ import annotations
 import os
 import sys
 import warnings
-from contextlib import contextmanager
-from typing import Dict, Iterator, Literal, Optional
+from typing import Dict, Literal
 
-from repro.core.ambient import AmbientStack
-from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource, raw_stream
 from repro.telemetry.collector import (
     NULL_TELEMETRY,
@@ -47,69 +40,17 @@ from repro.telemetry.collector import (
 )
 
 __all__ = [
-    "KERNEL_MODES",
-    "DEFAULT_KERNELS",
-    "normalize_kernels",
-    "active_kernels",
-    "use_kernels",
     "numba_available",
     "kernel_self_check",
     "kernel_tier",
-    "resolve_kernels",
     "kernel_ready",
     "kernels_runtime",
     "probe_status",
 ]
 
-#: Registered kernel modes, as accepted by ``--kernels`` / ``REPRO_KERNELS``.
-KERNEL_MODES = ("auto", "python", "jit")
-
-#: The mode callers get when nothing is selected.
-DEFAULT_KERNELS = "auto"
-
-_ACTIVE_STACK: AmbientStack[str] = AmbientStack()
-
 #: Cached probe results (per process): numba importability, self-check
 #: verdict, and the self-check failure reason for diagnostics.
 _PROBE: Dict[str, object] = {}
-
-
-def normalize_kernels(name: Optional[str]) -> str:
-    """Validate a kernel-mode name (``None`` means the default, ``auto``)."""
-    if name is None:
-        return DEFAULT_KERNELS
-    key = str(name).lower()
-    if key not in KERNEL_MODES:
-        raise ConfigurationError(
-            f"unknown kernel mode {name!r}; available: {', '.join(KERNEL_MODES)}"
-        )
-    return key
-
-
-def active_kernels() -> str:
-    """Return the mode installed by the innermost :func:`use_kernels`.
-
-    Thread-local (see :class:`repro.core.ambient.AmbientStack`); worker
-    threads re-install the mode captured from their parent.
-    """
-    return _ACTIVE_STACK.top(DEFAULT_KERNELS)
-
-
-@contextmanager
-def use_kernels(name: Optional[str]) -> Iterator[str]:
-    """Install kernel mode ``name`` for the ``with`` body.
-
-    ``None`` leaves the ambient mode in place (mirroring
-    :func:`repro.engine.executor.use_executor`), so call sites can pass an
-    optional override unconditionally.
-    """
-    if name is not None:
-        _ACTIVE_STACK.push(normalize_kernels(name))
-    try:
-        yield active_kernels()
-    finally:
-        if name is not None:
-            _ACTIVE_STACK.pop()
 
 
 # --------------------------------------------------------------------------- #
@@ -216,7 +157,7 @@ def _generation_parity_check() -> "tuple[bool, str]":
     stream position — on small topologies.
 
     Runs the *installed* kernel functions, like the search probes; a
-    miscompiled or drifted generator kernel demotes ``auto`` to ``python``
+    miscompiled or drifted generator kernel demotes the tier to ``python``
     for the whole process.  The python side goes through the
     dispatch-free ``_build_*``/``_grow_overlay``/``_stub_matching`` bodies
     (calling the dispatching ``_build`` here would recurse into this very
@@ -430,7 +371,7 @@ def _warn_tier(key: str, message: str) -> None:
     warnings.warn(message, RuntimeWarning, stacklevel=stacklevel)
     # The warning is once-per-process by design; make it observable too:
     # a structured log record (stamped with the active trace id, so a slow
-    # interpreted request is attributable) and a counter family.
+    # python-tier request is attributable) and a counter family.
     from repro.telemetry.logs import get_logger
 
     get_logger("repro.kernels").warning(
@@ -440,12 +381,12 @@ def _warn_tier(key: str, message: str) -> None:
 
 
 def kernel_tier() -> str:
-    """The tier ``auto`` resolves to: ``jit`` only when numba imports and
-    the parity self-check passes, else ``python``.
+    """The process's kernel tier: ``jit`` only when numba imports and the
+    parity self-check passes, else ``python``.
 
-    The fallback is no longer silent: the first resolution that demotes
-    ``auto`` to ``python`` says why (numba missing, or the parity
-    self-check failed) with a one-line :class:`RuntimeWarning`.
+    The fallback is not silent: the first resolution that lands on
+    ``python`` says why (numba missing, or the parity self-check failed)
+    with a one-line :class:`RuntimeWarning`.
     """
     if not numba_available():
         _warn_tier(
@@ -464,40 +405,17 @@ def kernel_tier() -> str:
     return "jit"
 
 
-def resolve_kernels(mode: Optional[str] = None) -> str:
-    """Resolve a requested mode (default: the ambient one) to a tier.
-
-    ``auto`` → :func:`kernel_tier`.  An explicit ``jit`` activates the
-    kernel path whenever the self-check passes — compiled with numba,
-    interpreted (correct but not faster) without it — and falls back to
-    ``python`` if the self-check fails.
-    """
-    requested = normalize_kernels(mode if mode is not None else active_kernels())
-    if requested == "python":
-        return "python"
-    if requested == "auto":
-        return kernel_tier()
-    if kernel_self_check():
-        return "jit"
-    _warn_tier(
-        "jit-self-check",
-        "kernels: explicit jit request fell back to the python tier "
-        f"(self-check failed: {self_check_failure()})",
-    )
-    return "python"
-
-
 def kernel_ready(layer: Literal["search", "generation"]) -> bool:
     """Should ``layer``'s work go to the kernel tier?
 
     ``layer`` is the caller's family — ``search`` (CSR stochastic queries)
     or ``generation`` (topology and substrate builds) — and names the
     ``kernels.<layer>.<tier>`` counter the decision is recorded under.
-    True exactly when the resolved tier is ``jit``, whatever the source:
+    True exactly when :func:`kernel_tier` is ``jit``, whatever the source:
     the kernels splice the state of its twister
     (:func:`~repro.core.rng.raw_stream`), past any overridden draw method.
     """
-    ready = resolve_kernels() == "jit"
+    ready = kernel_tier() == "jit"
     telemetry = active_telemetry()
     if telemetry.enabled:
         telemetry.count(f"kernels.{layer}.{'jit' if ready else 'python'}")
@@ -505,15 +423,12 @@ def kernel_ready(layer: Literal["search", "generation"]) -> bool:
 
 
 def kernels_runtime() -> str:
-    """Human-readable description of what the current mode resolves to."""
-    tier = resolve_kernels()
-    if tier != "jit":
+    """Human-readable description of the process's kernel tier."""
+    if kernel_tier() != "jit":
         return "python"
-    from repro.kernels._compat import NUMBA_AVAILABLE, NUMBA_VERSION
+    from repro.kernels._compat import NUMBA_VERSION
 
-    if NUMBA_AVAILABLE:
-        return f"jit (numba {NUMBA_VERSION})"
-    return "jit (interpreted fallback; install numba for compiled kernels)"
+    return f"jit (numba {NUMBA_VERSION})"
 
 
 def probe_status() -> Dict[str, object]:

@@ -5,7 +5,7 @@ into an ordered list of :class:`SeriesPlan` items — one per measured series,
 with every by-scale value resolved and every label rendered — and
 :func:`run_scenario` executes a compiled plan through the engine's
 ``Task`` fan-out: SHA-256 per-(label, index) seed streams, ambient
-executor/kernel-mode capture, and content-addressed
+executor capture, and content-addressed
 :class:`~repro.engine.store.ResultStore` entries keyed by the canonical
 spec hash (:meth:`~repro.scenarios.spec.ScenarioSpec.spec_hash`), so a
 scenario cached once is cached for every equivalent spelling.  The paper's
@@ -197,9 +197,9 @@ def _run_plans(
     Results are byte-identical to the serial order: every series draws
     from its own SHA-256 per-(label, index) seed stream, results come back
     per plan in submission order, and the list returned here is in plan
-    order.  Each worker thread re-installs the ambient
-    executor/progress/kernels captured from the caller (the ambient stacks
-    are thread-local).
+    order.  Each worker thread re-installs the ambient executor/progress,
+    telemetry and span context captured from the caller (the ambient
+    stacks are thread-local).
     """
     from repro.engine.executor import active_executor, active_progress, use_executor
     from repro.telemetry.collector import active_telemetry
@@ -215,11 +215,9 @@ def _run_plans(
 
     from concurrent.futures import ThreadPoolExecutor
 
-    from repro.kernels.dispatch import active_kernels, use_kernels
     from repro.telemetry.collector import use_telemetry
 
     progress = active_progress()
-    kernels = active_kernels()
     # The collector is thread-safe; every plan thread records into the same
     # instance the caller installed (or the shared null collector).  The
     # span context is captured too, so a plan thread's ``series`` span
@@ -227,8 +225,8 @@ def _run_plans(
     span_context = current_span_context()
 
     def run_one(plan: SeriesPlan) -> List[Series]:
-        with use_executor(executor, progress), use_kernels(kernels), \
-                use_telemetry(telemetry), use_span_context(span_context):
+        with use_executor(executor, progress), use_telemetry(telemetry), \
+                use_span_context(span_context):
             return _run_plan_spanned(telemetry, plan, scale)
 
     with ThreadPoolExecutor(
@@ -239,7 +237,7 @@ def _run_plans(
 
 
 def _compute_scenario(spec: ScenarioSpec, scale: ExperimentScale) -> ExperimentResult:
-    """Compile and execute ``spec`` under the ambient executor and kernels.
+    """Compile and execute ``spec`` under the ambient executor.
 
     The whole computation runs inside a ``scenario`` span carrying the
     canonical spec hash and the resolved scale/seed — the middle layer of
@@ -294,20 +292,18 @@ def run_scenario_cached(
     executor: "Optional[Executor]" = None,
     store: "Optional[ResultStore]" = None,
     progress: "Optional[ProgressReporter]" = None,
-    kernels: Optional[str] = None,
 ) -> "tuple[ExperimentResult, bool]":
     """Run a scenario on the engine; returns ``(result, from_cache)``.
 
     The one run path for built-in artefacts and user scenarios alike
     (``repro figure``/``run``/``suite``, :func:`repro.engine.run_suite`,
     ``repro serve``): the realization tasks fan out through ``executor``
-    (results byte-identical to a serial run), the kernel mode is installed
-    ambiently, and with a ``store`` the result is keyed by (scenario id,
-    scale, :func:`scenario_cache_extra`) — so a re-run of any equivalent
-    spelling of the spec is a cache hit, and an edited spec is not.
+    (results byte-identical to a serial run), and with a ``store`` the
+    result is keyed by (scenario id, scale, :func:`scenario_cache_extra`)
+    — so a re-run of any equivalent spelling of the spec is a cache hit,
+    and an edited spec is not.
     """
     from repro.engine.executor import use_executor
-    from repro.kernels.dispatch import use_kernels
 
     spec.validate()
     resolved = resolve_scale(scale, seed)
@@ -315,7 +311,7 @@ def run_scenario_cached(
         progress.experiment_started(spec.scenario_id)
 
     def compute() -> ExperimentResult:
-        with use_executor(executor, progress), use_kernels(kernels):
+        with use_executor(executor, progress):
             return _compute_scenario(spec, resolved)
 
     if store is not None:
@@ -339,7 +335,6 @@ def run_scenario(
     executor: "Optional[Executor]" = None,
     store: "Optional[ResultStore]" = None,
     progress: "Optional[ProgressReporter]" = None,
-    kernels: Optional[str] = None,
 ) -> ExperimentResult:
     """Run a scenario spec end to end and return its result.
 
@@ -365,7 +360,6 @@ def run_scenario(
         executor=executor,
         store=store,
         progress=progress,
-        kernels=kernels,
     )
     return result
 

@@ -14,7 +14,9 @@ Determinism contract — identical to the pre-scenario figure harness:
   canonical algorithm name into the label, ``f"{algorithm}:{label}"``);
 * tasks fan out through the ambient executor and come back in submission
   order, so parallel runs are byte-identical to serial ones;
-* the ambient kernel mode is captured into each task at creation time;
+* every process, engine workers included, resolves the same kernel tier
+  from the same platform (:func:`repro.kernels.dispatch.kernel_tier`), so
+  nothing about the tier travels with a task;
 * every search realization is measured on its frozen
   :class:`~repro.core.csr.CSRGraph` snapshot, which searches
   byte-identically to the mutable :class:`~repro.core.graph.Graph`.
@@ -27,7 +29,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.degree_distribution import degree_distribution
 from repro.analysis.powerlaw import fit_power_law
-from repro.kernels.dispatch import active_kernels, use_kernels
 from repro.core.config import GRNConfig
 from repro.core.csr import CSRGraph
 from repro.core.errors import AnalysisError
@@ -55,11 +56,7 @@ __all__ = [
     "HAPA_NONPAPER_NODE_CAP",
     "RealizationSpec",
     "resolve_scale",
-    "build_graph",
     "build_graph_result",
-    "cutoff_grid",
-    "dapa_tau_sub_grid",
-    "dapa_cutoff_grid",
     "degree_distribution_series",
     "exponent_vs_cutoff_series",
     "search_series",
@@ -82,32 +79,6 @@ def resolve_scale(scale: Optional[ExperimentScale], seed: Optional[int]) -> Expe
     if seed is not None:
         resolved = resolved.with_seed(seed)
     return resolved
-
-
-# --------------------------------------------------------------------------- #
-# Parameter grids (scaled-down versions of the paper's grids)
-# --------------------------------------------------------------------------- #
-def cutoff_grid(scale: ExperimentScale, high_cutoff: int = 50) -> List[Optional[int]]:
-    """Hard-cutoff values used by most search figures: 10, ~50, and none."""
-    if scale.name == "smoke":
-        return [10, None]
-    return [10, high_cutoff, None]
-
-
-def dapa_tau_sub_grid(scale: ExperimentScale) -> List[int]:
-    """Locality-horizon values τ_sub, trimmed for the smaller presets."""
-    if scale.name == "smoke":
-        return [2, 4]
-    if scale.name == "paper":
-        return [2, 4, 6, 8, 10, 20, 50]
-    return [2, 4, 10]
-
-
-def dapa_cutoff_grid(scale: ExperimentScale) -> List[Optional[int]]:
-    """Hard-cutoff values used by the DAPA figures (10, 50, none)."""
-    if scale.name == "smoke":
-        return [10, None]
-    return [10, 50, None]
 
 
 # --------------------------------------------------------------------------- #
@@ -171,41 +142,12 @@ def build_graph_result(
     return generator.generate()
 
 
-def build_graph(
-    model: str,
-    scale: ExperimentScale,
-    seed: int,
-    stubs: int = 1,
-    hard_cutoff: Optional[int] = None,
-    exponent: float = 3.0,
-    tau_sub: int = 4,
-    for_search: bool = False,
-) -> Graph:
-    """Build one realization of ``model`` and return only the graph."""
-    return build_graph_result(
-        model,
-        scale,
-        seed,
-        stubs=stubs,
-        hard_cutoff=hard_cutoff,
-        exponent=exponent,
-        tau_sub=tau_sub,
-        for_search=for_search,
-    ).graph
-
-
 # --------------------------------------------------------------------------- #
 # Realization tasks (picklable units the engine's executors can distribute)
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class RealizationSpec:
-    """Everything needed to rebuild one topology realization in any process.
-
-    ``kernels`` is captured at task-creation time (from the ambient
-    :func:`~repro.kernels.dispatch.active_kernels`), so the kernel tier
-    that builds and measures the topology travels with the pickled spec
-    into the engine's worker processes.
-    """
+    """Everything needed to rebuild one topology realization in any process."""
 
     model: str
     scale: ExperimentScale
@@ -215,27 +157,19 @@ class RealizationSpec:
     exponent: float = 3.0
     tau_sub: int = 4
     for_search: bool = False
-    kernels: str = "auto"
 
     def build_result(self) -> GenerationResult:
-        """Build one realization under this spec's kernel tier.
-
-        The kernel mode is installed around *generation* too (not just the
-        measurement phase), so a ``--kernels jit`` run constructs its
-        topologies on the compiled generator kernels — byte-identically to
-        the Python growth loops.
-        """
-        with use_kernels(self.kernels):
-            return build_graph_result(
-                self.model,
-                self.scale,
-                self.seed,
-                stubs=self.stubs,
-                hard_cutoff=self.hard_cutoff,
-                exponent=self.exponent,
-                tau_sub=self.tau_sub,
-                for_search=self.for_search,
-            )
+        """Build one realization, keeping the generator's metadata."""
+        return build_graph_result(
+            self.model,
+            self.scale,
+            self.seed,
+            stubs=self.stubs,
+            hard_cutoff=self.hard_cutoff,
+            exponent=self.exponent,
+            tau_sub=self.tau_sub,
+            for_search=self.for_search,
+        )
 
     def build(self) -> Graph:
         return self.build_result().graph
@@ -310,19 +244,18 @@ def _realize_search_curve(
     queries = spec.scale.queries
     query_rng = spec.seed + 977
     extra = dict(params)
-    with use_kernels(spec.kernels):
-        graph = spec.build_for_measurement()
-        if algorithm == "rw":
-            extra.setdefault("k_min", spec.stubs)
-            return normalized_walk_curve(
-                graph, ttl_values, queries=queries, rng=query_rng, **extra
-            )
-        if algorithm == "nf":
-            extra.setdefault("k_min", spec.stubs)
-        searcher = create_search_algorithm(algorithm, **extra)
-        return search_curve(
-            graph, searcher, ttl_values, queries=queries, rng=query_rng
+    graph = spec.build_for_measurement()
+    if algorithm == "rw":
+        extra.setdefault("k_min", spec.stubs)
+        return normalized_walk_curve(
+            graph, ttl_values, queries=queries, rng=query_rng, **extra
         )
+    if algorithm == "nf":
+        extra.setdefault("k_min", spec.stubs)
+    searcher = create_search_algorithm(algorithm, **extra)
+    return search_curve(
+        graph, searcher, ttl_values, queries=queries, rng=query_rng
+    )
 
 
 def _degree_sequence_rows(
@@ -334,13 +267,7 @@ def _degree_sequence_rows(
     exponent: float,
     tau_sub: int,
 ) -> List[Dict[str, Any]]:
-    """One degree sequence (+ generation counters) per realization.
-
-    The ambient kernel mode is captured into each task, like the search
-    tasks always did, so ``--kernels jit`` reaches the topology builds
-    inside worker processes.
-    """
-    kernels = active_kernels()
+    """One degree sequence (+ generation counters) per realization."""
     tasks = [
         Task(
             fn=_realize_degree_sequence,
@@ -353,7 +280,6 @@ def _degree_sequence_rows(
                     hard_cutoff=hard_cutoff,
                     exponent=exponent,
                     tau_sub=tau_sub,
-                    kernels=kernels,
                 ),
             ),
             key=f"degrees:{label}[{index}]",
@@ -476,7 +402,6 @@ def averaged_search_curve(
 ) -> SearchCurve:
     """One realization-averaged search curve, fanned through the executor."""
     algorithm = canonical_algorithm(algorithm)
-    kernels = active_kernels()
     params = tuple(sorted((algorithm_params or {}).items()))
     tasks = [
         Task(
@@ -491,7 +416,6 @@ def averaged_search_curve(
                     exponent=exponent,
                     tau_sub=tau_sub,
                     for_search=True,
-                    kernels=kernels,
                 ),
                 algorithm,
                 tuple(int(value) for value in ttl_values),

@@ -181,7 +181,8 @@ class ScenarioService:
 
     A long-lived service holds bounded state: the job table keeps the
     newest :data:`MAX_KNOWN_JOBS` spec hashes (plus any job still in
-    flight), and the default collector keeps aggregates only.
+    flight), and the default collector keeps aggregates only.  The kernel
+    tier is the platform's (:func:`repro.kernels.kernel_tier`).
 
     Parameters
     ----------
@@ -193,9 +194,9 @@ class ScenarioService:
     executor:
         The engine executor all scenario realization tasks share (default:
         serial).  The service does **not** close an executor it was given.
-    scale, seed, kernels:
-        Defaults applied to every request; ``scale``/``seed`` can be
-        overridden per request.
+    scale, seed:
+        Defaults applied to every request; either can be overridden per
+        request.
     workers:
         How many scenario computations may run concurrently (each fans its
         realization tasks into the shared ``executor``).
@@ -211,7 +212,6 @@ class ScenarioService:
         executor: Optional[Executor] = None,
         scale: "Optional[ExperimentScale | str]" = None,
         seed: Optional[int] = None,
-        kernels: Optional[str] = None,
         workers: int = 4,
         telemetry: Optional[TelemetryCollector] = None,
     ) -> None:
@@ -221,7 +221,6 @@ class ScenarioService:
         if isinstance(scale, str):
             scale = ExperimentScale.from_name(scale)
         self.default_scale = resolve_scale(scale, seed)
-        self.kernels = kernels
         self.telemetry = (
             telemetry if telemetry is not None else TelemetryCollector(tree=False)
         )
@@ -424,12 +423,11 @@ class ScenarioService:
             # /metrics, and the job's trace id so every span, progress
             # event, and log line below carries it.  The whole computation
             # is the request's root span — the top of the
-            # serve → scenario → series → task tree.  Executor and
-            # kernels are passed explicitly and run_scenario_cached
-            # installs them around the computation.  submit() probed the
-            # store before scheduling this job, so the job computes
-            # without the store and puts the result: one probe per cold
-            # request.
+            # serve → scenario → series → task tree.  The executor is
+            # passed explicitly and run_scenario_cached installs it around
+            # the computation.  submit() probed the store before scheduling
+            # this job, so the job computes without the store and puts the
+            # result: one probe per cold request.
             with use_telemetry(self.telemetry), use_trace_id(job.trace_id):
                 _log.info(
                     "job-running",
@@ -452,7 +450,6 @@ class ScenarioService:
                         scale=job.scale,
                         executor=self.executor,
                         progress=reporter,
-                        kernels=self.kernels,
                     )
                     if self.store is not None:
                         self.store.put(

@@ -1,7 +1,7 @@
 """Structured tracing and counters for the execution layers.
 
-The telemetry subsystem is *ambient*, like the executor and kernel
-contexts: instrumented code fetches the active collector with
+The telemetry subsystem is *ambient*, like the executor context:
+instrumented code fetches the active collector with
 :func:`active_telemetry` and records into it — spans (named wall-clock
 sections such as ``generate``/``freeze``/``search``/``store``/
 ``kernel-compile``), monotonic counters (RNG rejections, cache hits,
@@ -609,8 +609,8 @@ def use_telemetry(
 ) -> Iterator["NullTelemetry | TelemetryCollector"]:
     """Install ``collector`` for the ``with`` body (``None`` keeps the ambient).
 
-    Mirrors :func:`repro.kernels.dispatch.use_kernels` so call sites can pass
-    an optional collector unconditionally.
+    Mirrors :func:`repro.engine.executor.use_executor` so call sites can
+    pass an optional collector unconditionally.
     """
     if collector is not None:
         _ACTIVE_STACK.push(collector)

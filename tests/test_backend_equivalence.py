@@ -24,11 +24,10 @@ import pytest
 
 from oracles import nf as nf_oracle
 from oracles import pf as pf_oracle
-from repro.kernels.dispatch import use_kernels
 from repro.core.csr import CSRGraph
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
-from repro.engine.executor import ParallelExecutor
+from repro.engine.executor import ParallelExecutor, executor_from_jobs
 from repro.scenarios import get_builtin_scenario, run_scenario
 from repro.scenarios.measure import RealizationSpec
 from repro.generators.cm import generate_cm
@@ -40,6 +39,7 @@ from repro.search.metrics import normalized_walk_curve, search_curve
 from repro.search.normalized_flooding import NormalizedFloodingSearch
 from repro.search.probabilistic_flooding import ProbabilisticFloodingSearch
 from repro.search.random_walk import RandomWalkSearch
+from tiers import TIERS, pin_tier
 
 
 # --------------------------------------------------------------------------- #
@@ -61,11 +61,11 @@ def graphs():
 
 GENERATORS = ["pa", "cm", "hapa", "dapa"]
 
-# Execution tiers for the frozen snapshot's stochastic queries: the Python
-# loops, and the kernel tier of repro.kernels (JIT-compiled under numba,
-# interpreted otherwise — identical draws either way).  Every equivalence
-# cell below must hold for both, against the same adjacency reference.
-KERNEL_TIERS = ["python", "jit"]
+# Execution tiers for the frozen snapshot's stochastic queries (TIERS,
+# pinned through tests/tiers.py): the Python loops, and the kernel tier of
+# repro.kernels (JIT-compiled under numba, interpreted otherwise —
+# identical draws either way).  Every equivalence cell below must hold for
+# both, against the same adjacency reference.
 
 # Every registered search algorithm (one representative configuration each,
 # plus variants that exercise representation-sensitive code paths).
@@ -92,11 +92,11 @@ def _assert_identical(result_adj, result_csr):
 class TestQueryEquivalence:
     """algorithm × generator: single queries must match field by field."""
 
-    @pytest.mark.parametrize("kernels", KERNEL_TIERS)
+    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("model", GENERATORS)
     @pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
     def test_identical_results_and_rng_consumption(
-        self, graphs, model, algorithm_name, kernels
+        self, graphs, model, algorithm_name, tier
     ):
         graph = graphs[model]
         frozen = graph.freeze()
@@ -106,7 +106,7 @@ class TestQueryEquivalence:
         for seed, source in [(7, nodes[0]), (19, nodes[3]), (23, nodes[-1])]:
             rng_adj, rng_csr = RandomSource(seed), RandomSource(seed)
             result_adj = algorithm.run(graph, source, 8, rng=rng_adj, target=target)
-            with use_kernels(kernels):
+            with pin_tier(tier):
                 result_csr = algorithm.run(
                     frozen, source, 8, rng=rng_csr, target=target
                 )
@@ -116,16 +116,16 @@ class TestQueryEquivalence:
             # choice) can never shift the seeds of whatever runs next.
             assert rng_adj.random() == rng_csr.random()
 
-    @pytest.mark.parametrize("kernels", KERNEL_TIERS)
+    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
-    def test_ttl_zero_and_isolated_source(self, algorithm_name, kernels):
+    def test_ttl_zero_and_isolated_source(self, algorithm_name, tier):
         graph = Graph.from_edges(4, [(0, 1), (1, 2)])  # node 3 is isolated
         frozen = graph.freeze()
         algorithm = ALGORITHMS[algorithm_name]()
         for source, ttl in [(0, 0), (3, 5)]:
             rng_adj, rng_csr = RandomSource(3), RandomSource(3)
             result_adj = algorithm.run(graph, source, ttl, rng=rng_adj)
-            with use_kernels(kernels):
+            with pin_tier(tier):
                 result_csr = algorithm.run(frozen, source, ttl, rng=rng_csr)
             _assert_identical(result_adj, result_csr)
             assert rng_adj.random() == rng_csr.random()
@@ -134,31 +134,31 @@ class TestQueryEquivalence:
 class TestCurveEquivalence:
     """Metric-level curves (what the figures actually average)."""
 
-    @pytest.mark.parametrize("kernels", KERNEL_TIERS)
+    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("model", GENERATORS)
     @pytest.mark.parametrize(
         "algorithm_name", ["fl", "nf", "pf", "rw"]
     )
-    def test_search_curve_identical(self, graphs, model, algorithm_name, kernels):
+    def test_search_curve_identical(self, graphs, model, algorithm_name, tier):
         graph = graphs[model]
         frozen = graph.freeze()
         ttl_values = [1, 2, 4, 6, 8]
         curve_adj = search_curve(
             graph, ALGORITHMS[algorithm_name](), ttl_values, queries=25, rng=5
         )
-        with use_kernels(kernels):
+        with pin_tier(tier):
             curve_csr = search_curve(
                 frozen, ALGORITHMS[algorithm_name](), ttl_values, queries=25, rng=5
             )
         assert curve_adj.as_dict() == curve_csr.as_dict()
 
-    @pytest.mark.parametrize("kernels", KERNEL_TIERS)
+    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("model", GENERATORS)
-    def test_normalized_walk_curve_identical(self, graphs, model, kernels):
+    def test_normalized_walk_curve_identical(self, graphs, model, tier):
         graph = graphs[model]
         frozen = graph.freeze()
         curve_adj = normalized_walk_curve(graph, [2, 4, 6], k_min=2, queries=20, rng=9)
-        with use_kernels(kernels):
+        with pin_tier(tier):
             curve_csr = normalized_walk_curve(
                 frozen, [2, 4, 6], k_min=2, queries=20, rng=9
             )
@@ -176,15 +176,15 @@ class TestCurveEquivalence:
                     subject, FloodingSearch(), [1, 2], sources=[10**6], rng=1
                 )
 
-    @pytest.mark.parametrize("kernels", KERNEL_TIERS)
-    def test_search_curve_stream_position(self, graphs, kernels):
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_search_curve_stream_position(self, graphs, tier):
         """The whole pipeline leaves both RNGs at the same position."""
         graph = graphs["pa"]
         frozen = graph.freeze()
         for factory in (FloodingSearch, NormalizedFloodingSearch):
             rng_adj, rng_csr = RandomSource(11), RandomSource(11)
             search_curve(graph, factory(), [1, 3, 5], queries=15, rng=rng_adj)
-            with use_kernels(kernels):
+            with pin_tier(tier):
                 search_curve(frozen, factory(), [1, 3, 5], queries=15, rng=rng_csr)
             assert rng_adj.random() == rng_csr.random()
 
@@ -241,9 +241,9 @@ class TestDrawCountRegression:
         "rw": lambda algorithm: algorithm._run_walkers,
     }
 
-    @pytest.mark.parametrize("kernels", KERNEL_TIERS)
+    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("algorithm_name", sorted(PINNED))
-    def test_exact_draw_counts(self, graphs, algorithm_name, kernels):
+    def test_exact_draw_counts(self, graphs, algorithm_name, tier):
         graph = graphs["pa"]
         frozen = graph.freeze()
         algorithm = ALGORITHMS[algorithm_name]()
@@ -252,7 +252,7 @@ class TestDrawCountRegression:
             rng_counted, rng = _CountingSource(7), RandomSource(7)
             counted(subject, 5, 8, rng_counted, None)
             assert dict(rng_counted.calls) == self.PINNED[algorithm_name]
-            with use_kernels(kernels):
+            with pin_tier(tier):
                 algorithm.run(subject, 5, 8, rng=rng)
             assert rng.random() == rng_counted.random()
 
@@ -265,7 +265,7 @@ class TestDrawCountRegression:
             algorithm = ALGORITHMS[algorithm_name]()
             rng_ref, rng_jit = RandomSource(7), RandomSource(7)
             algorithm.run(graph, 5, 8, rng=rng_ref)
-            with use_kernels("jit"):
+            with pin_tier("jit"):
                 algorithm.run(frozen, 5, 8, rng=rng_jit)
             assert rng_ref.random() == rng_jit.random(), algorithm_name
 
@@ -323,34 +323,35 @@ class TestPipelineReference:
         assert _payload(parallel) == reference
 
 
+def _run_on_tier(tier, experiment_id, scale, jobs=1):
+    """Run a built-in experiment with the tier pinned (workers included)."""
+    with pin_tier(tier), executor_from_jobs(jobs) as executor:
+        result = run_scenario(
+            get_builtin_scenario(experiment_id), scale=scale, executor=executor
+        )
+    return [series.as_dict() for series in result.series]
+
+
 class TestKernelTierExperiments:
-    """Whole experiments under ``kernels="jit"`` — the tier's acceptance bar.
+    """Whole experiments on the ``jit`` tier — the tier's acceptance bar.
 
     fig9 (NF on PA/CM/HAPA) exercises the kernel dispatch through the full
-    stack: scenario compiler → engine tasks → ``RealizationSpec.kernels``
-    capture → batched kernel curves — and must reproduce the python tier
-    byte for byte, serial and across worker processes.
+    stack: scenario compiler → engine tasks → batched kernel curves — and
+    must reproduce the python tier byte for byte, serial and across worker
+    processes.
     """
 
     def test_fig9_jit_byte_identical(self, smoke_scale):
-        python = run_scenario(get_builtin_scenario("fig9"), scale=smoke_scale, kernels="python")
-        jit = run_scenario(get_builtin_scenario("fig9"), scale=smoke_scale, kernels="jit")
-        assert [series.as_dict() for series in python.series] == [
-            series.as_dict() for series in jit.series
-        ]
+        assert _run_on_tier("python", "fig9", smoke_scale) == _run_on_tier(
+            "jit", "fig9", smoke_scale
+        )
 
     def test_fig9_jit_parallel_byte_identical(self, smoke_scale):
-        """``kernels`` must survive the hop into worker processes (pickled
-        into each RealizationSpec)."""
+        """The pinned tier reaches the worker processes (forked with it)."""
         scale = replace(smoke_scale, realizations=2)
-        python = run_scenario(get_builtin_scenario("fig9"), scale=scale, kernels="python")
-        with ParallelExecutor(jobs=2) as executor:
-            jit = run_scenario(
-                get_builtin_scenario("fig9"), scale=scale, kernels="jit", executor=executor
-            )
-        assert [series.as_dict() for series in python.series] == [
-            series.as_dict() for series in jit.series
-        ]
+        assert _run_on_tier("python", "fig9", scale) == _run_on_tier(
+            "jit", "fig9", scale, jobs=2
+        )
 
 
 class TestGenerationTierEquivalence:
@@ -376,16 +377,16 @@ class TestGenerationTierEquivalence:
         ),
     }
 
-    @pytest.mark.parametrize("kernels", KERNEL_TIERS)
+    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("model", GENERATORS)
-    def test_generation_byte_identical_across_tiers(self, model, kernels):
+    def test_generation_byte_identical_across_tiers(self, model, tier):
         import numpy as np
 
         reference_rng = RandomSource(seed=909)
         tier_rng = RandomSource(seed=909)
-        with use_kernels("python"):
+        with pin_tier("python"):
             reference = self.BUILDERS[model](reference_rng)
-        with use_kernels(kernels):
+        with pin_tier(tier):
             subject = self.BUILDERS[model](tier_rng)
         assert reference.nodes() == subject.nodes()
         frozen_reference = reference.freeze()
@@ -395,39 +396,31 @@ class TestGenerationTierEquivalence:
         # Identical stream position: nothing downstream can shift seeds.
         assert reference_rng.random() == tier_rng.random()
 
-    @pytest.mark.parametrize("kernels", KERNEL_TIERS)
-    def test_generate_then_search_end_to_end(self, kernels):
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_generate_then_search_end_to_end(self, tier):
         """One realization generated *and* searched on a single stream per
         tier must agree field for field."""
         results = {}
-        for tier in ("python", kernels):
+        for pinned in ("python", tier):
             rng = RandomSource(seed=4242)
-            with use_kernels(tier):
+            with pin_tier(pinned):
                 graph = generate_pa(250, stubs=2, hard_cutoff=12, rng=rng)
-                subject = graph.freeze() if tier == "jit" else graph
-                results[tier] = NormalizedFloodingSearch(k_min=2).run(
+                subject = graph.freeze() if pinned == "jit" else graph
+                results[pinned] = NormalizedFloodingSearch(k_min=2).run(
                     subject, 0, 6, rng=rng, target=17
                 )
-        _assert_identical(results["python"], results[kernels])
+        _assert_identical(results["python"], results[tier])
 
     def test_fig1_jit_generation_byte_identical(self, smoke_scale):
         """A whole degree-distribution experiment (generation-dominated)
-        under kernels='jit' — the generator tier's acceptance bar."""
-        python_result = run_scenario(get_builtin_scenario("fig1"), scale=smoke_scale, kernels="python")
-        jit_result = run_scenario(get_builtin_scenario("fig1"), scale=smoke_scale, kernels="jit")
-        assert [series.as_dict() for series in python_result.series] == [
-            series.as_dict() for series in jit_result.series
-        ]
+        on the jit tier — the generator tier's acceptance bar."""
+        assert _run_on_tier("python", "fig1", smoke_scale) == _run_on_tier(
+            "jit", "fig1", smoke_scale
+        )
 
     def test_fig1_jit_generation_parallel_byte_identical(self, smoke_scale):
-        """The kernels choice must reach generation inside worker
-        processes (captured into each degree-sequence RealizationSpec)."""
+        """The pinned tier reaches generation inside worker processes."""
         scale = replace(smoke_scale, realizations=2)
-        python_result = run_scenario(get_builtin_scenario("fig1"), scale=scale, kernels="python")
-        with ParallelExecutor(jobs=2) as executor:
-            jit_result = run_scenario(
-                get_builtin_scenario("fig1"), scale=scale, kernels="jit", executor=executor
-            )
-        assert [series.as_dict() for series in python_result.series] == [
-            series.as_dict() for series in jit_result.series
-        ]
+        assert _run_on_tier("python", "fig1", scale) == _run_on_tier(
+            "jit", "fig1", scale, jobs=2
+        )

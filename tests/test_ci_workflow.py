@@ -69,22 +69,20 @@ def test_serve_job_soaks_a_running_server_and_bounds_its_rss_growth():
 
 
 @pytest.mark.parametrize(
-    "model, arguments",
+    "command, name",
     [
-        ("cm", "--nodes 2000 --stubs 2 --cutoff 40 --exponent 2.2"),
-        ("hapa", "--nodes 300 --stubs 2 --cutoff 10"),
+        ("figure fig9 --scale smoke --json", "fig9"),
+        ("generate hapa --nodes 300 --stubs 2 --cutoff 10 --seed 7", "hapa"),
     ],
 )
-def test_kernel_fallback_step_compares_generation_across_tiers(model, arguments):
+def test_kernel_fallback_step_checks_one_warning_per_command(command, name):
     job = _job("tests")
     step = job[job.index("Kernel-tier graceful fallback"):]
     step = step[: step.index("- name:")]
-    for tier, name in (("jit", f"{model}-jit"), ("python", f"{model}-py")):
-        assert (
-            f"python -m repro generate {model} {arguments} "
-            f"--seed 7 --kernels {tier} > {name}.json"
-        ) in step
-    assert 'for model in ("gen", "nlpa", "dapa", "cm", "hapa"):' in step
+    assert f"python -m repro {command} > {name}.json 2> {name}.err" in step
+    assert 'for name in ("fig9", "hapa"):' in step
+    assert "numba is not installed" in step and "len(lines) == 1" in step
+    assert 'probe["numba"] is False' in step
 
 
 def test_serve_smoke_checks_one_store_probe_per_request():

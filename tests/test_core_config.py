@@ -13,7 +13,6 @@ from repro.core.config import (
     HAPAConfig,
     MeshConfig,
     PAConfig,
-    SearchConfig,
     TopologyConfig,
 )
 from repro.core.errors import ConfigurationError
@@ -165,18 +164,3 @@ class TestDAPAConfig:
     def test_cutoff_below_stubs(self):
         with pytest.raises(ConfigurationError):
             DAPAConfig(overlay_size=50, stubs=3, hard_cutoff=2)
-
-
-class TestSearchConfig:
-    def test_defaults(self):
-        config = SearchConfig()
-        assert config.ttl == 5
-        assert config.queries == 100
-
-    def test_negative_ttl(self):
-        with pytest.raises(ConfigurationError):
-            SearchConfig(ttl=-1)
-
-    def test_zero_queries(self):
-        with pytest.raises(ConfigurationError):
-            SearchConfig(queries=0)

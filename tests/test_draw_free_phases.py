@@ -26,8 +26,8 @@ from repro.core.config import GRNConfig, MeshConfig
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
 from repro.generators.dapa import DAPAGenerator
-from repro.kernels.dispatch import use_kernels
 from repro.substrate.grn import GeometricRandomNetwork
+from tiers import pin_tier
 
 
 class _SubclassSource(RandomSource):
@@ -48,7 +48,7 @@ def _grn_pair(n, radius, dimensions, torus, seed):
     builder = GeometricRandomNetwork(n, radius=radius, dimensions=dimensions, torus=torus)
     rng_oracle, rng = RandomSource(seed), RandomSource(seed)
     expected = grn_oracle.build_grn(oracle_builder, rng_oracle)
-    with use_kernels("python"):
+    with pin_tier("python"):
         graph = builder.build(rng)
     _assert_same_graph(expected, graph)
     assert builder.positions == oracle_builder.positions
@@ -159,7 +159,7 @@ def _dapa_pair(generator, seed, source_class=RandomSource):
     rng_oracle, calls_oracle = logged_source(seed)
     rng, calls = logged_source(seed, source_class)
     overlay_oracle, metadata_oracle = dapa_oracle.build_dapa(generator, rng_oracle)
-    with use_kernels("python"):
+    with pin_tier("python"):
         result = generator.generate(rng)
     assert calls == calls_oracle
     _assert_same_graph(overlay_oracle, result.graph)

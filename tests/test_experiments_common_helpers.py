@@ -7,10 +7,7 @@ import pytest
 from repro.experiments.runner import ExperimentScale
 from repro.scenarios.measure import (
     HAPA_NONPAPER_NODE_CAP,
-    build_graph,
-    cutoff_grid,
-    dapa_cutoff_grid,
-    dapa_tau_sub_grid,
+    build_graph_result,
     degree_distribution_series,
     exponent_vs_cutoff_series,
     messaging_series,
@@ -24,7 +21,7 @@ def scale():
     return ExperimentScale.smoke()
 
 
-class TestResolveScaleAndGrids:
+class TestResolveScale:
     def test_default_scale_is_small(self):
         assert resolve_scale(None, None).name == "small"
 
@@ -32,30 +29,23 @@ class TestResolveScaleAndGrids:
         assert resolve_scale(scale, 123).seed == 123
         assert resolve_scale(scale, None).seed == scale.seed
 
-    def test_grids_shrink_for_smoke(self, scale):
-        assert len(cutoff_grid(scale)) < len(cutoff_grid(ExperimentScale.small()))
-        assert len(dapa_tau_sub_grid(scale)) < len(
-            dapa_tau_sub_grid(ExperimentScale.paper())
-        )
-        assert None in dapa_cutoff_grid(scale)
-
 
 class TestBuildGraph:
     @pytest.mark.parametrize("model", ["pa", "cm", "hapa", "dapa"])
     def test_every_model_builds(self, model, scale):
-        graph = build_graph(model, scale, seed=1, stubs=1, hard_cutoff=10)
+        graph = build_graph_result(model, scale, seed=1, stubs=1, hard_cutoff=10).graph
         assert graph.number_of_nodes > 0
         assert graph.max_degree() <= 10
 
     def test_search_size_differs_from_distribution_size(self, scale):
-        distribution_graph = build_graph("pa", scale, seed=1, stubs=1)
-        search_graph = build_graph("pa", scale, seed=1, stubs=1, for_search=True)
+        distribution_graph = build_graph_result("pa", scale, seed=1, stubs=1).graph
+        search_graph = build_graph_result("pa", scale, seed=1, stubs=1, for_search=True).graph
         assert distribution_graph.number_of_nodes == scale.nodes
         assert search_graph.number_of_nodes == scale.search_nodes
 
     def test_unknown_model_rejected(self, scale):
         with pytest.raises(ValueError):
-            build_graph("chord", scale, seed=1)
+            build_graph_result("chord", scale, seed=1)
 
 
 class TestSeriesBuilders:
@@ -124,15 +114,15 @@ class TestHapaNonPaperCap:
         )
 
     def test_distribution_build_is_capped_below_paper_scale(self):
-        graph = build_graph("hapa", self._scale("custom"), seed=3, stubs=1)
+        graph = build_graph_result("hapa", self._scale("custom"), seed=3, stubs=1).graph
         assert graph.number_of_nodes == HAPA_NONPAPER_NODE_CAP == 2000
 
     def test_search_build_is_never_capped(self):
-        graph = build_graph(
+        graph = build_graph_result(
             "hapa", self._scale("custom"), seed=3, stubs=1, for_search=True
-        )
+        ).graph
         assert graph.number_of_nodes == 2100
 
     def test_paper_scale_is_never_capped(self):
-        graph = build_graph("hapa", self._scale("paper"), seed=3, stubs=1)
+        graph = build_graph_result("hapa", self._scale("paper"), seed=3, stubs=1).graph
         assert graph.number_of_nodes == 2300

@@ -23,14 +23,14 @@ from repro.core.graph import Graph
 from repro.generators import pa as pa_module
 from repro.generators.cm import ConfigurationModelGenerator
 from repro.generators.pa import PreferentialAttachmentGenerator
-from repro.kernels.dispatch import use_kernels
+from tiers import pin_tier
 
 
 def _build_pair(oracle_build, generator, seed):
     """Build with the oracle and the shipped python tier; compare them."""
     (rng_oracle, calls_oracle), (rng, calls) = logged_source(seed), logged_source(seed)
     graph_oracle, meta_oracle = oracle_build(generator, rng_oracle)
-    with use_kernels("python"):
+    with pin_tier("python"):
         graph, meta = generator._build(rng)
     assert calls == calls_oracle
     assert graph.nodes() == graph_oracle.nodes()

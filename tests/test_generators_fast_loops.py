@@ -38,8 +38,8 @@ from repro.generators.cm import ConfigurationModelGenerator
 from repro.generators.dapa import DAPAGenerator
 from repro.generators.degree_sequence import power_law_degree_sequence
 from repro.generators.hapa import HAPAGenerator
-from repro.kernels.dispatch import use_kernels
 from repro.substrate.grn import GeometricRandomNetwork
+from tiers import pin_tier
 
 
 class _CountingSource(RandomSource):
@@ -106,7 +106,7 @@ def _dapa_pair(generator: DAPAGenerator, seed: int):
     shipped result."""
     (rng_oracle, calls_oracle), (rng, calls) = logged_source(seed), logged_source(seed)
     overlay_oracle, meta_oracle = dapa_oracle.build_dapa(generator, rng_oracle)
-    with use_kernels("python"):
+    with pin_tier("python"):
         result = generator.generate(rng)
     assert calls == calls_oracle
     _assert_same_graph(overlay_oracle, result.graph)
@@ -167,7 +167,7 @@ class TestHAPAFastLoop:
         generator = HAPAGenerator(80, stubs=2, hard_cutoff=6)
         expected = hapa_oracle.build_reference(generator, RandomSource(seed=9))[0]
         rng = _CountingSource(9)
-        with use_kernels("python"):
+        with pin_tier("python"):
             graph = generator.generate(rng).graph
         _assert_same_graph(expected, graph)
         assert not rng.calls
@@ -230,7 +230,7 @@ class TestDAPAFastAttach:
         oracle_rng = RandomSource(seed=9)
         expected = dapa_oracle.build_dapa(generator, oracle_rng)[0]
         rng = _CountingSource(9)
-        with use_kernels("python"):
+        with pin_tier("python"):
             graph = generator.generate(rng).graph
         _assert_same_graph(expected, graph)
         assert rng.getstate() == oracle_rng.getstate()
@@ -260,7 +260,7 @@ class TestCMFastShuffle:
         oracle_rng = RandomSource(seed=9)
         expected = cm_oracle.build_cm(generator, oracle_rng)[0]
         rng = _CountingSource(9)
-        with use_kernels("python"):
+        with pin_tier("python"):
             graph = generator.generate(rng).graph
         _assert_same_graph(expected, graph)
         assert rng.getstate() == oracle_rng.getstate()
@@ -274,7 +274,7 @@ class TestGRNPositions:
         expected = grn_oracle.build_grn(builder, oracle_rng)
         expected_positions = dict(builder.positions)
         rng = _CountingSource(9)
-        with use_kernels("python"):
+        with pin_tier("python"):
             graph = builder.build(rng)
         _assert_same_graph(expected, graph)
         assert builder.positions == expected_positions

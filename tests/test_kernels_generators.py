@@ -41,10 +41,10 @@ from repro.generators.nonlinear_pa import (
     generate_nonlinear_pa,
 )
 from repro.generators.pa import PreferentialAttachmentGenerator, generate_pa
-from repro.kernels.dispatch import use_kernels
 from repro.substrate.grn import GeometricRandomNetwork, generate_grn
 from repro.substrate.mesh import MeshNetwork
 from repro.substrate.random_graph import generate_erdos_renyi
+from tiers import pin_tier
 
 
 class _CountingSource(RandomSource):
@@ -158,7 +158,7 @@ def _assert_instrumented_builds_plain(build) -> None:
     and kernels draw from the twister underneath any overridden method."""
     for tier in ("python", "jit"):
         plain, counted = RandomSource(seed=SEED), _CountingSource(SEED)
-        with use_kernels(tier):
+        with pin_tier(tier):
             expected = build(plain)
             graph = build(counted)
         _assert_byte_identical(expected, graph)
@@ -172,9 +172,9 @@ class TestCrossTierByteIdentity:
     def test_graphs_and_stream_position(self, model):
         rng_python = RandomSource(seed=SEED)
         rng_jit = RandomSource(seed=SEED)
-        with use_kernels("python"):
+        with pin_tier("python"):
             graph_python = BUILDERS[model](rng_python)
-        with use_kernels("jit"):
+        with pin_tier("jit"):
             graph_jit = BUILDERS[model](rng_jit)
         _assert_byte_identical(graph_python, graph_jit)
         assert rng_python.random() == rng_jit.random(), (
@@ -184,12 +184,12 @@ class TestCrossTierByteIdentity:
     @pytest.mark.parametrize("model", sorted(BUILDERS))
     def test_pinned_draw_counts(self, model):
         counted = _CountingSource(SEED)
-        with use_kernels("python"):
+        with pin_tier("python"):
             COUNTED_BUILDERS[model](counted)
         assert dict(counted.calls) == PINNED_DRAWS[model]
         for tier in ("python", "jit"):
             rng = RandomSource(seed=SEED)
-            with use_kernels(tier):
+            with pin_tier(tier):
                 BUILDERS[model](rng)
             assert rng.getstate() == counted.getstate(), tier
 
@@ -201,7 +201,7 @@ class TestCrossTierByteIdentity:
     def test_metadata_identical(self, model):
         results = {}
         for tier in ("python", "jit"):
-            with use_kernels(tier):
+            with pin_tier(tier):
                 if model == "pa":
                     result = PreferentialAttachmentGenerator(
                         300, stubs=2, hard_cutoff=10
@@ -253,9 +253,9 @@ class TestTightCutoffEdgeCases:
     @pytest.mark.parametrize("n,m,kc", CASES)
     def test_pa_saturated(self, n, m, kc):
         rng_python, rng_jit = RandomSource(seed=31), RandomSource(seed=31)
-        with use_kernels("python"):
+        with pin_tier("python"):
             graph_python = generate_pa(n, stubs=m, hard_cutoff=kc, rng=rng_python)
-        with use_kernels("jit"):
+        with pin_tier("jit"):
             graph_jit = generate_pa(n, stubs=m, hard_cutoff=kc, rng=rng_jit)
         _assert_byte_identical(graph_python, graph_jit)
         assert rng_python.random() == rng_jit.random()
@@ -263,18 +263,18 @@ class TestTightCutoffEdgeCases:
     def test_pa_complete_graph_request(self):
         # n == m + 1: the seed clique is the whole graph, no growth phase.
         for tier in ("python", "jit"):
-            with use_kernels(tier):
+            with pin_tier(tier):
                 graph = generate_pa(4, stubs=3, rng=RandomSource(seed=1))
             assert graph.number_of_edges == 6
             assert graph.min_degree() == 3
 
     def test_hapa_small_hop_budget(self):
         rng_python, rng_jit = RandomSource(seed=5), RandomSource(seed=5)
-        with use_kernels("python"):
+        with pin_tier("python"):
             graph_python = generate_hapa(
                 120, stubs=2, hard_cutoff=3, max_hops_per_stub=5, rng=rng_python
             )
-        with use_kernels("jit"):
+        with pin_tier("jit"):
             graph_jit = generate_hapa(
                 120, stubs=2, hard_cutoff=3, max_hops_per_stub=5, rng=rng_jit
             )
@@ -284,7 +284,7 @@ class TestTightCutoffEdgeCases:
     def test_cm_minimal_sequence(self):
         sequence = [1, 1, 2, 2, 1, 1]
         for tier in ("python", "jit"):
-            with use_kernels(tier):
+            with pin_tier(tier):
                 graphs = generate_cm(
                     6, degree_sequence=sequence, rng=RandomSource(seed=3)
                 )
@@ -292,7 +292,7 @@ class TestTightCutoffEdgeCases:
 
     def test_dapa_target_equals_initial_peers(self):
         for tier in ("python", "jit"):
-            with use_kernels(tier):
+            with pin_tier(tier):
                 graph = generate_dapa(
                     20, stubs=1, initial_peers=20, local_ttl=2,
                     rng=RandomSource(seed=2),
@@ -432,9 +432,9 @@ class TestSubstrateCrossTier:
     def test_graphs_and_stream_position(self, name):
         rng_python = RandomSource(seed=SEED)
         rng_jit = RandomSource(seed=SEED)
-        with use_kernels("python"):
+        with pin_tier("python"):
             graph_python = SUBSTRATE_BUILDERS[name](rng_python)
-        with use_kernels("jit"):
+        with pin_tier("jit"):
             graph_jit = SUBSTRATE_BUILDERS[name](rng_jit)
         _assert_byte_identical(graph_python, graph_jit)
         assert rng_python.random() == rng_jit.random(), (
@@ -444,12 +444,12 @@ class TestSubstrateCrossTier:
     @pytest.mark.parametrize("name", sorted(SUBSTRATE_BUILDERS))
     def test_pinned_draw_counts(self, name):
         counted = _CountingSource(SEED)
-        with use_kernels("python"):
+        with pin_tier("python"):
             SUBSTRATE_COUNTED_BUILDERS[name](counted)
         assert dict(counted.calls) == SUBSTRATE_PINNED_DRAWS[name]
         for tier in ("python", "jit"):
             rng = RandomSource(seed=SEED)
-            with use_kernels(tier):
+            with pin_tier(tier):
                 SUBSTRATE_BUILDERS[name](rng)
             assert rng.getstate() == counted.getstate(), tier
 
@@ -462,10 +462,10 @@ class TestSubstrateCrossTier:
         # substrate, freeze() hands DAPA the same CSR arrays and the same
         # node positions.
         builder = GeometricRandomNetwork(200, radius=0.15)
-        with use_kernels("python"):
+        with pin_tier("python"):
             dict_graph = builder.build(RandomSource(seed=7))
         dict_positions = dict(builder.positions)
-        with use_kernels("jit"):
+        with pin_tier("jit"):
             array_graph = builder.build(RandomSource(seed=7))
         assert builder.positions == dict_positions
         _assert_byte_identical(dict_graph, array_graph)
@@ -583,9 +583,9 @@ class TestCrossStrategyStatisticalGuard:
         # distribution guard holds trivially — pin the exact agreement on
         # the pooled distribution for a multi-seed sweep.
         for seed in range(3):
-            with use_kernels("python"):
+            with pin_tier("python"):
                 graph_python = generate_pa(400, stubs=2, hard_cutoff=20, seed=seed)
-            with use_kernels("jit"):
+            with pin_tier("jit"):
                 graph_jit = generate_pa(400, stubs=2, hard_cutoff=20, seed=seed)
             assert Counter(graph_python.degree_sequence()) == Counter(
                 graph_jit.degree_sequence()

@@ -2,41 +2,58 @@
 
 Runs on every install: without numba the kernels execute *interpreted*
 (same code the JIT compiles), so this suite pins the kernel logic itself —
-draw-order parity, batch/sequential stream identity, dispatch gating, the
-engine's per-task capture, and the CLI flag — regardless of whether the
-container has a compiler.  ``tests/test_backend_equivalence.py`` layers
-the full algorithm × generator matrix on top.
+draw-order parity, batch/sequential stream identity, the platform rule
+that picks the tier, the tier pin the other suites rely on, and the CLI
+end to end — regardless of whether the container has a compiler.
+``tests/test_backend_equivalence.py`` layers the full algorithm ×
+generator matrix on top.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.core.errors import ConfigurationError
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
+from repro.engine.executor import ParallelExecutor
+from repro.generators.hapa import generate_hapa
 from repro.generators.pa import generate_pa
 from repro.kernels import dispatch
 from repro.kernels import search as kernels
 from repro.kernels.dispatch import (
-    active_kernels,
     kernel_ready,
     kernel_self_check,
     kernel_tier,
     kernels_runtime,
-    normalize_kernels,
-    resolve_kernels,
-    use_kernels,
 )
+from repro.scenarios import get_builtin_scenario, run_scenario
+from repro.search.metrics import search_curve
 from repro.search.normalized_flooding import NormalizedFloodingSearch
 from repro.search.probabilistic_flooding import ProbabilisticFloodingSearch
 from repro.search.random_walk import RandomWalkSearch
+from repro.telemetry.collector import TelemetryCollector, use_telemetry
+from tiers import TIERS, pin_tier
+
+ROOT = Path(__file__).resolve().parents[1]
 
 #: The counter families of the single kernel gate.
 LAYERS = ["search", "generation"]
+
+
+def _tier_counters(collector):
+    """The ``kernels.<layer>.<tier>`` gate counters (fallback notes dropped)."""
+    return {
+        name: count
+        for name, count in collector.counters.items()
+        if name.startswith(("kernels.search.", "kernels.generation."))
+    }
 
 
 @pytest.fixture(scope="module")
@@ -60,25 +77,6 @@ def pa_frozen(pa_pair):
 # Dispatch semantics
 # --------------------------------------------------------------------------- #
 class TestDispatch:
-    def test_use_kernels_scopes_selection(self):
-        assert active_kernels() == "auto"
-        with use_kernels("jit"):
-            assert active_kernels() == "jit"
-            with use_kernels(None):  # None leaves the ambient choice alone
-                assert active_kernels() == "jit"
-            with use_kernels("python"):
-                assert active_kernels() == "python"
-        assert active_kernels() == "auto"
-
-    def test_normalize_rejects_unknown_mode(self):
-        assert normalize_kernels(None) == "auto"
-        assert normalize_kernels("JIT") == "jit"
-        with pytest.raises(ConfigurationError):
-            normalize_kernels("gpu")
-        with pytest.raises(ConfigurationError):
-            with use_kernels("cuda"):
-                pass  # pragma: no cover
-
     def test_self_check_passes_here(self):
         # The parity self-check must pass on every install — interpreted
         # kernels included — or the jit tier would silently lose its
@@ -86,41 +84,42 @@ class TestDispatch:
         assert kernel_self_check() is True
         assert dispatch.self_check_failure() == ""
 
-    def test_resolution_policy(self):
-        # auto -> jit only with numba; explicit jit -> kernel path (the
-        # interpreted fallback) because the self-check passes; python wins
-        # unconditionally.
-        expected_auto = "jit" if dispatch.numba_available() else "python"
-        assert kernel_tier() == expected_auto
-        assert resolve_kernels("auto") == expected_auto
-        assert resolve_kernels("python") == "python"
-        assert resolve_kernels("jit") == "jit"
-        with use_kernels("jit"):
-            assert resolve_kernels() == "jit"
+    def test_resolution_policy(self, monkeypatch):
+        # The platform picks the tier: jit only when numba imports and the
+        # self-check passes, python otherwise.
+        expected = "jit" if dispatch.numba_available() else "python"
+        assert kernel_tier() == expected
+        with pin_tier("jit"):
+            assert kernel_tier() == "jit"
             assert kernels_runtime().startswith("jit")
-        with use_kernels("python"):
-            assert resolve_kernels() == "python"
+        with pin_tier("python"):
+            assert kernel_tier() == "python"
             assert kernels_runtime() == "python"
+        # A failed self-check demotes the tier even with numba present.
+        monkeypatch.setattr(dispatch, "_TIER_WARNINGS", set())
+        monkeypatch.setattr(
+            dispatch, "_PROBE", {"self_check": False, "self_check_failure": "probe"}
+        )
+        with pin_tier("jit"), pytest.warns(RuntimeWarning, match="self-check failed"):
+            assert kernel_tier() == "python"
 
     def test_ready_only_on_the_jit_tier(self):
         for layer in LAYERS:
-            with use_kernels("jit"):
+            with pin_tier("jit"):
                 assert kernel_ready(layer) is True
-            with use_kernels("python"):
+            with pin_tier("python"):
                 assert kernel_ready(layer) is False
 
     @pytest.mark.parametrize("layer", LAYERS)
     def test_decision_counted_under_its_layer(self, layer):
-        from repro.telemetry.collector import TelemetryCollector, use_telemetry
-
         collector = TelemetryCollector()
         with use_telemetry(collector):
-            with use_kernels("jit"):
+            with pin_tier("jit"):
                 kernel_ready(layer)
-            with use_kernels("python"):
+            with pin_tier("python"):
                 kernel_ready(layer)
                 kernel_ready(layer)
-        assert collector.counters == {
+        assert _tier_counters(collector) == {
             f"kernels.{layer}.jit": 1,
             f"kernels.{layer}.python": 2,
         }
@@ -230,13 +229,12 @@ class TestBatchKernels:
         # queries=0 must fail identically on every tier: the same
         # SearchError, raised before any batch dispatch.
         from repro.core.errors import SearchError
-        from repro.search.metrics import search_curve
 
         messages = {}
-        for mode in ("python", "jit"):
-            with use_kernels(mode), pytest.raises(SearchError) as raised:
+        for tier in TIERS:
+            with pin_tier(tier), pytest.raises(SearchError) as raised:
                 search_curve(pa_frozen, RandomWalkSearch(), [1, 2, 4], queries=0, rng=3)
-            messages[mode] = str(raised.value)
+            messages[tier] = str(raised.value)
         assert messages["python"] == messages["jit"]
 
     def test_rw_batch_honours_per_query_ttls(self, pa_frozen):
@@ -256,86 +254,123 @@ class TestBatchKernels:
 
 
 # --------------------------------------------------------------------------- #
-# Engine plumbing: the mode travels with the pickled task
+# The tier pin: the kernel-gate counters say which tier actually ran
 # --------------------------------------------------------------------------- #
-class TestEngineCapture:
-    def test_search_tasks_capture_ambient_kernels(self, smoke_scale, monkeypatch):
-        from repro.scenarios.measure import RealizationSpec, averaged_search_curve
+class TestTierPin:
+    """``pin_tier`` switches the tier in process and in engine workers.
 
-        seen = []
-        build_for_measurement = RealizationSpec.build_for_measurement
+    Were the pin a no-op, every ``python``-vs-``jit`` equivalence test would
+    compare the python loops with themselves and still pass.
+    """
 
-        def spy(spec):
-            seen.append((spec.kernels, active_kernels()))
-            return build_for_measurement(spec)
-
-        monkeypatch.setattr(RealizationSpec, "build_for_measurement", spy)
-
-        def curve():
-            return averaged_search_curve(
-                "pa", smoke_scale, "capture", "fl", [1, 2], stubs=1,
-                hard_cutoff=None, exponent=3.0, tau_sub=4,
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_search_curve_runs_the_pinned_tier(self, pa_frozen, tier):
+        collector = TelemetryCollector()
+        with pin_tier(tier), use_telemetry(collector):
+            search_curve(
+                pa_frozen, NormalizedFloodingSearch(k_min=2), [1, 2, 4],
+                queries=6, rng=3,
             )
+        assert set(_tier_counters(collector)) == {f"kernels.search.{tier}"}
 
-        with use_kernels("jit"):
-            curve()
-        curve()
-        assert seen == [("jit", "jit"), ("auto", "auto")]
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_hapa_build_runs_the_pinned_tier(self, tier):
+        collector = TelemetryCollector()
+        with pin_tier(tier), use_telemetry(collector):
+            generate_hapa(60, stubs=2, hard_cutoff=6, seed=4)
+        assert _tier_counters(collector) == {f"kernels.generation.{tier}": 1}
 
-    def test_realization_spec_pickles_with_kernels(self, smoke_scale):
-        from repro.scenarios.measure import RealizationSpec
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_workers_run_the_pinned_tier(self, smoke_scale, tier, monkeypatch):
+        # realizations=2 sends every series to the pool (a one-task batch
+        # runs in process).  The spy's list lives in this process, so a
+        # decision taken in a worker never lands in it.
+        scale = replace(smoke_scale, realizations=2)
+        decided_here = []
+        resolve = dispatch.kernel_tier
 
-        spec = RealizationSpec(
-            model="pa", scale=smoke_scale, seed=3, stubs=2,
-            for_search=True, kernels="jit",
-        )
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone == spec
-        assert clone.kernels == "jit"
+        def spy():
+            decided_here.append(os.getpid())
+            return resolve()
 
-    def test_search_series_bakes_ambient_kernels_into_tasks(self, smoke_scale):
-        # The ambient mode at *task-creation* time decides what each
-        # (possibly remote) realization measures with — and jit vs python
-        # must not change a single number.
-        from repro.scenarios.measure import search_series
-
-        baseline = search_series(
-            "pa", "nf smoke", smoke_scale, "nf", stubs=2, hard_cutoff=10
-        )
-        with use_kernels("jit"):
-            jit_series = search_series(
-                "pa", "nf smoke", smoke_scale, "nf", stubs=2, hard_cutoff=10
-            )
-        assert baseline.as_dict() == jit_series.as_dict()
+        monkeypatch.setattr(dispatch, "kernel_tier", spy)
+        collector = TelemetryCollector()
+        with pin_tier(tier), use_telemetry(collector), \
+                ParallelExecutor(jobs=2) as executor:
+            run_scenario(get_builtin_scenario("fig1"), scale=scale, executor=executor)
+        assert decided_here == []
+        assert set(_tier_counters(collector)) == {f"kernels.generation.{tier}"}
 
 
 # --------------------------------------------------------------------------- #
-# CLI
+# CLI: the platform rule end to end
 # --------------------------------------------------------------------------- #
 class TestKernelsCLI:
-    def _search(self, capsys, *extra):
+    SEARCH = [
+        "search", "nf", "--model", "pa", "--nodes", "200", "--stubs", "2",
+        "--ttl", "4", "--queries", "8", "--seed", "5",
+    ]
+
+    def test_hidden_numba_runs_the_python_tier(self, capsys):
+        """With numba hidden the CLI takes the python loops, says so once,
+        and prints the curve this process prints (on a numba host: the
+        compiled tier's curve)."""
+        from repro.cli import main
+
+        assert main(self.SEARCH) == 0
+        in_process = json.loads(capsys.readouterr().out)
+        script = (
+            "import sys\n"
+            "sys.modules['numba'] = None\n"
+            "from repro.cli import main\n"
+            f"sys.exit(main({self.SEARCH!r}))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script], cwd=ROOT, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert json.loads(completed.stdout) == in_process
+        warning = "kernels: auto resolved to the python tier (numba is not installed"
+        lines = [line for line in completed.stderr.splitlines() if warning in line]
+        assert len(lines) == 1, completed.stderr
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["figure", "fig9", "--scale", "smoke"],
+            ["suite", "--scale", "smoke"],
+            ["run", "fig9", "--scale", "smoke"],
+            ["generate", "hapa", "--nodes", "60"],
+            ["search", "nf", "--nodes", "60"],
+            ["serve", "--port", "0"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_kernels_flag_is_gone(self, command, capsys):
+        """No subcommand takes a user-set tier any more.  Only the parser
+        runs, so a subcommand that still took the flag fails here instead
+        of running (``serve`` would block)."""
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args([*command, "--kernels", "jit"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --kernels jit" in capsys.readouterr().err
+
+    def test_json_telemetry_reports_the_probe_only(self, tmp_path, capsys):
+        """The ``--json`` block's kernel entry is the platform probe; no
+        requested mode is reported beside it."""
         from repro.cli import main
 
         assert main([
-            "search", "nf", "--model", "pa", "--nodes", "200", "--stubs", "2",
-            "--ttl", "4", "--queries", "8", "--seed", "5", *extra,
+            "figure", "fig9", "--scale", "smoke", "--json",
+            "--cache", str(tmp_path / "cache"),
         ]) == 0
-        return json.loads(capsys.readouterr().out)
-
-    def test_search_kernels_jit_matches_python(self, capsys):
-        reference = self._search(capsys, "--kernels", "python")
-        jit = self._search(capsys, "--kernels", "jit")
-        assert reference == jit
-
-    def test_figure_accepts_kernels_flag(self, capsys):
-        from repro.cli import main
-
-        assert main([
-            "figure", "fig9", "--scale", "smoke", "--kernels", "jit", "--json",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert main([
-            "figure", "fig9", "--scale", "smoke", "--kernels", "python", "--json",
-        ]) == 0
-        reference = json.loads(capsys.readouterr().out)
-        assert payload["result"] == reference["result"]
+        kernels_block = json.loads(capsys.readouterr().out)["telemetry"]["kernels"]
+        assert kernels_block == {"probe": dispatch.probe_status()}
+        assert kernels_block["probe"]["numba"] is dispatch.numba_available()

@@ -28,11 +28,11 @@ from oracles import nf as nf_oracle
 from oracles import pf as pf_oracle
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
-from repro.kernels.dispatch import use_kernels
 from repro.search.normalized_flooding import NormalizedFloodingSearch
 from repro.search.probabilistic_flooding import ProbabilisticFloodingSearch
 from repro.search.random_walk import RandomWalkSearch
 from repro.telemetry.collector import TelemetryCollector, use_telemetry
+from tiers import pin_tier
 
 
 class _SubclassSource(RandomSource):
@@ -111,7 +111,7 @@ def _assert_fast_matches_reference(algorithm, graph, sources, ttl, target, seed)
     rows = {node: list(graph.iter_neighbors(node)) for node in graph.nodes()}
     for subject in (graph, graph.freeze()):
         (plain, calls), (reference_rng, reference_calls) = logged_source(seed), logged_source(seed)
-        with use_kernels("python"):
+        with pin_tier("python"):
             for source in sources:
                 fast = algorithm.run(subject, source, ttl, rng=plain, target=target)
                 reference = oracle(subject, source, ttl, reference_rng, target)
@@ -167,7 +167,7 @@ class TestNormalizedFloodingFastLoop:
         for run in (search.run, partial(nf_oracle.run_nf, search)):
             collector = TelemetryCollector()
             rng = RandomSource(9)
-            with use_kernels("python"), use_telemetry(collector):
+            with pin_tier("python"), use_telemetry(collector):
                 for source in (0, 5, 89, 90):  # 90 is isolated
                     run(graph, source, 6, rng)
             histograms.append(collector.histograms["search.frontier"])
@@ -195,7 +195,7 @@ class TestProbabilisticFloodingFastLoop:
     def test_certain_forwarding_draws_nothing(self):
         graph = _build_graph(60, 12, 40, 0, False, seed=2)
         rng = RandomSource(3)
-        with use_kernels("python"):
+        with pin_tier("python"):
             ProbabilisticFloodingSearch(1.0).run(graph, 0, 5, rng=rng)
         assert rng.random() == RandomSource(3).random()
 
@@ -248,7 +248,7 @@ class TestDispatch:
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(RandomWalkSearch, name, spy)
-        with use_kernels("python"):
+        with pin_tier("python"):
             algorithm.run(graph, 0, 4, rng=RandomSource(1))
             algorithm.run(graph, 0, 4, rng=_SubclassSource(1))
         assert taken == [loop, loop]
@@ -272,7 +272,7 @@ class TestDispatch:
         for tier in ("python", "jit"):
             for subject in (graph, graph.freeze()):
                 plain, counted = RandomSource(7), _CountingSource(7)
-                with use_kernels(tier):
+                with pin_tier(tier):
                     for source in (0, 3, 40):  # 40 is isolated
                         expected = algorithm.run(subject, source, 5, rng=plain)
                         result = algorithm.run(subject, source, 5, rng=counted)
