@@ -15,10 +15,7 @@ Every benchmark module regenerates one paper artefact (a built-in
 The scale is selected with the ``REPRO_BENCH_SCALE`` environment variable
 (``smoke``, ``small`` — default, or ``paper``) and the worker-process count
 for realization tasks with ``REPRO_JOBS`` (default 1 = serial; parallel runs
-produce numerically identical results, see :mod:`repro.engine`).  The
-kernel tier is the platform's (:func:`repro.kernels.kernel_tier`: ``jit``
-with numba, ``python`` without; results are byte-identical across tiers)
-and is recorded with each result.
+produce numerically identical results, see :mod:`repro.engine`).
 
 Every test collected from this directory is marked ``bench`` (registered in
 ``pytest.ini``), so ``pytest -m "not bench"`` skips the benchmark tier.
@@ -34,7 +31,6 @@ import pytest
 from repro.engine.executor import Executor, executor_from_jobs
 from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import ExperimentScale
-from repro.kernels import kernel_tier
 from repro.scenarios import get_builtin_scenario, run_scenario
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -125,7 +121,6 @@ def run_figure_benchmark(benchmark, experiment_id: str, scale: ExperimentScale) 
     benchmark.extra_info["experiment"] = experiment_id
     benchmark.extra_info["scale"] = scale.name
     benchmark.extra_info["jobs"] = executor.jobs
-    benchmark.extra_info["kernels"] = kernel_tier()
     benchmark.extra_info["series"] = {
         series.label: round(float(series.final()), 4) for series in result.series
     }

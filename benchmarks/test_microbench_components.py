@@ -38,7 +38,6 @@ from repro.search.metrics import search_curve, select_sources
 from repro.search.normalized_flooding import NormalizedFloodingSearch, normalized_flood
 from repro.search.probabilistic_flooding import ProbabilisticFloodingSearch
 from repro.search.random_walk import RandomWalkSearch, random_walk
-from tiers import pin_tier
 
 NODES = 2000
 
@@ -172,8 +171,8 @@ class TestBackendBenchmarks:
         assert result.hits > 0
 
 
-class TestPythonTierFastLoopBenchmarks:
-    """The python tier's loops against the oracles in ``tests/oracles/``.
+class TestFastLoopBenchmarks:
+    """The shipped loops against the oracles in ``tests/oracles/``.
 
     HAPA's ``_build_fast`` and the NF and single-walker RW ``_run_fast``
     loops are timed through their public entry points (``generate``,
@@ -186,7 +185,6 @@ class TestPythonTierFastLoopBenchmarks:
     same results and stay a multiple faster (HAPA 7.2-8.7x measured at
     N = 420, 800 and 1500; DAPA 2.7-3.2x at the artefact-generation
     shape; PA and CM about 3.5x and 1.8x at the artefact-search shape).
-    Needs no numba, so it runs on every host.
     """
 
     def test_hapa_fast_loop_speedup_at_least_2_5x(self):
@@ -196,8 +194,7 @@ class TestPythonTierFastLoopBenchmarks:
             return hapa_oracle.build_reference(generator, RandomSource(seed=7))
 
         def fast():
-            with pin_tier("python"):
-                result = generator.generate(RandomSource(seed=7))
+            result = generator.generate(RandomSource(seed=7))
             return result.graph, result.metadata
 
         # Identity first: same graph, neighbor order included, same counters.
@@ -216,7 +213,7 @@ class TestPythonTierFastLoopBenchmarks:
             fast_seconds = min(fast_seconds, _best_of(1, fast))
         speedup = reference_seconds / fast_seconds
         assert speedup >= 2.5, (
-            f"python-tier HAPA fast loop speedup regressed: {speedup:.2f}x "
+            f"HAPA fast loop speedup regressed: {speedup:.2f}x "
             f"(reference {reference_seconds * 1e3:.1f} ms, "
             f"fast {fast_seconds * 1e3:.1f} ms)"
         )
@@ -237,16 +234,15 @@ class TestPythonTierFastLoopBenchmarks:
             run_nf, run_pf, run_rw = loops
             nf_rng, pf_rng, budget_rng, rw_rng = (RandomSource(seed) for seed in range(4))
             curves = []
-            with pin_tier("python"):
-                for source in sources:
-                    for result in (
-                        run_nf(graph, source, 10, nf_rng, None),
-                        run_pf(graph, source, 10, pf_rng, None),
-                    ):
-                        curves.append((result.hits_per_ttl, result.messages_per_ttl))
-                    budget = max(1, run_nf(graph, source, 10, budget_rng, None).messages)
-                    walk = run_rw(graph, source, budget, rw_rng, None)
-                    curves.append((walk.hits_per_ttl, walk.messages_per_ttl))
+            for source in sources:
+                for result in (
+                    run_nf(graph, source, 10, nf_rng, None),
+                    run_pf(graph, source, 10, pf_rng, None),
+                ):
+                    curves.append((result.hits_per_ttl, result.messages_per_ttl))
+                budget = max(1, run_nf(graph, source, 10, budget_rng, None).messages)
+                walk = run_rw(graph, source, budget, rw_rng, None)
+                curves.append((walk.hits_per_ttl, walk.messages_per_ttl))
             next_draws = [rng.random() for rng in (nf_rng, pf_rng, budget_rng, rw_rng)]
             return curves, next_draws
 
@@ -260,7 +256,7 @@ class TestPythonTierFastLoopBenchmarks:
             fast_seconds = min(fast_seconds, _best_of(1, lambda: batch(shipped)))
         speedup = reference_seconds / fast_seconds
         assert speedup >= 1.4, (
-            f"python-tier NF+PF+RW fast loop speedup regressed: {speedup:.2f}x "
+            f"NF+PF+RW fast loop speedup regressed: {speedup:.2f}x "
             f"(reference {reference_seconds * 1e3:.1f} ms, "
             f"fast {fast_seconds * 1e3:.1f} ms)"
         )
@@ -276,8 +272,7 @@ class TestPythonTierFastLoopBenchmarks:
 
         def build(builder):
             rng = RandomSource(seed=7)
-            with pin_tier("python"):
-                overlay, metadata = builder(rng)
+            overlay, metadata = builder(rng)
             return overlay, metadata, rng.random()
 
         def oracle():
@@ -306,7 +301,7 @@ class TestPythonTierFastLoopBenchmarks:
             shipped_seconds = min(shipped_seconds, _best_of(1, shipped))
         speedup = oracle_seconds / shipped_seconds
         assert speedup >= 1.5, (
-            f"python-tier DAPA draw-free phases speedup regressed: {speedup:.2f}x "
+            f"DAPA draw-free phases speedup regressed: {speedup:.2f}x "
             f"(oracle {oracle_seconds * 1e3:.1f} ms, "
             f"shipped {shipped_seconds * 1e3:.1f} ms)"
         )
@@ -318,10 +313,9 @@ class TestPythonTierFastLoopBenchmarks:
 
         def build(builder):
             rng = RandomSource(seed=7)
-            with pin_tier("python"):
-                graph, metadata = builder(rng)
-                frozen = graph.freeze()
-                frozen.iter_neighbors(0)
+            graph, metadata = builder(rng)
+            frozen = graph.freeze()
+            frozen.iter_neighbors(0)
             return frozen, metadata, rng.random()
 
         def generate(rng):
@@ -356,7 +350,7 @@ class TestPythonTierFastLoopBenchmarks:
             generator, pa_oracle.build_pa
         )
         assert speedup >= 2.0, (
-            f"python-tier PA roulette build speedup regressed: {speedup:.2f}x "
+            f"PA roulette build speedup regressed: {speedup:.2f}x "
             f"(oracle {oracle_seconds * 1e3:.1f} ms, "
             f"shipped {shipped_seconds * 1e3:.1f} ms)"
         )
@@ -370,201 +364,7 @@ class TestPythonTierFastLoopBenchmarks:
             generator, cm_oracle.build_cm
         )
         assert speedup >= 1.4, (
-            f"python-tier CM stub matching speedup regressed: {speedup:.2f}x "
+            f"CM stub matching speedup regressed: {speedup:.2f}x "
             f"(oracle {oracle_seconds * 1e3:.1f} ms, "
             f"shipped {shipped_seconds * 1e3:.1f} ms)"
-        )
-
-
-class TestKernelTierBenchmarks:
-    """python vs. jit kernel tier on fig11-scale stochastic curves.
-
-    The jit tier exists to deliver an integer multiple on the NF/PF/RW
-    loops the CSR backend could not vectorize (RNG-stream parity pins them
-    to sequential draws); these tests assert its >= 3x floor so a kernel
-    or dispatch regression fails the suite instead of passing silently.
-    Skipped (not failed) when numba is absent: the interpreted kernels a
-    test can pin are correctness-equivalent but intentionally unoptimized.
-    """
-
-    QUERIES = 60
-    NF_TTLS = list(range(2, 11, 2))
-    RW_TTLS = list(range(2, 11, 2))
-
-    @pytest.fixture(autouse=True)
-    def _require_compiled_kernels(self):
-        from repro.kernels import kernel_tier
-
-        if kernel_tier() != "jit":
-            pytest.skip("numba not installed: jit kernel tier unavailable")
-
-    def _nf_curve(self, graph, tier):
-        from repro.search.metrics import search_curve
-        from repro.search.normalized_flooding import NormalizedFloodingSearch
-
-        with pin_tier(tier):
-            return search_curve(
-                graph,
-                NormalizedFloodingSearch(k_min=2),
-                self.NF_TTLS,
-                queries=self.QUERIES,
-                rng=5,
-            )
-
-    def _rw_curve(self, graph, tier):
-        from repro.search.metrics import normalized_walk_curve
-
-        with pin_tier(tier):
-            return normalized_walk_curve(
-                graph, self.RW_TTLS, k_min=2, queries=self.QUERIES, rng=7
-            )
-
-    def test_nf_jit_speedup_at_least_3x(self, fig9_frozen):
-        # Warm-up (and correctness gate): jit must equal python exactly.
-        python_curve = self._nf_curve(fig9_frozen, "python")
-        jit_curve = self._nf_curve(fig9_frozen, "jit")
-        assert python_curve.as_dict() == jit_curve.as_dict()
-
-        python_seconds = _best_of(3, lambda: self._nf_curve(fig9_frozen, "python"))
-        jit_seconds = _best_of(3, lambda: self._nf_curve(fig9_frozen, "jit"))
-        speedup = python_seconds / jit_seconds
-        assert speedup >= 3.0, (
-            f"jit NF speedup regressed: {speedup:.2f}x "
-            f"(python {python_seconds * 1e3:.1f} ms, jit {jit_seconds * 1e3:.1f} ms)"
-        )
-
-    def test_rw_jit_speedup_at_least_3x(self, fig9_frozen):
-        python_curve = self._rw_curve(fig9_frozen, "python")
-        jit_curve = self._rw_curve(fig9_frozen, "jit")
-        assert python_curve.as_dict() == jit_curve.as_dict()
-
-        python_seconds = _best_of(3, lambda: self._rw_curve(fig9_frozen, "python"))
-        jit_seconds = _best_of(3, lambda: self._rw_curve(fig9_frozen, "jit"))
-        speedup = python_seconds / jit_seconds
-        assert speedup >= 3.0, (
-            f"jit RW speedup regressed: {speedup:.2f}x "
-            f"(python {python_seconds * 1e3:.1f} ms, jit {jit_seconds * 1e3:.1f} ms)"
-        )
-
-
-class TestGeneratorKernelBenchmarks:
-    """python vs. jit kernel tier on fig1-scale topology construction.
-
-    PR 4 made the search loops an integer multiple faster, which left
-    *generation* as the dominant per-realization cost at paper scale; the
-    generator kernels exist to close that gap.  As with the search floors,
-    the bar is >= 3x on the PA roulette build (the paper's Fig. 1
-    workhorse), asserted so a kernel or dispatch regression fails the
-    suite instead of passing silently.  Skipped without numba: the
-    interpreted kernels a test can pin are correctness-equivalent but
-    intentionally unoptimized.
-    """
-
-    # Fig. 1 builds 10^5-node PA topologies; 2 * 10^4 keeps the python
-    # reference timing CI-friendly while staying generation-dominated.
-    FIG1_NODES = 20_000
-    STUBS = 2
-    CUTOFF = 100
-
-    @pytest.fixture(autouse=True)
-    def _require_compiled_kernels(self):
-        from repro.kernels import kernel_tier
-
-        if kernel_tier() != "jit":
-            pytest.skip("numba not installed: jit kernel tier unavailable")
-
-    def _build(self, tier, seed=7):
-
-        with pin_tier(tier):
-            return generate_pa(
-                self.FIG1_NODES, stubs=self.STUBS, hard_cutoff=self.CUTOFF,
-                seed=seed,
-            )
-
-    def test_pa_generation_jit_speedup_at_least_3x(self):
-        # Warm-up (and correctness gate): jit must equal python exactly.
-        python_graph = self._build("python")
-        jit_graph = self._build("jit")
-        assert python_graph == jit_graph
-
-        python_seconds = _best_of(3, lambda: self._build("python"))
-        jit_seconds = _best_of(3, lambda: self._build("jit"))
-        speedup = python_seconds / jit_seconds
-        assert speedup >= 3.0, (
-            f"jit PA generation speedup regressed: {speedup:.2f}x "
-            f"(python {python_seconds * 1e3:.1f} ms, "
-            f"jit {jit_seconds * 1e3:.1f} ms)"
-        )
-
-    def test_attempt_pa_generation_jit_speedup_at_least_3x(self):
-        # The paper-literal attempt strategy is rejection-heavy (two draws
-        # per attempt), which makes its Python loop the slowest build per
-        # node of all the families — and the kernel win correspondingly
-        # large.  Same >= 3x bar as the roulette build.
-
-        def build(tier):
-            with pin_tier(tier):
-                return generate_pa(
-                    4_000, stubs=self.STUBS, hard_cutoff=self.CUTOFF,
-                    seed=7, strategy="attempt",
-                )
-
-        python_graph = build("python")
-        jit_graph = build("jit")
-        assert python_graph == jit_graph
-
-        python_seconds = _best_of(3, lambda: build("python"))
-        jit_seconds = _best_of(3, lambda: build("jit"))
-        speedup = python_seconds / jit_seconds
-        assert speedup >= 3.0, (
-            f"jit attempt-PA generation speedup regressed: {speedup:.2f}x "
-            f"(python {python_seconds * 1e3:.1f} ms, "
-            f"jit {jit_seconds * 1e3:.1f} ms)"
-        )
-
-    def test_grn_substrate_build_jit_speedup_at_least_3x(self):
-        # The substrate build a jit DAPA realization runs before its
-        # overlay can grow: the array path must beat the dict-based cell
-        # sweep by the same >= 3x the other kernels deliver.
-        from repro.substrate.grn import generate_grn
-
-        def build(tier, seed=7):
-            with pin_tier(tier):
-                return generate_grn(
-                    20_000, target_mean_degree=10.0, torus=True, seed=seed
-                )
-
-        python_graph = build("python")
-        jit_graph = build("jit")
-        assert python_graph == jit_graph
-
-        python_seconds = _best_of(3, lambda: build("python"))
-        jit_seconds = _best_of(3, lambda: build("jit"))
-        speedup = python_seconds / jit_seconds
-        assert speedup >= 3.0, (
-            f"jit GRN substrate build speedup regressed: {speedup:.2f}x "
-            f"(python {python_seconds * 1e3:.1f} ms, "
-            f"jit {jit_seconds * 1e3:.1f} ms)"
-        )
-
-    def test_cm_generation_jit_matches_and_does_not_regress(self):
-
-        def build(tier):
-            with pin_tier(tier):
-                return generate_cm(
-                    self.FIG1_NODES, exponent=2.5, min_degree=2,
-                    hard_cutoff=100, seed=7,
-                )
-
-        python_graph = build("python")
-        jit_graph = build("jit")
-        assert python_graph == jit_graph
-        # CM is shuffle-bound, so the jit win is smaller than the growth
-        # models'; the guard is a generous regression canary (not a floor)
-        # to stay robust against noisy shared CI runners.
-        python_seconds = _best_of(3, lambda: build("python"))
-        jit_seconds = _best_of(3, lambda: build("jit"))
-        assert jit_seconds <= python_seconds * 2.0, (
-            f"jit CM generation regressed badly vs python: "
-            f"{python_seconds * 1e3:.1f} ms -> {jit_seconds * 1e3:.1f} ms"
         )

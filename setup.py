@@ -9,8 +9,6 @@ Install targets:
 
 * ``pip install .`` — core library + ``repro`` CLI (numpy only);
 * ``pip install .[scipy]`` — SciPy-accelerated batched flood kernel;
-* ``pip install .[fast]`` — numba, enabling the compiled ``jit`` kernel
-  tier for the stochastic search loops (identical results, much faster);
 * ``pip install .[dev]`` — the test/benchmark/lint toolchain (pytest,
   hypothesis, ruff, mypy; ``repro lint`` itself is stdlib-only) and
   networkx, the reference the tests check the graph and analysis code
@@ -18,8 +16,7 @@ Install targets:
   import networkx on first use and raise ``ModuleNotFoundError`` without it.
 
 Everything optional degrades gracefully: without scipy the CSR flood
-kernel falls back to pure NumPy, without numba the ``jit`` kernel tier
-falls back to the Python loops (see README "Kernel tiers").
+kernel falls back to pure NumPy.
 """
 
 import os.path
@@ -54,7 +51,6 @@ setup(
     ],
     extras_require={
         "scipy": ["scipy>=1.8"],
-        "fast": ["numba>=0.56"],
         "dev": [
             "pytest>=7",
             "pytest-benchmark>=4",

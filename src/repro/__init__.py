@@ -11,7 +11,7 @@ The library is organised in layers:
 * :mod:`repro.core` — graph data structure, seedable randomness, validated
   configuration objects, error hierarchy;
 * :mod:`repro.substrate` — underlay network models (geometric random network,
-  mesh, Erdős–Rényi) used by DAPA;
+  mesh) used by DAPA;
 * :mod:`repro.generators` — the four overlay-construction mechanisms the
   paper studies: PA, CM, HAPA, DAPA, all with hard-cutoff support;
 * :mod:`repro.search` — flooding, normalized flooding, and random-walk search
@@ -96,10 +96,8 @@ from repro.search import (
 )
 from repro.scenarios import ScenarioSpec, run_scenario
 from repro.substrate import (
-    ErdosRenyiNetwork,
     GeometricRandomNetwork,
     MeshNetwork,
-    generate_erdos_renyi,
     generate_grn,
     generate_mesh,
 )
@@ -130,10 +128,8 @@ __all__ = [
     "generate_pa",
     "power_law_degree_sequence",
     # substrate
-    "ErdosRenyiNetwork",
     "GeometricRandomNetwork",
     "MeshNetwork",
-    "generate_erdos_renyi",
     "generate_grn",
     "generate_mesh",
     # search

@@ -15,8 +15,6 @@ topology:
   in §III).
 """
 
-from repro.analysis.assortativity import degree_assortativity
-from repro.analysis.clustering import average_clustering, local_clustering, transitivity
 from repro.analysis.components import (
     connected_components,
     giant_component,
@@ -52,11 +50,9 @@ __all__ = [
     "PowerLawFit",
     "RemovalResult",
     "attack_robustness",
-    "average_clustering",
     "average_shortest_path_length",
     "ccdf",
     "connected_components",
-    "degree_assortativity",
     "degree_distribution",
     "degree_histogram",
     "diameter",
@@ -68,11 +64,9 @@ __all__ = [
     "giant_component",
     "giant_component_fraction",
     "is_connected",
-    "local_clustering",
     "log_binned_distribution",
     "natural_cutoff_aiello",
     "natural_cutoff_dorogovtsev",
     "natural_cutoff_pa",
     "path_length_statistics",
-    "transitivity",
 ]

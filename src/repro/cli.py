@@ -35,9 +35,9 @@ Subcommands
     result store, identical in-flight specs are deduplicated, and progress
     streams as NDJSON (see :mod:`repro.serve`).
 ``repro lint src/ --json --select RPL1``
-    Run the AST invariant checker (draw-order, kernel purity, pool
-    contracts, ambient discipline; see :mod:`repro.staticcheck`) — the CI
-    lint gate.  ``--list-rules`` prints the rule catalogue.
+    Run the AST invariant checker (draw-order, pool contracts, ambient
+    discipline; see :mod:`repro.staticcheck`) — the CI lint gate.
+    ``--list-rules`` prints the rule catalogue.
 
 Every run-style subcommand (``figure``/``suite``/``run``/``generate``/
 ``search``) also takes ``--trace <out.json>`` (write a schema-versioned
@@ -57,7 +57,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro._version import __version__
 from repro.analysis.powerlaw import fit_power_law
@@ -294,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     # lint
     lint = subparsers.add_parser(
         "lint",
-        help="run the repro invariant checker (RPL draw-order / kernel "
-             "purity / pool-contract / ambient-discipline rules)",
+        help="run the repro invariant checker (RPL draw-order / "
+             "pool-contract / ambient-discipline rules)",
     )
     lint.add_argument("paths", nargs="*", type=Path, default=[Path("src")],
                       metavar="PATH",
@@ -385,16 +385,12 @@ def _telemetry_report(
     """Write ``--trace``, print ``--metrics``, and return the ``--json`` block.
 
     The block is always present in run-style JSON payloads so consumers can
-    rely on its shape; with telemetry disabled it carries only the wall time,
-    the kernel provenance (cached probe state — reading it never triggers a
-    compile), and the cache counters.
+    rely on its shape; with telemetry disabled it carries only the wall time
+    and the cache counters.
     """
-    from repro.kernels.dispatch import probe_status
-
     block: dict = {
         "enabled": collector is not None,
         "wall_seconds": wall_seconds,
-        "kernels": {"probe": probe_status()},
         "cache": store.stats() if store is not None else None,
     }
     if collector is None:

@@ -218,7 +218,7 @@ class CSRGraph:
         """Assemble a frozen graph directly from ordered edge arrays.
 
         ``edge_u``/``edge_v`` hold row endpoints in edge-insertion order
-        (the generator kernels emit exactly this); ``ids`` optionally maps
+        (the bulk builds emit exactly this); ``ids`` optionally maps
         rows to node ids for non-dense graphs (e.g. DAPA overlays, whose
         peers keep their substrate ids).  The result is byte-identical to
         building a mutable :class:`~repro.core.graph.Graph` edge by edge

@@ -450,15 +450,14 @@ class Graph:
         added them; the resulting per-node neighbor lists — the library's
         defined draw order — are identical to ``add_edge``-ing each pair in
         sequence.  With ``edges_are_rows`` the endpoints are positions into
-        the node sequence instead of ids — the generator kernels emit rows
-        directly, which skips the id-to-row translation loop for non-dense
-        graphs.  Edges must be simple: self-loops and duplicates raise
-        :class:`~repro.core.errors.GraphError`.
+        the node sequence instead of ids — DAPA's growth loop emits overlay
+        positions directly, which skips the id-to-row translation loop for
+        non-dense graphs.  Edges must be simple: self-loops and duplicates
+        raise :class:`~repro.core.errors.GraphError`.
 
         This is the ingestion path for every bulk build (PA, CM, HAPA,
-        DAPA, the GRN and mesh substrates, and the kernels of
-        :mod:`repro.kernels`): they emit edge arrays, and this constructor
-        checks them and assembles only the frozen
+        DAPA, the GRN and mesh substrates): they emit edge arrays, and this
+        constructor checks them and assembles only the frozen
         :class:`~repro.core.csr.CSRGraph` snapshot, in a handful of
         vectorized operations.  The measurement phase's
         ``freeze()`` returns that snapshot for free, and the mutable views

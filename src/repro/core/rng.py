@@ -40,19 +40,17 @@ DEFAULT_SEED = 20070611  # arXiv submission date of the paper: cs/0611128.
 class RandomSource:
     """A seedable source of randomness with the primitives the paper uses.
 
-    The inlined-draw algorithm loops (see :func:`raw_stream`) and the
-    kernels draw from the underlying twister directly, not through the
-    methods below, so a subclass that overrides a draw method does not
-    change what they draw, and a counting subclass sees only the calls
-    made through its methods.
+    The inlined-draw algorithm loops (see :func:`raw_stream`) draw from
+    the underlying twister directly, not through the methods below, so a
+    subclass that overrides a draw method does not change what they draw,
+    and a counting subclass sees only the calls made through its methods.
 
     A subclass may observe draws (count them, log them) but must return
-    the values this class returns.  The kernels splice the twister past
-    every override, while the python tier still calls the methods in
-    multi-walker RW, PA's attempt strategy, nonlinear PA, DAPA's seed
-    sample and the ``choice``/``weighted_index`` fallbacks; a subclass
-    that changes values therefore gets different results on different
-    kernel tiers.
+    the values this class returns.  The inlined loops read the twister
+    past every override, while multi-walker RW, PA's attempt strategy,
+    nonlinear PA, DAPA's seed sample and the ``choice``/``weighted_index``
+    fallbacks still call the methods; a subclass that changes values
+    therefore gets builds that mix its values with the twister's.
 
     Parameters
     ----------
@@ -148,7 +146,7 @@ class RandomSource:
         return len(weights) - 1
 
     # ------------------------------------------------------------------ #
-    # Stream-position export/import (the kernel tier's splice points)
+    # Stream position
     # ------------------------------------------------------------------ #
     def getstate(self) -> Tuple[Any, ...]:
         """Return the underlying generator state (see :meth:`random.Random.getstate`)."""
@@ -157,29 +155,6 @@ class RandomSource:
     def setstate(self, state: Tuple[Any, ...]) -> None:
         """Restore a state captured with :meth:`getstate`."""
         self._random.setstate(state)
-
-    def export_mt_state(self) -> np.ndarray:
-        """Export the Mersenne-Twister stream position as an ``int64[625]`` array.
-
-        The layout (624 key words + the position index) is what the
-        compiled kernels in :mod:`repro.kernels` mutate in place; pair
-        with :meth:`import_mt_state` to hand the advanced stream back so
-        everything drawn afterwards continues from exactly where a
-        pure-Python consumer would have left it.
-        """
-        _version, internal, _gauss_next = self._random.getstate()
-        return np.array(internal, dtype=np.int64)
-
-    def import_mt_state(self, state: "np.ndarray") -> None:
-        """Adopt a stream position exported with :meth:`export_mt_state`.
-
-        Only the Mersenne-Twister words and position are replaced; the
-        Gaussian-pair cache is preserved (the kernels never draw from it).
-        """
-        version, _internal, gauss_next = self._random.getstate()
-        self._random.setstate(
-            (version, tuple(int(word) for word in state), gauss_next)
-        )
 
     # ------------------------------------------------------------------ #
     # Derived sources
@@ -209,8 +184,8 @@ def raw_stream(rng: RandomSource) -> random.Random:
     The algorithm loops that inline CPython's draws (HAPA, PA's roulette,
     CM's shuffle, DAPA's join picks and attach step, the GRN substrate's
     positions, NF, PF and single-walker RW) call this twister directly,
-    and the kernels splice its state, for every source: overriding a draw
-    method of a subclass does not change what they draw.
+    for every source: overriding a draw method of a subclass does not
+    change what they draw.
     """
     return rng._random
 

@@ -147,8 +147,7 @@ def run_suite(
     experiment's realization tasks fan out across the shared ``executor``;
     with a :class:`~repro.engine.store.ResultStore` attached, previously
     completed experiments are served from cache, which makes an interrupted
-    suite resumable.  The kernel tier is the platform's
-    (:func:`repro.kernels.kernel_tier`); results are identical on either.
+    suite resumable.
 
     Parameters
     ----------

@@ -36,7 +36,6 @@ from repro.core.graph import Graph
 from repro.core.rng import RandomSource, raw_stream
 from repro.generators.base import TopologyGenerator
 from repro.generators.degree_sequence import power_law_degree_sequence
-from repro.kernels.dispatch import kernel_ready
 
 __all__ = ["ConfigurationModelGenerator", "generate_cm"]
 
@@ -135,16 +134,9 @@ class ConfigurationModelGenerator(TopologyGenerator):
     def _build(self, rng: RandomSource) -> Tuple[Graph, Dict[str, Any]]:
         sequence = self._resolve_degree_sequence(rng)
         if self.partner_selection == "stub_matching":
-            if kernel_ready("generation"):
-                from repro.kernels.generators import cm_stub_matching_build
-
-                graph, removed_self_loops, removed_multi_edges = (
-                    cm_stub_matching_build(sequence, rng)
-                )
-            else:
-                graph, removed_self_loops, removed_multi_edges = (
-                    self._stub_matching(sequence, rng)
-                )
+            graph, removed_self_loops, removed_multi_edges = self._stub_matching(
+                sequence, rng
+            )
         else:
             graph, removed_self_loops, removed_multi_edges = self._uniform_matching(
                 sequence, rng

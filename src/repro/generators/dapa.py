@@ -35,7 +35,6 @@ from repro.core.errors import ConfigurationError, GenerationError
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource, raw_stream
 from repro.generators.base import TopologyGenerator
-from repro.kernels.dispatch import kernel_ready
 from repro.substrate.grn import GeometricRandomNetwork
 from repro.substrate.mesh import MeshNetwork
 from repro.telemetry.collector import active_telemetry
@@ -165,17 +164,12 @@ class DAPAGenerator(TopologyGenerator):
             raise GenerationError(
                 "substrate has fewer nodes than the requested overlay size"
             )
-        if kernel_ready("generation"):
-            from repro.kernels.generators import dapa_build
-
-            return dapa_build(self.config, substrate, rng)
         return self._grow_overlay(substrate, rng)
 
     def _grow_overlay(
         self, substrate: Graph, rng: RandomSource
     ) -> Tuple[Graph, Dict[str, Any]]:
-        """The python-tier growth loop (no kernel dispatch: the parity
-        self-check replays it against the kernel tier).
+        """The growth loop.
 
         The horizon BFS runs on substrate *rows* (positions in
         ``substrate.nodes()``): per-row neighbor lists are built once, and
@@ -189,8 +183,7 @@ class DAPAGenerator(TopologyGenerator):
         come from a method, ``rng.sample``.  The overlay is built once, at
         the end: the peers' ids in join order and the edges as overlay
         positions, seed clique first and then each join's links in the
-        order it chose them, go to :meth:`Graph.from_edge_array`, the way
-        the kernel tier's ``dapa_build`` hands them over.
+        order it chose them, go to :meth:`Graph.from_edge_array`.
         """
         config = self.config
         stream = raw_stream(rng)

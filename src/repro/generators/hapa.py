@@ -30,7 +30,6 @@ from repro.core.errors import ConfigurationError
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource, raw_stream
 from repro.generators.base import TopologyGenerator
-from repro.kernels.dispatch import kernel_ready
 
 __all__ = ["HAPAGenerator", "generate_hapa"]
 
@@ -115,10 +114,6 @@ class HAPAGenerator(TopologyGenerator):
         }
 
     def _build(self, rng: RandomSource) -> Tuple[Graph, Dict[str, Any]]:
-        if kernel_ready("generation"):
-            from repro.kernels.generators import hapa_build
-
-            return hapa_build(self.config, rng)
         return self._build_fast(raw_stream(rng), rng)
 
     def _build_fast(

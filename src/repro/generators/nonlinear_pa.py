@@ -29,7 +29,6 @@ from repro.core.errors import ConfigurationError, GenerationError
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
 from repro.generators.base import TopologyGenerator
-from repro.kernels.dispatch import kernel_ready
 
 __all__ = ["NonlinearPreferentialAttachmentGenerator", "generate_nonlinear_pa"]
 
@@ -113,12 +112,7 @@ class NonlinearPreferentialAttachmentGenerator(TopologyGenerator):
         }
 
     def _build(self, rng: RandomSource) -> Tuple[Graph, Dict[str, Any]]:
-        if kernel_ready("generation"):
-            from repro.kernels.generators import nlpa_build
-
-            graph, metadata = nlpa_build(self.config, self.exponent_alpha, rng)
-        else:
-            graph, metadata = self._build_reference(rng)
+        graph, metadata = self._build_reference(rng)
         minimum = self.config.stubs
         metadata["min_degree_violations"] = sum(
             1 for degree in graph.degree_sequence() if degree < minimum

@@ -16,9 +16,7 @@ Two selection strategies are provided:
     uniform random existing node and accept it with probability
     ``k_node / k_total`` if it is not yet a neighbor and is below the cutoff.
     Faithful but O(N) expected attempts per stub — use it for small networks
-    and for validating the fast strategy.  Under the ``jit`` kernel tier the
-    loop runs compiled (:func:`repro.kernels.generators.pa_attempt_build`),
-    draw-identical to the Python body.
+    and for validating the fast strategy.
 
 ``"roulette"`` (default)
     Degree-proportional selection via a stub list (each node appears once per
@@ -39,7 +37,6 @@ from repro.core.errors import ConfigurationError, GenerationError
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource, raw_stream
 from repro.generators.base import TopologyGenerator
-from repro.kernels.dispatch import kernel_ready
 
 __all__ = ["PreferentialAttachmentGenerator", "generate_pa"]
 
@@ -138,19 +135,9 @@ class PreferentialAttachmentGenerator(TopologyGenerator):
 
     def _build(self, rng: RandomSource) -> Tuple[Graph, Dict[str, Any]]:
         if self.strategy == "roulette":
-            if kernel_ready("generation"):
-                from repro.kernels.generators import pa_roulette_build
-
-                graph, metadata = pa_roulette_build(self.config, rng)
-            else:
-                graph, metadata = self._build_roulette(rng)
+            graph, metadata = self._build_roulette(rng)
         else:
-            if kernel_ready("generation"):
-                from repro.kernels.generators import pa_attempt_build
-
-                graph, metadata = pa_attempt_build(self.config, rng)
-            else:
-                graph, metadata = self._build_attempt(rng)
+            graph, metadata = self._build_attempt(rng)
         minimum = self.config.stubs
         metadata["min_degree_violations"] = sum(
             1 for degree in graph.degree_sequence() if degree < minimum

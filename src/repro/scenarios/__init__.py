@@ -15,7 +15,7 @@ search algorithm × TTL — is exposed here as a serializable grammar:
 * :mod:`repro.scenarios.compile` — the compiler
   (:func:`compile_scenario` → :class:`SeriesPlan` list) and the runtime
   (:func:`run_scenario` / :func:`run_scenario_cached`, with executor,
-  result-store, and kernels options).
+  result-store, and progress options).
 
 Every built-in figure, table, and ablation is itself a
 :class:`ScenarioSpec` (see :func:`builtin_scenarios`, the one registry of

@@ -14,9 +14,6 @@ Determinism contract — identical to the pre-scenario figure harness:
   canonical algorithm name into the label, ``f"{algorithm}:{label}"``);
 * tasks fan out through the ambient executor and come back in submission
   order, so parallel runs are byte-identical to serial ones;
-* every process, engine workers included, resolves the same kernel tier
-  from the same platform (:func:`repro.kernels.dispatch.kernel_tier`), so
-  nothing about the tier travels with a task;
 * every search realization is measured on its frozen
   :class:`~repro.core.csr.CSRGraph` snapshot, which searches
   byte-identically to the mutable :class:`~repro.core.graph.Graph`.
@@ -177,8 +174,8 @@ class RealizationSpec:
     def build_for_measurement(self) -> CSRGraph:
         """Build the topology and freeze it: generate mutable, search frozen.
 
-        Every model here is bulk-built on both tiers (PA, CM, HAPA and
-        DAPA hand ordered edge arrays to ``Graph.from_edge_array``), so the
+        Every model here is bulk-built (PA, CM, HAPA and DAPA hand
+        ordered edge arrays to ``Graph.from_edge_array``), so the
         graph carries its CSR arrays already and its freeze is free; an
         ``add_edge``-built graph would be snapshotted in one pass.  The
         ``freeze`` span's attributes say which: ``nodes``, ``edges`` and

@@ -28,11 +28,9 @@ from repro.core.graph import Graph
 from repro.core.rng import RandomSource, ensure_source
 from repro.telemetry.collector import active_telemetry
 from repro.core.types import NodeId
-from repro.kernels.dispatch import kernel_ready
 from repro.search.base import SearchAlgorithm
 from repro.search.flooding import FloodingSearch
 from repro.search.normalized_flooding import NormalizedFloodingSearch
-from repro.search.probabilistic_flooding import ProbabilisticFloodingSearch
 from repro.search.random_walk import RandomWalkSearch
 
 __all__ = [
@@ -194,25 +192,6 @@ def search_curve(
             # row-major matrices of the generic path bit-for-bit.
             hits_matrix = (batch_hits[:, columns] + base_hits).astype(float, order="C")
             messages_matrix = batch_messages[:, columns].astype(float, order="C")
-        elif (
-            isinstance(graph, CSRGraph)
-            and type(algorithm) in (
-                NormalizedFloodingSearch,
-                ProbabilisticFloodingSearch,
-                RandomWalkSearch,
-            )
-            and kernel_ready("search")
-        ):
-            # Batched kernel-tier fast path (throughput mode): the whole query
-            # batch runs back-to-back inside one compiled call, consuming
-            # ``query_rng``'s stream in query order — draw-identical to the
-            # per-query loop below, without its per-call overhead.
-            batch_hits, batch_messages = _stochastic_batch_curves(
-                graph, algorithm, sources, max_ttl, query_rng
-            )
-            columns = np.array(ttl_list)
-            hits_matrix = batch_hits[:, columns].astype(float, order="C")
-            messages_matrix = batch_messages[:, columns].astype(float, order="C")
         else:
             hits_matrix = np.zeros((len(sources), len(ttl_list)))
             messages_matrix = np.zeros((len(sources), len(ttl_list)))
@@ -251,42 +230,6 @@ def _require_queries(sources: Sequence[NodeId]) -> None:
     """Refuse an empty query batch: its mean curve would be all NaN."""
     if len(sources) == 0:
         raise SearchError("the query batch is empty: ask for at least one query")
-
-
-def _stochastic_batch_curves(
-    graph: CSRGraph,
-    algorithm: SearchAlgorithm,
-    sources: Sequence[NodeId],
-    max_ttl: int,
-    query_rng: RandomSource,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Kernel-tier curves for a whole NF/PF/RW query batch.
-
-    Sources are validated up front (same :class:`SearchError` the generic
-    path raises from ``algorithm.run``); the batch kernels then advance
-    ``query_rng``'s stream exactly as the per-query loop would have.
-    """
-    from repro.kernels.search import nf_curve_batch, pf_curve_batch, rw_curve_batch
-
-    for source_node in sources:
-        algorithm._validate(graph, source_node, max_ttl)
-    if type(algorithm) is NormalizedFloodingSearch:
-        branching = algorithm.k_min
-        if branching is None:
-            branching = max(1, graph.min_degree())
-        return nf_curve_batch(
-            graph, sources, max_ttl, query_rng, branching,
-            algorithm.count_source_as_hit,
-        )
-    if type(algorithm) is ProbabilisticFloodingSearch:
-        return pf_curve_batch(
-            graph, sources, max_ttl, query_rng, algorithm.forward_probability,
-            algorithm.count_source_as_hit,
-        )
-    return rw_curve_batch(
-        graph, sources, [max_ttl] * len(sources), query_rng, algorithm.walkers,
-        algorithm.allow_backtracking, algorithm.count_source_as_hit,
-    )
 
 
 def normalized_walk_curve(
@@ -335,38 +278,15 @@ def normalized_walk_curve(
         rw_rng = random_source.spawn("rw")
         if attrs is not None:
             attrs["queries"] = len(sources)
-        if isinstance(graph, CSRGraph) and kernel_ready("search"):
-            # Batched kernel-tier fast path: all NF budget measurements run in
-            # one compiled call on ``nf_rng``, then all (per-query-budgeted)
-            # walks in one call on ``rw_rng``.  Each stream is consumed in the
-            # same query order as the interleaved reference loop, so results
-            # and both stream positions are identical.
-            from repro.kernels.search import nf_curve_batch, rw_curve_batch
-
-            for source_node in sources:
-                nf_search._validate(graph, source_node, max_ttl)
-            branching = k_min if k_min is not None else max(1, graph.min_degree())
-            _nf_hits, nf_messages = nf_curve_batch(
-                graph, sources, max_ttl, nf_rng, branching, False
-            )
-            budgets = np.maximum(nf_messages[:, np.array(ttl_list)], 1)
-            walk_ttls = budgets.max(axis=1)
-            walk_hits, walk_messages = rw_curve_batch(
-                graph, sources, walk_ttls, rw_rng, walkers, False, False
-            )
-            rows = np.arange(len(sources))[:, np.newaxis]
-            hits_matrix = walk_hits[rows, budgets].astype(float, order="C")
-            messages_matrix = walk_messages[rows, budgets].astype(float, order="C")
-        else:
-            hits_matrix = np.zeros((len(sources), len(ttl_list)))
-            messages_matrix = np.zeros((len(sources), len(ttl_list)))
-            for row, source_node in enumerate(sources):
-                nf_result = nf_search.run(graph, source_node, max_ttl, rng=nf_rng)
-                budgets = [max(1, nf_result.messages_at(ttl)) for ttl in ttl_list]
-                walk_result = rw_search.run(graph, source_node, max(budgets), rng=rw_rng)
-                for column, budget in enumerate(budgets):
-                    hits_matrix[row, column] = walk_result.hits_at(budget)
-                    messages_matrix[row, column] = walk_result.messages_at(budget)
+        hits_matrix = np.zeros((len(sources), len(ttl_list)))
+        messages_matrix = np.zeros((len(sources), len(ttl_list)))
+        for row, source_node in enumerate(sources):
+            nf_result = nf_search.run(graph, source_node, max_ttl, rng=nf_rng)
+            budgets = [max(1, nf_result.messages_at(ttl)) for ttl in ttl_list]
+            walk_result = rw_search.run(graph, source_node, max(budgets), rng=rw_rng)
+            for column, budget in enumerate(budgets):
+                hits_matrix[row, column] = walk_result.hits_at(budget)
+                messages_matrix[row, column] = walk_result.messages_at(budget)
         if attrs is not None:
             attrs["messages"] = int(messages_matrix[:, -1].sum())
         curve = SearchCurve(

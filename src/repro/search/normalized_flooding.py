@@ -25,11 +25,10 @@ import random  # repro-lint: disable=RPL103(annotation only: the loop draws from
 from math import ceil, log
 from typing import List, Optional
 
-from repro.core.csr import CSRGraph, GraphLike
+from repro.core.csr import GraphLike
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource, raw_stream
 from repro.core.types import NodeId
-from repro.kernels.dispatch import kernel_ready
 from repro.search.base import QueryResult, SearchAlgorithm
 from repro.telemetry.collector import active_telemetry
 
@@ -81,24 +80,6 @@ class NormalizedFloodingSearch(SearchAlgorithm):
         if branching is None:
             branching = max(1, graph.min_degree())
 
-        if isinstance(graph, CSRGraph) and kernel_ready("search"):
-            # Kernel tier: same draws, same results, stream spliced back.
-            from repro.kernels.search import nf_query
-
-            hits, messages, visited, found_at = nf_query(
-                graph, source, ttl, random_source, branching,
-                self.count_source_as_hit, target,
-            )
-            return QueryResult(
-                algorithm=self.algorithm_name,
-                source=source,
-                ttl=ttl,
-                hits_per_ttl=hits,
-                messages_per_ttl=messages,
-                visited=visited,
-                target=target,
-                found_at=found_at,
-            )
         return self._run_fast(
             raw_stream(random_source), graph, source, ttl, branching, target
         )

@@ -21,12 +21,10 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.csr import CSRGraph
 from repro.core.errors import SearchError
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource, raw_stream
 from repro.core.types import NodeId
-from repro.kernels.dispatch import kernel_ready
 from repro.search.base import QueryResult, SearchAlgorithm
 
 __all__ = ["ProbabilisticFloodingSearch", "probabilistic_flood"]
@@ -71,24 +69,6 @@ class ProbabilisticFloodingSearch(SearchAlgorithm):
         self._validate(graph, source, ttl)
         random_source = self._resolve_rng(rng)
 
-        if isinstance(graph, CSRGraph) and kernel_ready("search"):
-            # Kernel tier: same coins in the same neighbor order.
-            from repro.kernels.search import pf_query
-
-            hits, messages, visited, found_at = pf_query(
-                graph, source, ttl, random_source, self.forward_probability,
-                self.count_source_as_hit, target,
-            )
-            return QueryResult(
-                algorithm=self.algorithm_name,
-                source=source,
-                ttl=ttl,
-                hits_per_ttl=hits,
-                messages_per_ttl=messages,
-                visited=visited,
-                target=target,
-                found_at=found_at,
-            )
         coin = raw_stream(random_source).random
         rows = graph.neighbor_lists()
         probability = self.forward_probability

@@ -28,11 +28,10 @@ from __future__ import annotations
 import random  # repro-lint: disable=RPL103(annotation only: the single-walker loop draws from raw_stream(rng), the twister inside the RandomSource)
 from typing import List, Optional
 
-from repro.core.csr import CSRGraph, GraphLike
+from repro.core.csr import GraphLike
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource, raw_stream
 from repro.core.types import NodeId
-from repro.kernels.dispatch import kernel_ready
 from repro.search.base import QueryResult, SearchAlgorithm
 
 __all__ = ["RandomWalkSearch", "random_walk"]
@@ -84,24 +83,6 @@ class RandomWalkSearch(SearchAlgorithm):
         self._validate(graph, source, ttl)
         random_source = self._resolve_rng(rng)
 
-        if isinstance(graph, CSRGraph) and kernel_ready("search"):
-            # Kernel tier: one _randbelow per step, walker-index order.
-            from repro.kernels.search import rw_query
-
-            hits, messages, visited, found_at = rw_query(
-                graph, source, ttl, random_source, self.walkers,
-                self.allow_backtracking, self.count_source_as_hit, target,
-            )
-            return QueryResult(
-                algorithm=self.algorithm_name,
-                source=source,
-                ttl=ttl,
-                hits_per_ttl=hits,
-                messages_per_ttl=messages,
-                visited=visited,
-                target=target,
-                found_at=found_at,
-            )
         if self.walkers == 1:
             return self._run_fast(raw_stream(random_source), graph, source, ttl, target)
         return self._run_walkers(graph, source, ttl, random_source, target)

@@ -181,8 +181,7 @@ class ScenarioService:
 
     A long-lived service holds bounded state: the job table keeps the
     newest :data:`MAX_KNOWN_JOBS` spec hashes (plus any job still in
-    flight), and the default collector keeps aggregates only.  The kernel
-    tier is the platform's (:func:`repro.kernels.kernel_tier`).
+    flight), and the default collector keeps aggregates only.
 
     Parameters
     ----------
@@ -419,7 +418,7 @@ class ScenarioService:
         started = telemetry_clock()
         try:
             # The worker thread's ambient stacks are empty; install the
-            # service collector so store/kernel/task spans aggregate into
+            # service collector so store/task spans aggregate into
             # /metrics, and the job's trace id so every span, progress
             # event, and log line below carries it.  The whole computation
             # is the request's root span — the top of the

@@ -6,9 +6,6 @@ encoding a lesson this codebase already paid for once:
 * **RPL1xx draw-order** — RNG-consuming modules never iterate sets (the
   PF set-order and DAPA horizon-walk bugs), justify dict iteration, and
   draw only through :class:`repro.core.rng.RandomSource`;
-* **RPL2xx kernel purity** — ``maybe_njit`` bodies stay inside the numba
-  subset, so "interpreted fallback passes, compiled tier breaks" cannot
-  happen on numba-less CI;
 * **RPL3xx pool contracts** — classes crossing the ``ParallelExecutor``
   pickle boundary hold no lambdas/locks/handles (an unpicklable member
   silently serialises a `--jobs 8` run);

@@ -8,11 +8,10 @@ file plus the raw source lines the suppression scanner needs.  Rules emit
 Scope classification lives here because several rule families share it:
 the draw-order rules only apply to RNG-consuming modules, the pool-contract
 rules only to modules whose classes cross the ``ParallelExecutor`` pickle
-boundary, and the kernel files are exempt from the draw-order rules (they
-consume the exported MT19937 state array, not a ``RandomSource``).  The
-classification is purely path-based (package directory names), so the test
-fixture corpus under ``tests/fixtures/lint/`` opts into a scope simply by
-mirroring the package layout (``fixtures/lint/search/...``).
+boundary.  The classification is purely path-based (package directory
+names), so the test fixture corpus under ``tests/fixtures/lint/`` opts into
+a scope simply by mirroring the package layout
+(``fixtures/lint/search/...``).
 """
 
 from __future__ import annotations
@@ -40,11 +39,6 @@ RNG_SCOPE_PARTS = frozenset({"generators", "search", "substrate", "oracles"})
 #: boundary by pickle (``Task`` arguments, ``RealizationSpec``, scenario
 #: specs) — the scope of the RPL3xx pool-contract rules.
 POOL_BOUNDARY_PARTS = frozenset({"engine", "scenarios"})
-
-#: Files inside an RNG-scope directory that are nevertheless exempt from
-#: the draw-order rules: the kernel tier replays the stream from an
-#: exported state array and never touches Python sets or ``random``.
-RNG_SCOPE_EXEMPT_PARTS = frozenset({"kernels"})
 
 
 @dataclass(frozen=True)
@@ -99,10 +93,7 @@ class SourceModule:
 
 def in_rng_scope(module: SourceModule) -> bool:
     """True for modules whose code sits on the shared RNG draw path."""
-    parts = module.parts()
-    if parts & RNG_SCOPE_EXEMPT_PARTS:
-        return False
-    return bool(parts & RNG_SCOPE_PARTS)
+    return bool(module.parts() & RNG_SCOPE_PARTS)
 
 
 def in_pool_boundary_scope(module: SourceModule) -> bool:

@@ -3,8 +3,8 @@
 Rules self-register at import time (the :mod:`repro.staticcheck.rules`
 package imports every rule module), the same pattern as the experiment and
 measurement-kind registries.  ``--select``/``--ignore`` match either an
-exact code (``RPL101``) or a family prefix (``RPL1``/``RPL2xx``-style
-``RPL2``), mirroring how flake8-family tools treat code prefixes.
+exact code (``RPL101``) or a family prefix (``RPL1``/``RPL3xx``-style
+``RPL3``), mirroring how flake8-family tools treat code prefixes.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ class Rule:
     Attributes
     ----------
     code:
-        The ``RPLnnn`` identifier (``RPL1xx`` draw-order, ``RPL2xx`` kernel
-        purity, ``RPL3xx`` pool/pickle contracts, ``RPL4xx`` telemetry and
-        ambient discipline).
+        The ``RPLnnn`` identifier (``RPL1xx`` draw-order, ``RPL3xx``
+        pool/pickle contracts, ``RPL4xx`` telemetry and ambient
+        discipline).
     name:
         Short kebab-case slug used in ``--list-rules``.
     invariant:

@@ -3,7 +3,6 @@
 One module per family, mirroring the code blocks:
 
 * :mod:`~repro.staticcheck.rules.draw_order` — ``RPL1xx``;
-* :mod:`~repro.staticcheck.rules.kernel_purity` — ``RPL2xx``;
 * :mod:`~repro.staticcheck.rules.pool_contracts` — ``RPL3xx``;
 * :mod:`~repro.staticcheck.rules.ambient_discipline` — ``RPL4xx``.
 """
@@ -11,6 +10,5 @@ One module per family, mirroring the code blocks:
 from repro.staticcheck.rules import (  # noqa: F401  (import-for-side-effect)
     ambient_discipline,
     draw_order,
-    kernel_purity,
     pool_contracts,
 )

@@ -1,23 +1,23 @@
 """RPL1xx — draw-order discipline on RNG-consuming modules.
 
 The whole correctness story of this reproduction is that every execution
-path (mutable ``Graph`` vs frozen ``CSRGraph``, python vs jit kernel tiers,
-serial vs parallel) consumes the exact CPython Mersenne-Twister sequence
-*in a defined order*.  Both of the repo's worst historical bugs were silent
-violations of that invariant that no generic linter flags:
+path (mutable ``Graph`` vs frozen ``CSRGraph``, serial vs parallel)
+consumes the exact CPython Mersenne-Twister sequence *in a defined order*.
+Both of the repo's worst historical bugs were silent violations of that
+invariant that no generic linter flags:
 
 * probabilistic flooding iterated neighbors in ``set`` order, so the frozen
   CSR snapshot (edge-insertion order) produced a different draw stream than
   the mutable adjacency graph — fixed by routing all forwarding through the
   defined-order ``iter_neighbors``;
-* DAPA's horizon BFS walked a ``set``-shaped frontier, so the compiled
-  kernel could not replay the Python tier's stream — fixed by switching the
-  walk to ``iter_neighbors`` (deliberately versioning the DAPA stream).
+* DAPA's horizon BFS walked a ``set``-shaped frontier, whose order is
+  CPython's hash-table layout rather than a defined one — fixed by
+  switching the walk to ``iter_neighbors`` (deliberately versioning the
+  DAPA stream).
 
 These rules machine-check the lesson.  They apply only to the RNG-consuming
 modules (``generators/``, ``search/``, ``substrate/`` and the test
-``oracles/``); the kernel files are exempt (they replay an exported MT19937
-state array and never touch Python sets).
+``oracles/``).
 
 ``RPL101``
     No iteration over a ``set``/``frozenset`` (literal, comprehension,
@@ -32,7 +32,7 @@ state array and never touch Python sets).
 ``RPL103``
     No ambient randomness: the ``random`` module and ``numpy.random`` are
     banned — every draw must flow through :class:`repro.core.rng.RandomSource`
-    so streams stay seedable, spawnable, and kernel-splicable.
+    so streams stay seedable and spawnable.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ class AmbientRandomness(_DrawOrderRule):
     invariant = (
         "all draws flow through RandomSource: the random module and "
         "numpy.random are banned in RNG-consuming modules (unseedable, "
-        "unspawnable, invisible to the kernel tier's stream splice)"
+        "unspawnable)"
     )
 
     def check(self, module: SourceModule) -> Iterator[Finding]:

@@ -13,9 +13,7 @@ This subpackage provides:
 * :class:`~repro.substrate.grn.GeometricRandomNetwork` — random points in the
   unit box linked when closer than a radius ``R`` (cell-list accelerated);
 * :class:`~repro.substrate.mesh.MeshNetwork` — a 2-D regular lattice
-  (optionally a torus);
-* :class:`~repro.substrate.random_graph.ErdosRenyiNetwork` — a G(N, p)
-  baseline used in tests and ablations.
+  (optionally a torus).
 
 A joining DAPA peer discovers its ``τ_sub``-hop horizon with its own
 breadth-first search on substrate rows (see
@@ -25,14 +23,11 @@ breadth-first search on substrate rows (see
 from repro.substrate.base import SubstrateNetwork
 from repro.substrate.grn import GeometricRandomNetwork, generate_grn
 from repro.substrate.mesh import MeshNetwork, generate_mesh
-from repro.substrate.random_graph import ErdosRenyiNetwork, generate_erdos_renyi
 
 __all__ = [
-    "ErdosRenyiNetwork",
     "GeometricRandomNetwork",
     "MeshNetwork",
     "SubstrateNetwork",
-    "generate_erdos_renyi",
     "generate_grn",
     "generate_mesh",
 ]

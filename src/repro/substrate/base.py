@@ -20,16 +20,10 @@ class SubstrateNetwork(abc.ABC):
     substrates are inputs to overlay construction, not study objects in
     themselves, so only the graph and the parameters are exposed.
 
-    Substrates sit on a jit realization's hot path (a DAPA build resolves
-    one before its overlay can grow), so the stochastic builders follow the
-    generators' two-tier contract: ``build`` consults
-    :func:`repro.kernels.dispatch.kernel_ready` and either emits
-    edge arrays straight into CSR arrays through a compiled kernel
-    (:mod:`repro.kernels.substrate`) or falls back to its python-tier body
-    (the GRN's numpy cell sweep, the ER reference loop) — both tiers
-    consuming the same draws and producing byte-identical graphs (same
-    edges, same neighbor order, same final RNG stream position).
-    Deterministic substrates (the mesh) simply vectorize unconditionally.
+    Substrates sit on a DAPA realization's hot path (a DAPA build resolves
+    one before its overlay can grow), so the builders emit edge arrays
+    straight to :meth:`Graph.from_edge_array`: the GRN after its numpy
+    cell sweep, the mesh from its vectorized lattice.
     """
 
     #: Short machine-readable name; subclasses override.

@@ -27,7 +27,6 @@ import numpy as np
 from repro.core.config import GRNConfig
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource, raw_stream
-from repro.kernels.dispatch import kernel_ready
 from repro.substrate.base import SubstrateNetwork
 
 __all__ = [
@@ -115,19 +114,7 @@ class GeometricRandomNetwork(SubstrateNetwork):
     # Construction
     # ------------------------------------------------------------------ #
     def build(self, rng: RandomSource) -> Graph:
-        if kernel_ready("generation"):
-            from repro.kernels.substrate import grn_build_arrays
-
-            graph, positions = grn_build_arrays(self.config, rng)
-            self.positions = {
-                node: tuple(row) for node, row in enumerate(positions.tolist())
-            }
-            return graph
-        return self._build_python(rng)
-
-    def _build_python(self, rng: RandomSource) -> Graph:
-        """The python-tier build (no kernel dispatch: the parity self-check
-        replays it against the kernel tier).
+        """Scatter the nodes and link every pair within the radius.
 
         Draws the coordinates row-major, one ``random()`` of the twister
         underneath ``rng`` each (the draws of ``rng.random()``), then hands
@@ -175,11 +162,7 @@ class CellGrid(NamedTuple):
 
 
 def bucket_cells(positions: np.ndarray, cells_per_side: int) -> CellGrid:
-    """Bucket the ``(n, d)`` ``positions`` into a ``cells_per_side``-grid.
-
-    Shared by the python build and the kernel tier
-    (:func:`repro.kernels.substrate.grn_build_arrays`).
-    """
+    """Bucket the ``(n, d)`` ``positions`` into a ``cells_per_side``-grid."""
     n, dimensions = positions.shape
     # min(cps - 1, int(coordinate * cps)) per axis, as a scalar sweep would.
     cell = np.minimum(

@@ -3,10 +3,9 @@
 The telemetry subsystem is *ambient*, like the executor context:
 instrumented code fetches the active collector with
 :func:`active_telemetry` and records into it — spans (named wall-clock
-sections such as ``generate``/``freeze``/``search``/``store``/
-``kernel-compile``), monotonic counters (RNG rejections, cache hits,
-dispatched kernel tiers), and histograms (BFS frontier sizes, serve
-latencies).
+sections such as ``generate``/``freeze``/``search``/``store``),
+monotonic counters (RNG rejections, cache hits, search messages), and
+histograms (BFS frontier sizes, serve latencies).
 
 Since schema 2, spans are a *tree*: every span records an id, a parent id
 (the innermost open span of the same collector, tracked by the ambient

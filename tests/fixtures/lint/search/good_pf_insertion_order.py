@@ -1,9 +1,9 @@
 """Known-good: the PR-2 fix — forwarding over a defined-order sequence.
 
 ``iter_neighbors`` yields edge-insertion order on every backend, so the
-draw sequence is identical across adj/CSR and python/jit tiers.  Sets are
-still fine as *membership* structures (``visited``), and ``sorted(...)``
-defines an order, so neither may be flagged.
+draw sequence is identical across adj/CSR.  Sets are still fine as
+*membership* structures (``visited``), and ``sorted(...)`` defines an
+order, so neither may be flagged.
 """
 
 

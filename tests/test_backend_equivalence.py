@@ -11,6 +11,13 @@ so that freezing a graph can never silently shift the seeds of anything
 that runs afterwards.  These tests pin that contract at every layer: single
 queries, metric curves, the message-count normalization, the parallel
 engine, and whole figure experiments.
+
+The stochastic loops draw from the Mersenne Twister directly; the loops
+they replaced, kept as test oracles (``tests/oracles/``, and RW's
+multi-walker loop at one walker), draw the same values through the
+source's methods.  On every topology and on both representations the
+shipped loop must match its oracle as well: per query, per curve, and
+over a whole realization generated and searched on one stream.
 """
 
 from __future__ import annotations
@@ -22,24 +29,29 @@ from functools import partial
 
 import pytest
 
+from draw_log import logged_source
+from oracles import cm as cm_oracle
+from oracles import dapa as dapa_oracle
+from oracles import hapa as hapa_oracle
 from oracles import nf as nf_oracle
+from oracles import pa as pa_oracle
 from oracles import pf as pf_oracle
 from repro.core.csr import CSRGraph
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
-from repro.engine.executor import ParallelExecutor, executor_from_jobs
+from repro.engine.executor import ParallelExecutor
 from repro.scenarios import get_builtin_scenario, run_scenario
 from repro.scenarios.measure import RealizationSpec
-from repro.generators.cm import generate_cm
-from repro.generators.dapa import generate_dapa
-from repro.generators.hapa import generate_hapa
-from repro.generators.pa import generate_pa
+from repro.generators.cm import ConfigurationModelGenerator, generate_cm
+from repro.generators.dapa import DAPAGenerator, generate_dapa
+from repro.generators.hapa import HAPAGenerator, generate_hapa
+from repro.generators.nonlinear_pa import generate_nonlinear_pa
+from repro.generators.pa import PreferentialAttachmentGenerator, generate_pa
 from repro.search.flooding import FloodingSearch
 from repro.search.metrics import normalized_walk_curve, search_curve
 from repro.search.normalized_flooding import NormalizedFloodingSearch
 from repro.search.probabilistic_flooding import ProbabilisticFloodingSearch
 from repro.search.random_walk import RandomWalkSearch
-from tiers import TIERS, pin_tier
 
 
 # --------------------------------------------------------------------------- #
@@ -51,6 +63,9 @@ def _build_graphs():
         "cm": generate_cm(300, exponent=2.5, min_degree=2, hard_cutoff=20, seed=77),
         "hapa": generate_hapa(200, stubs=1, hard_cutoff=8, seed=55),
         "dapa": generate_dapa(150, stubs=2, hard_cutoff=10, local_ttl=4, seed=66),
+        "nlpa": generate_nonlinear_pa(
+            250, stubs=2, exponent_alpha=0.8, hard_cutoff=10, seed=88
+        ),
     }
 
 
@@ -59,13 +74,7 @@ def graphs():
     return _build_graphs()
 
 
-GENERATORS = ["pa", "cm", "hapa", "dapa"]
-
-# Execution tiers for the frozen snapshot's stochastic queries (TIERS,
-# pinned through tests/tiers.py): the Python loops, and the kernel tier of
-# repro.kernels (JIT-compiled under numba, interpreted otherwise —
-# identical draws either way).  Every equivalence cell below must hold for
-# both, against the same adjacency reference.
+GENERATORS = ["pa", "cm", "hapa", "dapa", "nlpa"]
 
 # Every registered search algorithm (one representative configuration each,
 # plus variants that exercise representation-sensitive code paths).
@@ -77,6 +86,18 @@ ALGORITHMS = {
     "pf": lambda: ProbabilisticFloodingSearch(forward_probability=0.5),
     "rw": lambda: RandomWalkSearch(walkers=3),
     "rw-backtracking": lambda: RandomWalkSearch(walkers=2, allow_backtracking=True),
+    # The paper's RW: one walker, which runs the inlined-draw loop.
+    "rw-single": lambda: RandomWalkSearch(),
+}
+
+#: The loop each inlined-draw search replaced, drawing through the
+#: source's methods, as ``oracle(algorithm)(graph, source, ttl, rng,
+#: target)``.
+ORACLES = {
+    "nf": lambda algorithm: partial(nf_oracle.run_nf, algorithm),
+    "nf-auto-kmin": lambda algorithm: partial(nf_oracle.run_nf, algorithm),
+    "pf": lambda algorithm: partial(pf_oracle.run_pf, algorithm),
+    "rw-single": lambda algorithm: algorithm._run_walkers,
 }
 
 
@@ -92,11 +113,10 @@ def _assert_identical(result_adj, result_csr):
 class TestQueryEquivalence:
     """algorithm × generator: single queries must match field by field."""
 
-    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("model", GENERATORS)
     @pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
     def test_identical_results_and_rng_consumption(
-        self, graphs, model, algorithm_name, tier
+        self, graphs, model, algorithm_name
     ):
         graph = graphs[model]
         frozen = graph.freeze()
@@ -106,27 +126,22 @@ class TestQueryEquivalence:
         for seed, source in [(7, nodes[0]), (19, nodes[3]), (23, nodes[-1])]:
             rng_adj, rng_csr = RandomSource(seed), RandomSource(seed)
             result_adj = algorithm.run(graph, source, 8, rng=rng_adj, target=target)
-            with pin_tier(tier):
-                result_csr = algorithm.run(
-                    frozen, source, 8, rng=rng_csr, target=target
-                )
+            result_csr = algorithm.run(frozen, source, 8, rng=rng_csr, target=target)
             _assert_identical(result_adj, result_csr)
             # Both streams must sit at the same position afterwards: the
-            # next draw from each is equal, so freezing (and the kernel-tier
-            # choice) can never shift the seeds of whatever runs next.
+            # next draw from each is equal, so freezing can never shift the
+            # seeds of whatever runs next.
             assert rng_adj.random() == rng_csr.random()
 
-    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
-    def test_ttl_zero_and_isolated_source(self, algorithm_name, tier):
+    def test_ttl_zero_and_isolated_source(self, algorithm_name):
         graph = Graph.from_edges(4, [(0, 1), (1, 2)])  # node 3 is isolated
         frozen = graph.freeze()
         algorithm = ALGORITHMS[algorithm_name]()
         for source, ttl in [(0, 0), (3, 5)]:
             rng_adj, rng_csr = RandomSource(3), RandomSource(3)
             result_adj = algorithm.run(graph, source, ttl, rng=rng_adj)
-            with pin_tier(tier):
-                result_csr = algorithm.run(frozen, source, ttl, rng=rng_csr)
+            result_csr = algorithm.run(frozen, source, ttl, rng=rng_csr)
             _assert_identical(result_adj, result_csr)
             assert rng_adj.random() == rng_csr.random()
 
@@ -134,34 +149,28 @@ class TestQueryEquivalence:
 class TestCurveEquivalence:
     """Metric-level curves (what the figures actually average)."""
 
-    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("model", GENERATORS)
     @pytest.mark.parametrize(
-        "algorithm_name", ["fl", "nf", "pf", "rw"]
+        "algorithm_name", ["fl", "nf", "pf", "rw", "rw-single"]
     )
-    def test_search_curve_identical(self, graphs, model, algorithm_name, tier):
+    def test_search_curve_identical(self, graphs, model, algorithm_name):
         graph = graphs[model]
         frozen = graph.freeze()
         ttl_values = [1, 2, 4, 6, 8]
         curve_adj = search_curve(
             graph, ALGORITHMS[algorithm_name](), ttl_values, queries=25, rng=5
         )
-        with pin_tier(tier):
-            curve_csr = search_curve(
-                frozen, ALGORITHMS[algorithm_name](), ttl_values, queries=25, rng=5
-            )
+        curve_csr = search_curve(
+            frozen, ALGORITHMS[algorithm_name](), ttl_values, queries=25, rng=5
+        )
         assert curve_adj.as_dict() == curve_csr.as_dict()
 
-    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("model", GENERATORS)
-    def test_normalized_walk_curve_identical(self, graphs, model, tier):
+    def test_normalized_walk_curve_identical(self, graphs, model):
         graph = graphs[model]
         frozen = graph.freeze()
         curve_adj = normalized_walk_curve(graph, [2, 4, 6], k_min=2, queries=20, rng=9)
-        with pin_tier(tier):
-            curve_csr = normalized_walk_curve(
-                frozen, [2, 4, 6], k_min=2, queries=20, rng=9
-            )
+        curve_csr = normalized_walk_curve(frozen, [2, 4, 6], k_min=2, queries=20, rng=9)
         assert curve_adj.as_dict() == curve_csr.as_dict()
 
     def test_search_curve_error_parity(self, graphs):
@@ -176,16 +185,14 @@ class TestCurveEquivalence:
                     subject, FloodingSearch(), [1, 2], sources=[10**6], rng=1
                 )
 
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_search_curve_stream_position(self, graphs, tier):
+    def test_search_curve_stream_position(self, graphs):
         """The whole pipeline leaves both RNGs at the same position."""
         graph = graphs["pa"]
         frozen = graph.freeze()
         for factory in (FloodingSearch, NormalizedFloodingSearch):
             rng_adj, rng_csr = RandomSource(11), RandomSource(11)
             search_curve(graph, factory(), [1, 3, 5], queries=15, rng=rng_adj)
-            with pin_tier(tier):
-                search_curve(frozen, factory(), [1, 3, 5], queries=15, rng=rng_csr)
+            search_curve(frozen, factory(), [1, 3, 5], queries=15, rng=rng_csr)
             assert rng_adj.random() == rng_csr.random()
 
 
@@ -221,29 +228,31 @@ class TestDrawCountRegression:
     the totals never drift for either representation.  If an intentional algorithm
     change alters them, update the pinned numbers in the same commit.
 
-    NF's and PF's loops draw from the twister directly, so a counting
-    source counts their oracles; RW's multi-walker loop still draws through
-    ``rng.randint`` and is counted itself.  The shipped loop, on every
-    tier, must then leave a plain source where the counted loop left it.
+    NF's and PF's loops and single-walker RW's draw from the twister
+    directly, so a counting source counts their oracles; RW's multi-walker
+    loop still draws through ``rng.randint`` and is counted itself.  The
+    shipped loop must then leave a plain source where the counted loop
+    left it.
     """
 
     PINNED = {
         "nf": {"sample": 47},
         "pf": {"random": 784},
         "rw": {"randint": 24},
+        "rw-backtracking": {"randint": 16},
+        "rw-single": {"randint": 8},
     }
 
     #: The loop the counting source counts, as ``loop(graph, source, ttl,
     #: rng, target)``.
     COUNTED = {
-        "nf": lambda algorithm: partial(nf_oracle.run_nf, algorithm),
-        "pf": lambda algorithm: partial(pf_oracle.run_pf, algorithm),
+        **ORACLES,
         "rw": lambda algorithm: algorithm._run_walkers,
+        "rw-backtracking": lambda algorithm: algorithm._run_walkers,
     }
 
-    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("algorithm_name", sorted(PINNED))
-    def test_exact_draw_counts(self, graphs, algorithm_name, tier):
+    def test_exact_draw_counts(self, graphs, algorithm_name):
         graph = graphs["pa"]
         frozen = graph.freeze()
         algorithm = ALGORITHMS[algorithm_name]()
@@ -252,22 +261,8 @@ class TestDrawCountRegression:
             rng_counted, rng = _CountingSource(7), RandomSource(7)
             counted(subject, 5, 8, rng_counted, None)
             assert dict(rng_counted.calls) == self.PINNED[algorithm_name]
-            with pin_tier(tier):
-                algorithm.run(subject, 5, 8, rng=rng)
+            algorithm.run(subject, 5, 8, rng=rng)
             assert rng.random() == rng_counted.random()
-
-    def test_plain_source_stream_consumption_matches_counts(self, graphs):
-        """Kernel-tier queries advance a plain RandomSource exactly as far
-        as the counted reference draws say they must."""
-        graph = graphs["pa"]
-        frozen = graph.freeze()
-        for algorithm_name in sorted(self.PINNED):
-            algorithm = ALGORITHMS[algorithm_name]()
-            rng_ref, rng_jit = RandomSource(7), RandomSource(7)
-            algorithm.run(graph, 5, 8, rng=rng_ref)
-            with pin_tier("jit"):
-                algorithm.run(frozen, 5, 8, rng=rng_jit)
-            assert rng_ref.random() == rng_jit.random(), algorithm_name
 
     def test_flooding_consumes_no_draws(self, graphs):
         graph = graphs["pa"]
@@ -276,6 +271,136 @@ class TestDrawCountRegression:
             rng = _CountingSource(7)
             FloodingSearch().run(subject, 5, 8, rng=rng)
             assert not rng.calls
+
+
+class TestOracleEquivalence:
+    """The shipped loops against their oracles, on every topology.
+
+    Per query, both loops run a batch of queries on one logged twister
+    each and must make the same twister calls; per curve, the averaged
+    curves of :func:`search_curve` and :func:`normalized_walk_curve` must
+    be equal when every query runs on the oracle instead.
+    """
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["graph", "csr"])
+    @pytest.mark.parametrize("model", GENERATORS)
+    @pytest.mark.parametrize("algorithm_name", sorted(ORACLES))
+    def test_query_matches_oracle(self, graphs, model, algorithm_name, frozen):
+        graph = graphs[model]
+        subject = graph.freeze() if frozen else graph
+        algorithm = ALGORITHMS[algorithm_name]()
+        oracle = ORACLES[algorithm_name](algorithm)
+        nodes = graph.nodes()
+        target = nodes[len(nodes) // 2]
+        (rng, calls), (oracle_rng, oracle_calls) = logged_source(29), logged_source(29)
+        for source in (nodes[0], nodes[3], target, nodes[-1]):
+            result = algorithm.run(subject, source, 8, rng=rng, target=target)
+            expected = oracle(subject, source, 8, oracle_rng, target)
+            _assert_identical(expected, result)
+        assert calls == oracle_calls
+        assert rng.random() == oracle_rng.random()
+
+    @pytest.mark.parametrize("model", GENERATORS)
+    @pytest.mark.parametrize("algorithm_name", sorted(ORACLES))
+    def test_search_curve_matches_oracle(self, graphs, model, algorithm_name):
+        frozen = graphs[model].freeze()
+        ttl_values = [1, 2, 4, 6, 8]
+        curve = search_curve(
+            frozen, ALGORITHMS[algorithm_name](), ttl_values, queries=25, rng=5
+        )
+        routed = ALGORITHMS[algorithm_name]()
+        oracle = ORACLES[algorithm_name](routed)
+        routed.run = lambda graph, source, ttl, rng=None, target=None: oracle(
+            graph, source, ttl, rng, target
+        )
+        expected = search_curve(frozen, routed, ttl_values, queries=25, rng=5)
+        assert curve.as_dict() == expected.as_dict()
+
+    @pytest.mark.parametrize("model", GENERATORS)
+    def test_normalized_walk_curve_matches_oracles(self, graphs, model, monkeypatch):
+        frozen = graphs[model].freeze()
+        curve = normalized_walk_curve(frozen, [2, 4, 6], k_min=2, queries=20, rng=9)
+        routed = Counter()
+        for search_class, name in (
+            (NormalizedFloodingSearch, "nf"),
+            (RandomWalkSearch, "rw-single"),
+        ):
+
+            def run(self, graph, source, ttl, rng=None, target=None, _name=name):
+                routed[_name] += 1
+                return ORACLES[_name](self)(graph, source, ttl, rng, target)
+
+            monkeypatch.setattr(search_class, "run", run)
+        expected = normalized_walk_curve(frozen, [2, 4, 6], k_min=2, queries=20, rng=9)
+        assert routed == {"nf": 20, "rw-single": 20}
+        assert curve.as_dict() == expected.as_dict()
+
+
+class TestGenerationReference:
+    """One realization generated and searched on a single stream.
+
+    The shipped generators draw from the twister directly, like the
+    search loops; their oracles (``tests/oracles/``) draw through the
+    source's methods.  A topology built and then searched from one stream
+    by the shipped code (on its frozen snapshot, as the experiments do)
+    must give the same queries as the oracles give on the oracle's graph,
+    and leave the stream at the same position: nothing in the chain may
+    shift a later draw.
+    """
+
+    #: ``model: (shipped build, oracle build)``, each called with the
+    #: stream.
+    BUILDS = {
+        "pa": (
+            lambda rng: generate_pa(300, stubs=2, hard_cutoff=10, rng=rng),
+            lambda rng: pa_oracle.build_pa(
+                PreferentialAttachmentGenerator(300, stubs=2, hard_cutoff=10), rng
+            )[0],
+        ),
+        "cm": (
+            lambda rng: generate_cm(
+                300, exponent=2.5, min_degree=2, hard_cutoff=20, rng=rng
+            ),
+            lambda rng: cm_oracle.build_cm(
+                ConfigurationModelGenerator(
+                    300, exponent=2.5, min_degree=2, hard_cutoff=20
+                ),
+                rng,
+            )[0],
+        ),
+        "hapa": (
+            lambda rng: generate_hapa(200, stubs=1, hard_cutoff=8, rng=rng),
+            lambda rng: hapa_oracle.build_reference(
+                HAPAGenerator(200, stubs=1, hard_cutoff=8), rng
+            )[0],
+        ),
+        "dapa": (
+            lambda rng: generate_dapa(
+                150, stubs=2, hard_cutoff=10, local_ttl=4, rng=rng
+            ),
+            lambda rng: dapa_oracle.build_dapa(
+                DAPAGenerator(overlay_size=150, stubs=2, hard_cutoff=10, local_ttl=4),
+                rng,
+            )[0],
+        ),
+    }
+
+    @pytest.mark.parametrize("model", sorted(BUILDS))
+    @pytest.mark.parametrize("algorithm_name", sorted(ORACLES))
+    def test_generate_then_search_matches_the_oracles(self, model, algorithm_name):
+        build, oracle_build = self.BUILDS[model]
+        rng, oracle_rng = RandomSource(seed=4242), RandomSource(seed=4242)
+        frozen = build(rng).freeze()
+        reference = oracle_build(oracle_rng)
+        algorithm = ALGORITHMS[algorithm_name]()
+        oracle = ORACLES[algorithm_name](algorithm)
+        nodes = reference.nodes()
+        target = nodes[17]
+        for source in nodes[:: len(nodes) // 5]:
+            result = algorithm.run(frozen, source, 6, rng=rng, target=target)
+            expected = oracle(reference, source, 6, oracle_rng, target)
+            _assert_identical(expected, result)
+        assert rng.random() == oracle_rng.random()
 
 
 def _payload(result) -> str:
@@ -294,7 +419,13 @@ class TestPipelineReference:
     in-process, which would skip the pickled-task path.
     """
 
-    @pytest.mark.parametrize("experiment_id", ["fig6", "fig9"])
+    #: Every built-in experiment that searches its topologies.
+    SEARCHING = [
+        "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
+        "messaging", "ablation_min_degree",
+    ]
+
+    @pytest.mark.parametrize("experiment_id", SEARCHING)
     def test_frozen_pipeline_matches_graph_reference(
         self, experiment_id, smoke_scale, monkeypatch
     ):
@@ -321,106 +452,3 @@ class TestPipelineReference:
         with ParallelExecutor(jobs=2) as executor:
             parallel = run_scenario(get_builtin_scenario(experiment_id), scale=scale, executor=executor)
         assert _payload(parallel) == reference
-
-
-def _run_on_tier(tier, experiment_id, scale, jobs=1):
-    """Run a built-in experiment with the tier pinned (workers included)."""
-    with pin_tier(tier), executor_from_jobs(jobs) as executor:
-        result = run_scenario(
-            get_builtin_scenario(experiment_id), scale=scale, executor=executor
-        )
-    return [series.as_dict() for series in result.series]
-
-
-class TestKernelTierExperiments:
-    """Whole experiments on the ``jit`` tier — the tier's acceptance bar.
-
-    fig9 (NF on PA/CM/HAPA) exercises the kernel dispatch through the full
-    stack: scenario compiler → engine tasks → batched kernel curves — and
-    must reproduce the python tier byte for byte, serial and across worker
-    processes.
-    """
-
-    def test_fig9_jit_byte_identical(self, smoke_scale):
-        assert _run_on_tier("python", "fig9", smoke_scale) == _run_on_tier(
-            "jit", "fig9", smoke_scale
-        )
-
-    def test_fig9_jit_parallel_byte_identical(self, smoke_scale):
-        """The pinned tier reaches the worker processes (forked with it)."""
-        scale = replace(smoke_scale, realizations=2)
-        assert _run_on_tier("python", "fig9", scale) == _run_on_tier(
-            "jit", "fig9", scale, jobs=2
-        )
-
-
-class TestGenerationTierEquivalence:
-    """Topology *generation* over kernel tiers: byte-identical graphs.
-
-    The generator kernels (repro.kernels.generators) extend the tier
-    contract upstream of the search phase: for every construction family,
-    a jit build must emit the same nodes and edges in the same insertion
-    order (pinned through the frozen CSR arrays), and consume exactly the
-    reference's draws — so a full realization (generate + search) is
-    byte-identical end to end on every tier.  The per-family draw counts
-    and deeper edge cases live in tests/test_kernels_generators.py.
-    """
-
-    BUILDERS = {
-        "pa": lambda rng: generate_pa(300, stubs=2, hard_cutoff=10, rng=rng),
-        "cm": lambda rng: generate_cm(
-            300, exponent=2.5, min_degree=2, hard_cutoff=20, rng=rng
-        ),
-        "hapa": lambda rng: generate_hapa(200, stubs=1, hard_cutoff=8, rng=rng),
-        "dapa": lambda rng: generate_dapa(
-            150, stubs=2, hard_cutoff=10, local_ttl=4, rng=rng
-        ),
-    }
-
-    @pytest.mark.parametrize("tier", TIERS)
-    @pytest.mark.parametrize("model", GENERATORS)
-    def test_generation_byte_identical_across_tiers(self, model, tier):
-        import numpy as np
-
-        reference_rng = RandomSource(seed=909)
-        tier_rng = RandomSource(seed=909)
-        with pin_tier("python"):
-            reference = self.BUILDERS[model](reference_rng)
-        with pin_tier(tier):
-            subject = self.BUILDERS[model](tier_rng)
-        assert reference.nodes() == subject.nodes()
-        frozen_reference = reference.freeze()
-        frozen_subject = subject.freeze()
-        assert np.array_equal(frozen_reference._indptr, frozen_subject._indptr)
-        assert np.array_equal(frozen_reference._indices, frozen_subject._indices)
-        # Identical stream position: nothing downstream can shift seeds.
-        assert reference_rng.random() == tier_rng.random()
-
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_generate_then_search_end_to_end(self, tier):
-        """One realization generated *and* searched on a single stream per
-        tier must agree field for field."""
-        results = {}
-        for pinned in ("python", tier):
-            rng = RandomSource(seed=4242)
-            with pin_tier(pinned):
-                graph = generate_pa(250, stubs=2, hard_cutoff=12, rng=rng)
-                subject = graph.freeze() if pinned == "jit" else graph
-                results[pinned] = NormalizedFloodingSearch(k_min=2).run(
-                    subject, 0, 6, rng=rng, target=17
-                )
-        _assert_identical(results["python"], results[tier])
-
-    def test_fig1_jit_generation_byte_identical(self, smoke_scale):
-        """A whole degree-distribution experiment (generation-dominated)
-        on the jit tier — the generator tier's acceptance bar."""
-        assert _run_on_tier("python", "fig1", smoke_scale) == _run_on_tier(
-            "jit", "fig1", smoke_scale
-        )
-
-    def test_fig1_jit_generation_parallel_byte_identical(self, smoke_scale):
-        """The pinned tier reaches generation inside worker processes."""
-        scale = replace(smoke_scale, realizations=2)
-        assert _run_on_tier("python", "fig1", scale) == _run_on_tier(
-            "jit", "fig1", scale, jobs=2
-        )

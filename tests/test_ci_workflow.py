@@ -75,14 +75,25 @@ def test_serve_job_soaks_a_running_server_and_bounds_its_rss_growth():
         ("generate hapa --nodes 300 --stubs 2 --cutoff 10 --seed 7", "hapa"),
     ],
 )
-def test_kernel_fallback_step_checks_one_warning_per_command(command, name):
+def test_warning_free_step_checks_empty_stderr_per_command(command, name):
     job = _job("tests")
-    step = job[job.index("Kernel-tier graceful fallback"):]
+    step = job[job.index("CLI runs warning-free"):]
     step = step[: step.index("- name:")]
-    assert f"python -m repro {command} > {name}.json 2> {name}.err" in step
+    assert (
+        f"python -W error::RuntimeWarning -m repro {command} > {name}.json 2> {name}.err"
+        in step
+    )
     assert 'for name in ("fig9", "hapa"):' in step
-    assert "numba is not installed" in step and "len(lines) == 1" in step
-    assert 'probe["numba"] is False' in step
+    assert 'assert stderr == ""' in step
+    assert '"kernels" not in telemetry' in step
+
+
+def test_no_job_installs_the_fast_extra():
+    installs = re.findall(r"pip install (\S+)", WORKFLOW)
+    assert installs
+    for target in installs:
+        extras = re.findall(r"\[([^\]]*)\]", target)
+        assert not any("fast" in extra.split(",") for extra in extras), target
 
 
 def test_serve_smoke_checks_one_store_probe_per_request():

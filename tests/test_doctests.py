@@ -13,7 +13,6 @@ MODULE_NAMES = [
     "repro.core.rng",
     "repro.generators.degree_sequence",
     "repro.substrate.mesh",
-    "repro.analysis.clustering",
     "repro.analysis.components",
     "repro.analysis.cutoff",
     "repro.analysis.degree_distribution",

@@ -27,7 +27,6 @@ from repro.core.graph import Graph
 from repro.core.rng import RandomSource
 from repro.generators.dapa import DAPAGenerator
 from repro.substrate.grn import GeometricRandomNetwork
-from tiers import pin_tier
 
 
 class _SubclassSource(RandomSource):
@@ -48,8 +47,7 @@ def _grn_pair(n, radius, dimensions, torus, seed):
     builder = GeometricRandomNetwork(n, radius=radius, dimensions=dimensions, torus=torus)
     rng_oracle, rng = RandomSource(seed), RandomSource(seed)
     expected = grn_oracle.build_grn(oracle_builder, rng_oracle)
-    with pin_tier("python"):
-        graph = builder.build(rng)
+    graph = builder.build(rng)
     _assert_same_graph(expected, graph)
     assert builder.positions == oracle_builder.positions
     assert rng.random() == rng_oracle.random()
@@ -154,13 +152,12 @@ def _dapa_generators(draw):
 
 
 def _dapa_pair(generator, seed, source_class=RandomSource):
-    """Generate on the python tier with a ``source_class`` source and with
-    the oracle on a plain one; compare everything."""
+    """Generate with a ``source_class`` source and with the oracle on a
+    plain one; compare everything."""
     rng_oracle, calls_oracle = logged_source(seed)
     rng, calls = logged_source(seed, source_class)
     overlay_oracle, metadata_oracle = dapa_oracle.build_dapa(generator, rng_oracle)
-    with pin_tier("python"):
-        result = generator.generate(rng)
+    result = generator.generate(rng)
     assert calls == calls_oracle
     _assert_same_graph(overlay_oracle, result.graph)
     metadata_oracle, metadata = dict(metadata_oracle), dict(result.metadata)

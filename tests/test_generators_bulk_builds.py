@@ -23,15 +23,13 @@ from repro.core.graph import Graph
 from repro.generators import pa as pa_module
 from repro.generators.cm import ConfigurationModelGenerator
 from repro.generators.pa import PreferentialAttachmentGenerator
-from tiers import pin_tier
 
 
 def _build_pair(oracle_build, generator, seed):
-    """Build with the oracle and the shipped python tier; compare them."""
+    """Build with the oracle and the shipped loop; compare them."""
     (rng_oracle, calls_oracle), (rng, calls) = logged_source(seed), logged_source(seed)
     graph_oracle, meta_oracle = oracle_build(generator, rng_oracle)
-    with pin_tier("python"):
-        graph, meta = generator._build(rng)
+    graph, meta = generator._build(rng)
     assert calls == calls_oracle
     assert graph.nodes() == graph_oracle.nodes()
     frozen_oracle, frozen = graph_oracle.freeze(), graph.freeze()

@@ -1,19 +1,21 @@
-"""Cross-tier equivalence for the generator kernels (repro.kernels.generators).
+"""The generators' draw contract, and their edge cases.
 
-The generator kernel tier's contract mirrors the search kernels': for every
-construction family (PA in both strategies, nonlinear PA, CM stub matching,
-HAPA, DAPA) and every stochastic substrate (GRN, ER), a ``jit`` build must
-produce a graph *byte-identical* to the Python growth loop — same node
-insertion order, same edges in the same per-node neighbor order (pinned
-through the frozen CSR arrays), same metadata counters — and leave the
-shared RNG stream at exactly the position the reference would have
-reached, with the reference's draw-call counts pinned so neither tier can
-ever silently shift the seeds of anything running afterwards.
+For every construction family (PA in both strategies, nonlinear PA, CM
+stub matching, HAPA, DAPA) and the GRN substrate, the draw-call counts of
+one representative build are pinned, and the shipped build must leave the
+shared RNG stream at exactly the position those draws reach, so no change
+can silently shift the seeds of anything running afterwards.  Where a
+test oracle exists (``tests/oracles/``), the shipped build must give its
+graph *byte-identically*: same node insertion order, same edges in the
+same per-node neighbor order (pinned through the frozen CSR arrays), and
+the same metadata counters.
 
-Also covered here: the PA saturated-stub bugfix sweep (doomed picks detect
-in O(m) instead of burning ``_MAX_REJECTIONS_PER_STUB`` draws, fallback
-rejections are accounted, ``strict`` makes min-degree violations loud) and
-the cross-strategy statistical guard (``attempt`` vs ``roulette``).
+Also covered here: tight-cutoff builds against their oracles, the PA
+saturated-stub bugfix sweep (doomed picks detect in O(m) instead of
+burning ``_MAX_REJECTIONS_PER_STUB`` draws, fallback rejections are
+accounted, ``strict`` makes min-degree violations loud), the
+cross-strategy statistical guard (``attempt`` vs ``roulette``) and the
+bulk ``from_edge_array`` constructors.
 """
 
 from __future__ import annotations
@@ -43,13 +45,11 @@ from repro.generators.nonlinear_pa import (
 from repro.generators.pa import PreferentialAttachmentGenerator, generate_pa
 from repro.substrate.grn import GeometricRandomNetwork, generate_grn
 from repro.substrate.mesh import MeshNetwork
-from repro.substrate.random_graph import generate_erdos_renyi
-from tiers import pin_tier
 
 
 class _CountingSource(RandomSource):
     """RandomSource subclass counting the draw-method calls that reach it
-    (the inlined-draw loops and the kernels bypass them)."""
+    (the inlined-draw loops bypass them)."""
 
     def __init__(self, seed=None):
         super().__init__(seed)
@@ -84,8 +84,8 @@ class _CountingSource(RandomSource):
         return super().spawn(label)
 
 
-#: One representative build per family (the same shapes the backend
-#: equivalence suite uses), callable with an explicit RandomSource.
+#: One representative build per family, callable with an explicit
+#: RandomSource.
 BUILDERS = {
     "pa": lambda rng: generate_pa(300, stubs=2, hard_cutoff=10, rng=rng),
     "pa-attempt": lambda rng: generate_pa(
@@ -103,30 +103,33 @@ BUILDERS = {
     ),
 }
 
-#: The build a counting source counts: the oracle where the shipped loop
-#: draws from the twister directly (PA's roulette, CM's shuffle, HAPA,
-#: DAPA's join picks and attach step), the shipped python-tier build
-#: elsewhere.
-COUNTED_BUILDERS = {
-    **BUILDERS,
-    "pa": lambda rng: pa_oracle.build_pa(
-        PreferentialAttachmentGenerator(300, stubs=2, hard_cutoff=10), rng
+#: The generator of each representative build that has an oracle.
+GENERATOR_BUILDERS = {
+    "pa": lambda: PreferentialAttachmentGenerator(300, stubs=2, hard_cutoff=10),
+    "cm": lambda: ConfigurationModelGenerator(
+        300, exponent=2.5, min_degree=2, hard_cutoff=20
     ),
-    "cm": lambda rng: cm_oracle.build_cm(
-        ConfigurationModelGenerator(300, exponent=2.5, min_degree=2, hard_cutoff=20),
-        rng,
-    ),
-    "hapa": lambda rng: hapa_oracle.build_reference(
-        HAPAGenerator(200, stubs=1, hard_cutoff=8), rng
-    ),
-    "dapa": lambda rng: dapa_oracle.build_dapa(
-        DAPAGenerator(overlay_size=150, stubs=2, hard_cutoff=10, local_ttl=4), rng
+    "hapa": lambda: HAPAGenerator(200, stubs=1, hard_cutoff=8),
+    "dapa": lambda: DAPAGenerator(
+        overlay_size=150, stubs=2, hard_cutoff=10, local_ttl=4
     ),
 }
 
-#: Draw-call counts of each counted build with seed 2024.  Every tier must
-#: leave a plain stream at the identical position; if an intentional
-#: algorithm change alters these, update them in the same commit.
+#: The build a counting source counts: the oracle where the shipped loop
+#: draws from the twister directly (PA's roulette, CM's shuffle, HAPA,
+#: DAPA's join picks and attach step), the shipped build elsewhere.
+COUNTED_BUILDERS = {
+    **BUILDERS,
+    "pa": lambda rng: pa_oracle.build_pa(GENERATOR_BUILDERS["pa"](), rng),
+    "cm": lambda rng: cm_oracle.build_cm(GENERATOR_BUILDERS["cm"](), rng),
+    "hapa": lambda rng: hapa_oracle.build_reference(GENERATOR_BUILDERS["hapa"](), rng),
+    "dapa": lambda rng: dapa_oracle.build_dapa(GENERATOR_BUILDERS["dapa"](), rng),
+}
+
+#: Draw-call counts of each counted build with seed 2024.  The shipped
+#: build must leave a plain stream at the identical position; if an
+#: intentional algorithm change alters these, update them in the same
+#: commit.
 PINNED_DRAWS = {
     "pa": {"randint": 745},
     "pa-attempt": {"randint": 113886, "random": 113886},
@@ -139,108 +142,81 @@ PINNED_DRAWS = {
 SEED = 2024
 
 
-def _assert_byte_identical(graph_python: Graph, graph_jit: Graph) -> None:
+def _assert_byte_identical(expected: Graph, graph: Graph) -> None:
     """Same nodes in the same order, same edges in the same neighbor order."""
-    assert graph_python.nodes() == graph_jit.nodes()
-    frozen_python = graph_python.freeze()
-    frozen_jit = graph_jit.freeze()
-    assert np.array_equal(frozen_python._indptr, frozen_jit._indptr)
-    assert np.array_equal(frozen_python._indices, frozen_jit._indices)
-    if frozen_python._ids is None:
-        assert frozen_jit._ids is None
+    assert expected.nodes() == graph.nodes()
+    frozen_expected = expected.freeze()
+    frozen = graph.freeze()
+    assert np.array_equal(frozen_expected._indptr, frozen._indptr)
+    assert np.array_equal(frozen_expected._indices, frozen._indices)
+    if frozen_expected._ids is None:
+        assert frozen._ids is None
     else:
-        assert np.array_equal(frozen_python._ids, frozen_jit._ids)
+        assert np.array_equal(frozen_expected._ids, frozen._ids)
 
 
 def _assert_instrumented_builds_plain(build) -> None:
     """A counting subclass and a plain source build the byte-identical
-    graph and end at the same stream position, on every tier: the loops
-    and kernels draw from the twister underneath any overridden method."""
-    for tier in ("python", "jit"):
-        plain, counted = RandomSource(seed=SEED), _CountingSource(SEED)
-        with pin_tier(tier):
-            expected = build(plain)
-            graph = build(counted)
-        _assert_byte_identical(expected, graph)
-        assert counted.getstate() == plain.getstate(), tier
+    graph and end at the same stream position: the loops draw from the
+    twister underneath any overridden method."""
+    plain, counted = RandomSource(seed=SEED), _CountingSource(SEED)
+    expected = build(plain)
+    graph = build(counted)
+    _assert_byte_identical(expected, graph)
+    assert counted.getstate() == plain.getstate()
 
 
-class TestCrossTierByteIdentity:
-    """python vs jit builds: byte-identical graphs, identical stream use."""
+def _assert_matches_oracle(build, oracle_build, seed: int = SEED) -> None:
+    """The shipped build gives the oracle's graph and stream position."""
+    rng, oracle_rng = RandomSource(seed=seed), RandomSource(seed=seed)
+    graph = build(rng)
+    expected = oracle_build(oracle_rng)
+    if isinstance(expected, tuple):
+        expected = expected[0]
+    _assert_byte_identical(expected, graph)
+    assert rng.random() == oracle_rng.random()
 
-    @pytest.mark.parametrize("model", sorted(BUILDERS))
-    def test_graphs_and_stream_position(self, model):
-        rng_python = RandomSource(seed=SEED)
-        rng_jit = RandomSource(seed=SEED)
-        with pin_tier("python"):
-            graph_python = BUILDERS[model](rng_python)
-        with pin_tier("jit"):
-            graph_jit = BUILDERS[model](rng_jit)
-        _assert_byte_identical(graph_python, graph_jit)
-        assert rng_python.random() == rng_jit.random(), (
-            f"{model}: jit generation left the stream at a different position"
-        )
+
+#: The models whose counted build is an oracle, not the shipped build.
+ORACLE_MODELS = sorted(GENERATOR_BUILDERS)
+
+
+class TestDrawContract:
+    """Pinned draw counts, instrumented sources, and the oracles."""
+
+    @pytest.mark.parametrize("model", ORACLE_MODELS)
+    def test_graph_and_stream_position_match_the_oracle(self, model):
+        _assert_matches_oracle(BUILDERS[model], COUNTED_BUILDERS[model])
+
+    @pytest.mark.parametrize("model", ORACLE_MODELS)
+    def test_metadata_matches_the_oracle(self, model):
+        """The shipped generator reports the oracle's counters; DAPA's
+        substrate graph, part of its metadata, is the oracle's as well."""
+        result = GENERATOR_BUILDERS[model]().generate(RandomSource(seed=SEED))
+        _, expected = COUNTED_BUILDERS[model](RandomSource(seed=SEED))
+        metadata, expected = dict(result.metadata), dict(expected)
+        if "substrate_graph" in expected:
+            _assert_byte_identical(
+                expected.pop("substrate_graph"), metadata.pop("substrate_graph")
+            )
+        assert metadata == expected
 
     @pytest.mark.parametrize("model", sorted(BUILDERS))
     def test_pinned_draw_counts(self, model):
         counted = _CountingSource(SEED)
-        with pin_tier("python"):
-            COUNTED_BUILDERS[model](counted)
+        COUNTED_BUILDERS[model](counted)
         assert dict(counted.calls) == PINNED_DRAWS[model]
-        for tier in ("python", "jit"):
-            rng = RandomSource(seed=SEED)
-            with pin_tier(tier):
-                BUILDERS[model](rng)
-            assert rng.getstate() == counted.getstate(), tier
+        rng = RandomSource(seed=SEED)
+        BUILDERS[model](rng)
+        assert rng.getstate() == counted.getstate()
 
     @pytest.mark.parametrize("model", sorted(BUILDERS))
     def test_instrumented_sources_build_the_plain_graph(self, model):
         _assert_instrumented_builds_plain(BUILDERS[model])
 
-    @pytest.mark.parametrize("model", sorted(BUILDERS))
-    def test_metadata_identical(self, model):
-        results = {}
-        for tier in ("python", "jit"):
-            with pin_tier(tier):
-                if model == "pa":
-                    result = PreferentialAttachmentGenerator(
-                        300, stubs=2, hard_cutoff=10
-                    ).generate(RandomSource(seed=SEED))
-                elif model == "pa-attempt":
-                    result = PreferentialAttachmentGenerator(
-                        300, stubs=2, hard_cutoff=10, strategy="attempt"
-                    ).generate(RandomSource(seed=SEED))
-                elif model == "nlpa":
-                    result = NonlinearPreferentialAttachmentGenerator(
-                        300, stubs=2, exponent_alpha=0.8, hard_cutoff=10
-                    ).generate(RandomSource(seed=SEED))
-                elif model == "cm":
-                    result = ConfigurationModelGenerator(
-                        300, exponent=2.5, min_degree=2, hard_cutoff=20
-                    ).generate(RandomSource(seed=SEED))
-                elif model == "hapa":
-                    result = HAPAGenerator(200, stubs=1, hard_cutoff=8).generate(
-                        RandomSource(seed=SEED)
-                    )
-                else:
-                    from repro.generators.dapa import DAPAGenerator
-
-                    result = DAPAGenerator(
-                        overlay_size=150, stubs=2, hard_cutoff=10, local_ttl=4
-                    ).generate(RandomSource(seed=SEED))
-            results[tier] = result
-        meta_python = dict(results["python"].metadata)
-        meta_jit = dict(results["jit"].metadata)
-        # The DAPA substrate graph object differs by identity only.
-        if model == "dapa":
-            sub_python = meta_python.pop("substrate_graph")
-            sub_jit = meta_jit.pop("substrate_graph")
-            assert sub_python == sub_jit
-        assert meta_python == meta_jit
-
 
 class TestTightCutoffEdgeCases:
-    """Saturation-heavy configurations must stay cross-tier identical."""
+    """Saturation-heavy configurations still match their oracles."""
 
     CASES = [
         # (n, m, kc): kc = m + 1 keeps most of the network saturated.
@@ -252,52 +228,41 @@ class TestTightCutoffEdgeCases:
 
     @pytest.mark.parametrize("n,m,kc", CASES)
     def test_pa_saturated(self, n, m, kc):
-        rng_python, rng_jit = RandomSource(seed=31), RandomSource(seed=31)
-        with pin_tier("python"):
-            graph_python = generate_pa(n, stubs=m, hard_cutoff=kc, rng=rng_python)
-        with pin_tier("jit"):
-            graph_jit = generate_pa(n, stubs=m, hard_cutoff=kc, rng=rng_jit)
-        _assert_byte_identical(graph_python, graph_jit)
-        assert rng_python.random() == rng_jit.random()
+        _assert_matches_oracle(
+            lambda rng: generate_pa(n, stubs=m, hard_cutoff=kc, rng=rng),
+            lambda rng: pa_oracle.build_pa(
+                PreferentialAttachmentGenerator(n, stubs=m, hard_cutoff=kc), rng
+            ),
+            seed=31,
+        )
 
     def test_pa_complete_graph_request(self):
         # n == m + 1: the seed clique is the whole graph, no growth phase.
-        for tier in ("python", "jit"):
-            with pin_tier(tier):
-                graph = generate_pa(4, stubs=3, rng=RandomSource(seed=1))
-            assert graph.number_of_edges == 6
-            assert graph.min_degree() == 3
+        graph = generate_pa(4, stubs=3, rng=RandomSource(seed=1))
+        assert graph.number_of_edges == 6
+        assert graph.min_degree() == 3
 
     def test_hapa_small_hop_budget(self):
-        rng_python, rng_jit = RandomSource(seed=5), RandomSource(seed=5)
-        with pin_tier("python"):
-            graph_python = generate_hapa(
-                120, stubs=2, hard_cutoff=3, max_hops_per_stub=5, rng=rng_python
-            )
-        with pin_tier("jit"):
-            graph_jit = generate_hapa(
-                120, stubs=2, hard_cutoff=3, max_hops_per_stub=5, rng=rng_jit
-            )
-        _assert_byte_identical(graph_python, graph_jit)
-        assert rng_python.random() == rng_jit.random()
+        _assert_matches_oracle(
+            lambda rng: generate_hapa(
+                120, stubs=2, hard_cutoff=3, max_hops_per_stub=5, rng=rng
+            ),
+            lambda rng: hapa_oracle.build_reference(
+                HAPAGenerator(120, stubs=2, hard_cutoff=3, max_hops_per_stub=5), rng
+            ),
+            seed=5,
+        )
 
     def test_cm_minimal_sequence(self):
         sequence = [1, 1, 2, 2, 1, 1]
-        for tier in ("python", "jit"):
-            with pin_tier(tier):
-                graphs = generate_cm(
-                    6, degree_sequence=sequence, rng=RandomSource(seed=3)
-                )
-            assert graphs.number_of_nodes == 6
+        graph = generate_cm(6, degree_sequence=sequence, rng=RandomSource(seed=3))
+        assert graph.number_of_nodes == 6
 
     def test_dapa_target_equals_initial_peers(self):
-        for tier in ("python", "jit"):
-            with pin_tier(tier):
-                graph = generate_dapa(
-                    20, stubs=1, initial_peers=20, local_ttl=2,
-                    rng=RandomSource(seed=2),
-                )
-            assert graph.number_of_nodes == 20
+        graph = generate_dapa(
+            20, stubs=1, initial_peers=20, local_ttl=2, rng=RandomSource(seed=2)
+        )
+        assert graph.number_of_nodes == 20
 
 
 class TestPASaturationBugfixes:
@@ -404,14 +369,11 @@ class TestSeedCliqueValidation:
 SUBSTRATE_BUILDERS = {
     "grn": lambda rng: generate_grn(400, radius=0.1, rng=rng),
     "grn-torus": lambda rng: generate_grn(60, radius=0.6, torus=True, rng=rng),
-    "er": lambda rng: generate_erdos_renyi(300, edge_probability=0.05, rng=rng),
 }
 
 #: The build a counting source counts: the GRN's oracle (the shipped
-#: build draws its positions from the twister directly), the shipped
-#: python-tier build for ER.
+#: build draws its positions from the twister directly).
 SUBSTRATE_COUNTED_BUILDERS = {
-    **SUBSTRATE_BUILDERS,
     "grn": lambda rng: grn_oracle.build_grn(GeometricRandomNetwork(400, radius=0.1), rng),
     "grn-torus": lambda rng: grn_oracle.build_grn(
         GeometricRandomNetwork(60, radius=0.6, torus=True), rng
@@ -421,54 +383,30 @@ SUBSTRATE_COUNTED_BUILDERS = {
 SUBSTRATE_PINNED_DRAWS = {
     "grn": {"random": 800},
     "grn-torus": {"random": 120},
-    "er": {"random": 2202},
 }
 
 
-class TestSubstrateCrossTier:
-    """Substrate builders: array/kernel path vs the legacy dict path."""
+class TestSubstrateDrawContract:
+    """Substrate builders: pinned draws, instrumented sources, oracles."""
 
     @pytest.mark.parametrize("name", sorted(SUBSTRATE_BUILDERS))
-    def test_graphs_and_stream_position(self, name):
-        rng_python = RandomSource(seed=SEED)
-        rng_jit = RandomSource(seed=SEED)
-        with pin_tier("python"):
-            graph_python = SUBSTRATE_BUILDERS[name](rng_python)
-        with pin_tier("jit"):
-            graph_jit = SUBSTRATE_BUILDERS[name](rng_jit)
-        _assert_byte_identical(graph_python, graph_jit)
-        assert rng_python.random() == rng_jit.random(), (
-            f"{name}: jit substrate build left the stream at a different position"
+    def test_graph_and_stream_position_match_the_oracle(self, name):
+        _assert_matches_oracle(
+            SUBSTRATE_BUILDERS[name], SUBSTRATE_COUNTED_BUILDERS[name]
         )
 
     @pytest.mark.parametrize("name", sorted(SUBSTRATE_BUILDERS))
     def test_pinned_draw_counts(self, name):
         counted = _CountingSource(SEED)
-        with pin_tier("python"):
-            SUBSTRATE_COUNTED_BUILDERS[name](counted)
+        SUBSTRATE_COUNTED_BUILDERS[name](counted)
         assert dict(counted.calls) == SUBSTRATE_PINNED_DRAWS[name]
-        for tier in ("python", "jit"):
-            rng = RandomSource(seed=SEED)
-            with pin_tier(tier):
-                SUBSTRATE_BUILDERS[name](rng)
-            assert rng.getstate() == counted.getstate(), tier
+        rng = RandomSource(seed=SEED)
+        SUBSTRATE_BUILDERS[name](rng)
+        assert rng.getstate() == counted.getstate()
 
     @pytest.mark.parametrize("name", sorted(SUBSTRATE_BUILDERS))
     def test_instrumented_sources_build_the_plain_graph(self, name):
         _assert_instrumented_builds_plain(SUBSTRATE_BUILDERS[name])
-
-    def test_grn_array_path_freeze_equals_dict_path(self):
-        # The substrate contract DAPA relies on: whichever tier built the
-        # substrate, freeze() hands DAPA the same CSR arrays and the same
-        # node positions.
-        builder = GeometricRandomNetwork(200, radius=0.15)
-        with pin_tier("python"):
-            dict_graph = builder.build(RandomSource(seed=7))
-        dict_positions = dict(builder.positions)
-        with pin_tier("jit"):
-            array_graph = builder.build(RandomSource(seed=7))
-        assert builder.positions == dict_positions
-        _assert_byte_identical(dict_graph, array_graph)
 
     def test_mesh_vectorized_build_matches_reference(self):
         cases = [
@@ -577,19 +515,6 @@ class TestCrossStrategyStatisticalGuard:
             for k in support
         )
         assert tv_distance < 0.1, f"strategies diverged: TV={tv_distance:.3f}"
-
-    def test_generator_tiers_agree_statistically_and_exactly(self):
-        # Stronger than statistics: the tiers are byte-identical, so the
-        # distribution guard holds trivially — pin the exact agreement on
-        # the pooled distribution for a multi-seed sweep.
-        for seed in range(3):
-            with pin_tier("python"):
-                graph_python = generate_pa(400, stubs=2, hard_cutoff=20, seed=seed)
-            with pin_tier("jit"):
-                graph_jit = generate_pa(400, stubs=2, hard_cutoff=20, seed=seed)
-            assert Counter(graph_python.degree_sequence()) == Counter(
-                graph_jit.degree_sequence()
-            )
 
 
 class TestBulkConstructors:

@@ -1,4 +1,4 @@
-"""The python tier's inlined-draw loops against their test oracles.
+"""The generators' inlined-draw loops against their test oracles.
 
 Every :class:`RandomSource` builds HAPA with ``HAPAGenerator._build_fast``,
 and picks DAPA's joining nodes and runs its accept/reject attach step
@@ -39,7 +39,6 @@ from repro.generators.dapa import DAPAGenerator
 from repro.generators.degree_sequence import power_law_degree_sequence
 from repro.generators.hapa import HAPAGenerator
 from repro.substrate.grn import GeometricRandomNetwork
-from tiers import pin_tier
 
 
 class _CountingSource(RandomSource):
@@ -102,12 +101,11 @@ def _hapa_pair(generator: HAPAGenerator, seed: int):
 
 
 def _dapa_pair(generator: DAPAGenerator, seed: int):
-    """Build with the oracle and generate on the python tier; return the
+    """Build with the oracle and generate with the shipped loop; return the
     shipped result."""
     (rng_oracle, calls_oracle), (rng, calls) = logged_source(seed), logged_source(seed)
     overlay_oracle, meta_oracle = dapa_oracle.build_dapa(generator, rng_oracle)
-    with pin_tier("python"):
-        result = generator.generate(rng)
+    result = generator.generate(rng)
     assert calls == calls_oracle
     _assert_same_graph(overlay_oracle, result.graph)
     meta_oracle, meta = dict(meta_oracle), dict(result.metadata)
@@ -167,8 +165,7 @@ class TestHAPAFastLoop:
         generator = HAPAGenerator(80, stubs=2, hard_cutoff=6)
         expected = hapa_oracle.build_reference(generator, RandomSource(seed=9))[0]
         rng = _CountingSource(9)
-        with pin_tier("python"):
-            graph = generator.generate(rng).graph
+        graph = generator.generate(rng).graph
         _assert_same_graph(expected, graph)
         assert not rng.calls
 
@@ -230,8 +227,7 @@ class TestDAPAFastAttach:
         oracle_rng = RandomSource(seed=9)
         expected = dapa_oracle.build_dapa(generator, oracle_rng)[0]
         rng = _CountingSource(9)
-        with pin_tier("python"):
-            graph = generator.generate(rng).graph
+        graph = generator.generate(rng).graph
         _assert_same_graph(expected, graph)
         assert rng.getstate() == oracle_rng.getstate()
         assert rng.calls == {"spawn": 1, "sample": 1}
@@ -254,14 +250,13 @@ class TestDAPAFastAttach:
 class TestCMFastShuffle:
     def test_a_subclass_draws_from_its_twister(self):
         # The sequence is sampled up front: its parity fix draws one
-        # randint through the method on every tier, outside the shuffle.
+        # randint through the method, outside the shuffle.
         sequence = power_law_degree_sequence(300, 2.5, min_degree=2, max_degree=20, rng=3)
         generator = ConfigurationModelGenerator(300, degree_sequence=sequence)
         oracle_rng = RandomSource(seed=9)
         expected = cm_oracle.build_cm(generator, oracle_rng)[0]
         rng = _CountingSource(9)
-        with pin_tier("python"):
-            graph = generator.generate(rng).graph
+        graph = generator.generate(rng).graph
         _assert_same_graph(expected, graph)
         assert rng.getstate() == oracle_rng.getstate()
         assert not rng.calls
@@ -274,8 +269,7 @@ class TestGRNPositions:
         expected = grn_oracle.build_grn(builder, oracle_rng)
         expected_positions = dict(builder.positions)
         rng = _CountingSource(9)
-        with pin_tier("python"):
-            graph = builder.build(rng)
+        graph = builder.build(rng)
         _assert_same_graph(expected, graph)
         assert builder.positions == expected_positions
         assert rng.getstate() == oracle_rng.getstate()

@@ -3,6 +3,7 @@
 ``CSRGraph.sparse_adjacency`` (the batched flood kernel's matrix) imports
 ``scipy.sparse`` and ``Graph.to_networkx`` imports networkx, each on first
 use, so serve, generation and NF/PF/RW search never pay for either module.
+No stage so much as tries to import numba: nothing in the package uses it.
 ``import repro.cli``, which every ``repro`` command pays for, ``repro serve``
 included, adds no ``repro`` module but itself.  Each check runs in a fresh
 interpreter, since this test process has long since imported all of them.
@@ -21,12 +22,22 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 #: Runs three scenarios at the smoke preset and prints, as one JSON object,
-#: the scipy/networkx modules loaded after each stage.  numba is hidden, so
-#: the runs take the python tier on every host.
+#: the scipy/networkx modules loaded after each stage, and under
+#: ``numba-imports`` every attempt any stage made to import numba (a
+#: ``sys.meta_path`` finder sees each one, whether numba is installed or
+#: not).
 _STAGES = r"""
 import json, sys
 
-sys.modules["numba"] = None
+numba_imports = []
+
+class NumbaWatch:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numba":
+            numba_imports.append(name)
+        return None
+
+sys.meta_path.insert(0, NumbaWatch())
 
 def loaded():
     return sorted(
@@ -54,6 +65,7 @@ def run(model, measurement):
 stages["hapa-degree-distribution"] = run("hapa", {"kind": "degree-distribution"})
 stages["nf-search-curve"] = run("pa", {"kind": "search-curve", "algorithm": "nf"})
 stages["fl-search-curve"] = run("pa", {"kind": "search-curve", "algorithm": "fl"})
+stages["numba-imports"] = numba_imports
 print(json.dumps(stages))
 """
 
@@ -102,6 +114,10 @@ def test_import_repro_loads_neither_scipy_nor_networkx(stages):
 def test_generation_and_nf_search_load_neither(stages):
     assert stages["hapa-degree-distribution"] == []
     assert stages["nf-search-curve"] == []
+
+
+def test_no_stage_attempts_to_import_numba(stages):
+    assert stages["numba-imports"] == []
 
 
 def test_fl_search_curve_loads_scipy_sparse(stages):

@@ -1,4 +1,4 @@
-"""The python tier's inlined-draw search loops against their test oracles.
+"""The inlined-draw search loops against their test oracles.
 
 Every :class:`RandomSource` draws from its Mersenne Twister directly: NF
 and single-walker RW queries run through ``_run_fast`` (NF replays
@@ -28,11 +28,11 @@ from oracles import nf as nf_oracle
 from oracles import pf as pf_oracle
 from repro.core.graph import Graph
 from repro.core.rng import RandomSource
+from repro.generators.pa import generate_pa
 from repro.search.normalized_flooding import NormalizedFloodingSearch
 from repro.search.probabilistic_flooding import ProbabilisticFloodingSearch
 from repro.search.random_walk import RandomWalkSearch
 from repro.telemetry.collector import TelemetryCollector, use_telemetry
-from tiers import pin_tier
 
 
 class _SubclassSource(RandomSource):
@@ -111,15 +111,14 @@ def _assert_fast_matches_reference(algorithm, graph, sources, ttl, target, seed)
     rows = {node: list(graph.iter_neighbors(node)) for node in graph.nodes()}
     for subject in (graph, graph.freeze()):
         (plain, calls), (reference_rng, reference_calls) = logged_source(seed), logged_source(seed)
-        with pin_tier("python"):
-            for source in sources:
-                fast = algorithm.run(subject, source, ttl, rng=plain, target=target)
-                reference = oracle(subject, source, ttl, reference_rng, target)
-                assert fast.hits_per_ttl == reference.hits_per_ttl
-                assert fast.messages_per_ttl == reference.messages_per_ttl
-                assert fast.visited == reference.visited
-                assert fast.found_at == reference.found_at
-                assert len(fast.hits_per_ttl) == ttl + 1
+        for source in sources:
+            fast = algorithm.run(subject, source, ttl, rng=plain, target=target)
+            reference = oracle(subject, source, ttl, reference_rng, target)
+            assert fast.hits_per_ttl == reference.hits_per_ttl
+            assert fast.messages_per_ttl == reference.messages_per_ttl
+            assert fast.visited == reference.visited
+            assert fast.found_at == reference.found_at
+            assert len(fast.hits_per_ttl) == ttl + 1
         assert calls == reference_calls
         assert plain.random() == reference_rng.random()
         for node, row in rows.items():
@@ -167,7 +166,7 @@ class TestNormalizedFloodingFastLoop:
         for run in (search.run, partial(nf_oracle.run_nf, search)):
             collector = TelemetryCollector()
             rng = RandomSource(9)
-            with pin_tier("python"), use_telemetry(collector):
+            with use_telemetry(collector):
                 for source in (0, 5, 89, 90):  # 90 is isolated
                     run(graph, source, 6, rng)
             histograms.append(collector.histograms["search.frontier"])
@@ -195,8 +194,7 @@ class TestProbabilisticFloodingFastLoop:
     def test_certain_forwarding_draws_nothing(self):
         graph = _build_graph(60, 12, 40, 0, False, seed=2)
         rng = RandomSource(3)
-        with pin_tier("python"):
-            ProbabilisticFloodingSearch(1.0).run(graph, 0, 5, rng=rng)
+        ProbabilisticFloodingSearch(1.0).run(graph, 0, 5, rng=rng)
         assert rng.random() == RandomSource(3).random()
 
 
@@ -228,6 +226,39 @@ class TestRandomWalkFastLoop:
         _assert_fast_matches_reference(RandomWalkSearch(), graph, [3, 0, 8], 12, 8, 1)
 
 
+class TestEdgeCases:
+    """Fixed cases beside the properties: a ttl of 0, an isolated source,
+    a target at the source, and the larger branching factor of NF."""
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            NormalizedFloodingSearch(k_min=2),
+            ProbabilisticFloodingSearch(0.5),
+            RandomWalkSearch(walkers=2),
+        ],
+        ids=["nf", "pf", "rw-walkers"],
+    )
+    @pytest.mark.parametrize("source, ttl", [(0, 0), (3, 5), (0, 6)])
+    def test_path_with_an_isolated_node(self, algorithm, source, ttl):
+        graph = Graph.from_edges(4, [(0, 1), (1, 2)])  # node 3 is isolated
+        _assert_fast_matches_reference(algorithm, graph, [source], ttl, None, 3)
+
+    def test_target_at_the_source_counted_as_a_hit(self):
+        graph = generate_pa(250, stubs=2, hard_cutoff=12, seed=31)
+        algorithm = NormalizedFloodingSearch(k_min=3, count_source_as_hit=True)
+        _assert_fast_matches_reference(algorithm, graph, [4], 6, 4, 11)
+        assert algorithm.run(graph, 4, 6, rng=11, target=4).found_at == 0
+
+    def test_large_branching_follows_the_sample_heuristic(self):
+        # k_min > 5 flips random.sample's setsize heuristic; the inlined
+        # sample must follow it or the draw streams diverge.
+        graph = generate_pa(250, stubs=2, hard_cutoff=12, seed=31)
+        _assert_fast_matches_reference(
+            NormalizedFloodingSearch(k_min=7), graph, [0], 8, None, 23
+        )
+
+
 class TestDispatch:
     @pytest.mark.parametrize(
         "algorithm, loop",
@@ -248,9 +279,8 @@ class TestDispatch:
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(RandomWalkSearch, name, spy)
-        with pin_tier("python"):
-            algorithm.run(graph, 0, 4, rng=RandomSource(1))
-            algorithm.run(graph, 0, 4, rng=_SubclassSource(1))
+        algorithm.run(graph, 0, 4, rng=RandomSource(1))
+        algorithm.run(graph, 0, 4, rng=_SubclassSource(1))
         assert taken == [loop, loop]
 
     @pytest.mark.parametrize(
@@ -265,20 +295,17 @@ class TestDispatch:
     )
     def test_a_subclass_runs_the_plain_loop(self, algorithm, through_methods):
         # Only RW's multi-walker body draws through the source's methods;
-        # every other python loop, and every kernel, draws from the twister
-        # underneath them.  Either way a counting subclass gets the plain
-        # source's results and ends at its stream position.
+        # every other loop draws from the twister underneath them.  Either
+        # way a counting subclass gets the plain source's results and ends
+        # at its stream position.
         graph = _build_graph(40, 6, 20, 1, False, seed=1)
-        for tier in ("python", "jit"):
-            for subject in (graph, graph.freeze()):
-                plain, counted = RandomSource(7), _CountingSource(7)
-                with pin_tier(tier):
-                    for source in (0, 3, 40):  # 40 is isolated
-                        expected = algorithm.run(subject, source, 5, rng=plain)
-                        result = algorithm.run(subject, source, 5, rng=counted)
-                        assert result.hits_per_ttl == expected.hits_per_ttl
-                        assert result.messages_per_ttl == expected.messages_per_ttl
-                        assert result.visited == expected.visited
-                assert counted.getstate() == plain.getstate()
-                if tier == "python":
-                    assert bool(counted.calls) == through_methods
+        for subject in (graph, graph.freeze()):
+            plain, counted = RandomSource(7), _CountingSource(7)
+            for source in (0, 3, 40):  # 40 is isolated
+                expected = algorithm.run(subject, source, 5, rng=plain)
+                result = algorithm.run(subject, source, 5, rng=counted)
+                assert result.hits_per_ttl == expected.hits_per_ttl
+                assert result.messages_per_ttl == expected.messages_per_ttl
+                assert result.visited == expected.visited
+            assert counted.getstate() == plain.getstate()
+            assert bool(counted.calls) == through_methods

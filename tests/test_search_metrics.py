@@ -15,6 +15,8 @@ from repro.search.metrics import (
     select_sources,
 )
 from repro.search.normalized_flooding import NormalizedFloodingSearch
+from repro.search.probabilistic_flooding import ProbabilisticFloodingSearch
+from repro.search.random_walk import RandomWalkSearch
 
 
 class TestSearchCurve:
@@ -61,7 +63,12 @@ class TestSearchCurve:
     def test_empty_query_batch_rejected(self, pa_graph_cutoff, batch, frozen):
         # The mean of no queries is NaN; the batch is refused instead.
         graph = pa_graph_cutoff.freeze() if frozen else pa_graph_cutoff
-        for algorithm in (FloodingSearch(), NormalizedFloodingSearch(k_min=2)):
+        for algorithm in (
+            FloodingSearch(),
+            NormalizedFloodingSearch(k_min=2),
+            ProbabilisticFloodingSearch(0.5),
+            RandomWalkSearch(),
+        ):
             with pytest.raises(SearchError, match="query batch is empty"):
                 search_curve(graph, algorithm, [1, 2], rng=1, **batch)
 

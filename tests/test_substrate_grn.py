@@ -51,7 +51,7 @@ class TestTorusCellPairDedupe:
     def test_shipped_sweep_tests_each_pair_once(self):
         n = 12
         builder = GeometricRandomNetwork(n, radius=0.8, torus=True)
-        builder._build_python(RandomSource(seed=6))
+        builder.build(RandomSource(seed=6))
         positions = np.array([builder.positions[node] for node in range(n)])
         grid = bucket_cells(positions, 1)
         edge_u, _, tested = sweep_cells(positions, grid, 1, True, 0.8 * 0.8)
@@ -63,7 +63,7 @@ class TestTorusCellPairDedupe:
         # (two cells per side, wrap still collapses offsets) agrees with
         # the brute-force distance filter.
         builder = GeometricRandomNetwork(40, radius=0.45, torus=True)
-        graph = builder._build_python(RandomSource(seed=17))
+        graph = builder.build(RandomSource(seed=17))
         positions = builder.positions
         expected = set()
         for u in range(40):

@@ -450,15 +450,9 @@ def _canonical_tree(export):
     """Reduce a span tree to (name, attrs, children) shape, order-free.
 
     Ids, timestamps, and thread ids differ between serial and parallel
-    runs by construction; the tree *shape* must not.  ``kernel-compile``
-    spans are excluded for the same once-per-process reason the counter
-    comparison in ``test_telemetry.py`` documents.
+    runs by construction; the tree *shape* must not.
     """
-    nodes = [
-        node
-        for node in export["span_tree"]
-        if not node["name"].startswith("kernel")
-    ]
+    nodes = export["span_tree"]
     ids = {node["id"] for node in nodes}
     children = {}
     roots = []
@@ -524,13 +518,9 @@ class TestSerialParallelIdentity:
         # Every node — including those recorded inside pool worker
         # processes, where the ambient stack starts empty — carries the
         # request trace id that travelled by value with the task.
-        workload = [
-            node
-            for node in export["span_tree"]
-            if not node["name"].startswith("kernel")
-        ]
-        assert workload
-        assert {node["trace_id"] for node in workload} == {trace_id}
+        nodes = export["span_tree"]
+        assert nodes
+        assert {node["trace_id"] for node in nodes} == {trace_id}
 
     def test_export_round_trip_preserves_tree(self):
         _, export = _traced_batch(SerialExecutor(), (61,), new_trace_id())
@@ -719,27 +709,6 @@ class TestStructuredLogs:
 
     def test_get_logger_is_cached(self):
         assert get_logger("repro.same") is get_logger("repro.same")
-
-
-# --------------------------------------------------------------------------- #
-# Kernel fallback observability
-# --------------------------------------------------------------------------- #
-class TestKernelFallback:
-    def test_fallback_emits_log_and_counter_once(self, monkeypatch):
-        from repro.kernels import dispatch
-
-        monkeypatch.setattr(dispatch, "_TIER_WARNINGS", set())
-        handler = MemoryHandler()
-        collector = TelemetryCollector()
-        with use_log_handler(handler), use_telemetry(collector):
-            with pytest.warns(RuntimeWarning, match="tier demoted"):
-                dispatch._warn_tier("test-tier", "tier demoted: test")
-            dispatch._warn_tier("test-tier", "tier demoted: test")  # muted
-        (record,) = handler.records
-        assert record["logger"] == "repro.kernels"
-        assert record["event"] == "kernel-fallback"
-        assert record["reason"] == "test-tier"
-        assert collector.counters == {"kernels.fallback.test-tier": 1}
 
 
 # --------------------------------------------------------------------------- #
